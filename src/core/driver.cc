@@ -63,6 +63,13 @@ struct Driver::PreCursor::CsState
 
     unsigned gran;
     std::map<std::uint64_t, Cell> cells;
+    /**
+     * Indices of the cells with a non-empty tail, ascending: the
+     * write frontier, so building it never walks persisted history.
+     * Index order keeps mask bits and prefix chains in the oracle's
+     * order.
+     */
+    std::set<std::uint64_t> open;
     /** Cells awaiting the next fence (stale entries re-checked). */
     std::vector<std::uint64_t> pending;
     /** Registered commit variables (dropped-commit suppression). */
@@ -81,6 +88,23 @@ struct Driver::PreCursor::CsState
         return (a + n - 1) / gran - a / gran + 1;
     }
     Addr cellAddr(std::uint64_t idx) const { return idx * gran; }
+    const std::vector<std::uint32_t> &
+    tailOf(std::uint64_t idx) const
+    {
+        return cells.find(idx)->second.tail;
+    }
+
+    /** In-flight write seqs (the open cells' tails), ascending. */
+    std::vector<std::uint32_t>
+    frontierSeqs() const
+    {
+        std::set<std::uint32_t> seqs;
+        for (std::uint64_t idx : open) {
+            const auto &tail = tailOf(idx);
+            seqs.insert(tail.begin(), tail.end());
+        }
+        return {seqs.begin(), seqs.end()};
+    }
 };
 
 Driver::PreCursor::PreCursor(AddrRange range,
@@ -343,6 +367,7 @@ Driver::advanceImage(PreCursor &cur, const trace::TraceBuffer &pre,
                         auto &cell = cs->cells[first + c];
                         cell.state = nt ? St::Pending : St::Modified;
                         cell.tail.push_back(e.seq);
+                        cs->open.insert(first + c);
                         if (nt)
                             cs->pending.push_back(first + c);
                     }
@@ -416,6 +441,7 @@ Driver::advanceImage(PreCursor &cur, const trace::TraceBuffer &pre,
                     it->second.state = St::Persisted;
                     persistCell(idx);
                     it->second.tail.clear();
+                    cs->open.erase(idx);
                 }
                 cs->pending.clear();
             }
@@ -452,8 +478,10 @@ Driver::advanceImage(PreCursor &cur, const trace::TraceBuffer &pre,
                     // Freed cells leave the frontier; pin their bytes
                     // at the last written value so the anchor stays
                     // byte-identical to the footnote-3 image.
-                    if (!it->second.tail.empty())
+                    if (!it->second.tail.empty()) {
                         persistCell(first + c);
+                        cs->open.erase(first + c);
+                    }
                     cs->cells.erase(it);
                 }
                 break;
@@ -662,10 +690,7 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
     // otherwise the line-granular bookkeeping supplies it.
     std::vector<std::uint32_t> frontier;
     if (cur.cs) {
-        std::set<std::uint32_t> seqs;
-        for (const auto &[idx, c] : cur.cs->cells)
-            seqs.insert(c.tail.begin(), c.tail.end());
-        frontier.assign(seqs.begin(), seqs.end());
+        frontier = cur.cs->frontierSeqs();
     } else {
         for (const auto &ent : cur.inflight)
             frontier.insert(frontier.end(), ent.second.begin(),
@@ -802,27 +827,25 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
     // Frontier + per-cell prefix chains from the cell model — the
     // identical inputs the oracle derives, so enumeration agrees with
     // it candidate for candidate.
-    std::set<std::uint32_t> seqs;
-    for (const auto &[idx, c] : cs.cells)
-        seqs.insert(c.tail.begin(), c.tail.end());
-    if (seqs.empty())
+    std::vector<std::uint32_t> frontier = cs.frontierSeqs();
+    if (frontier.empty())
         return;
     std::vector<trace::FrontierEvent> events;
-    events.reserve(seqs.size());
+    events.reserve(frontier.size());
     std::map<std::uint32_t, std::size_t> bitOf;
-    for (std::uint32_t s : seqs) {
+    for (std::uint32_t s : frontier) {
         bitOf[s] = events.size();
         events.push_back(trace::FrontierEvent{s, pre[s].addr,
                                               pre[s].size});
     }
     std::size_t k = events.size();
     std::vector<std::vector<std::size_t>> chains;
-    for (const auto &[idx, c] : cs.cells) {
-        if (c.tail.empty())
-            continue;
+    chains.reserve(cs.open.size());
+    for (std::uint64_t idx : cs.open) {
+        const auto &tail = cs.tailOf(idx);
         std::vector<std::size_t> chain;
-        chain.reserve(c.tail.size());
-        for (std::uint32_t s : c.tail)
+        chain.reserve(tail.size());
+        for (std::uint32_t s : tail)
             chain.push_back(bitOf.at(s));
         chains.push_back(std::move(chain));
     }
@@ -837,7 +860,8 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
     // pruning set.
     for (; cs.lintCursor < fp; cs.lintCursor++)
         cs.lint.apply(pre[cs.lintCursor]);
-    std::string group = pre[fp].loc.str() + '|' + cs.lint.signature();
+    std::string group =
+        pre[fp].loc.str() + '|' + cs.lint.signature().str();
     std::uint64_t stream = 1469598103934665603ull; // FNV-1a 64
     for (char ch : group)
         stream = (stream ^ static_cast<unsigned char>(ch)) *
@@ -853,8 +877,6 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
     if (en.masks.size() <= 1)
         return;
     stats.crashStatesEnumerated += en.masks.size() - 1;
-
-    std::vector<std::uint32_t> frontier(seqs.begin(), seqs.end());
 
     obs::Timeline *tl = wobs.timeline;
     obs::SpanScope span(tl,
@@ -894,11 +916,8 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
         } else {
             std::set<std::uint32_t> pages;
             if (first_restore) {
-                for (const auto &[idx, c] : cs.cells) {
-                    if (!c.tail.empty())
-                        pages.insert(
-                            deltaStore->pageOf(cs.cellAddr(idx)));
-                }
+                for (std::uint64_t idx : cs.open)
+                    pages.insert(deltaStore->pageOf(cs.cellAddr(idx)));
             }
             exec_pool.drainDirtyPages(pages);
             pm::restorePages(cur.durable, exec_pool,
@@ -1117,7 +1136,7 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
     // The campaign-start snapshot: one O(pool) copy into CoW pages;
     // every cursor's working/durable image forks it for O(pages)
     // pointer copies.
-    pm::CowImage initial(pool.snapshot());
+    pm::CowImage initial(pool);
 
     // Step 1: pre-failure stage, traced.
     trace::TraceBuffer pre_trace;

@@ -11,6 +11,11 @@
  * registry with last / pre-last commit timestamps. Rules query the
  * state *before* an entry applies; the prune pass snapshots a
  * signature at each planned failure point the same way.
+ *
+ * Cells are stored as coalesced ranges, one ordered map per state, so
+ * a 4 KiB page write is one range rather than 4096 nodes and the
+ * in-flight maps double as the address-ordered frontier index a
+ * signature walks.
  */
 
 #ifndef XFD_LINT_FRONTIER_HH
@@ -19,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,6 +33,43 @@
 
 namespace xfd::lint
 {
+
+class FrontierState;
+/** Interned signature contents (defined in frontier.cc). */
+struct SignatureNode;
+
+/**
+ * Interned frontier signature: a cheap value whose equality is the
+ * prune relation. Values are interned per FrontierState (content
+ * keyed, so two equal values share one node and compare by pointer);
+ * copies of a state share its table. Values from unrelated states do
+ * not compare meaningfully — only str() crosses between instances.
+ * Like the state itself, a value is for one thread at a time: str()
+ * caches its rendering on first call.
+ */
+class FrontierSignature
+{
+  public:
+    FrontierSignature() = default;
+
+    bool operator==(const FrontierSignature &o) const
+    {
+        return node == o.node;
+    }
+
+    /** Dense per-table id in first-seen order (a hash key). */
+    std::uint32_t id() const;
+
+    /**
+     * The canonical string form (see FrontierState::signature()),
+     * rendered on first use and cached on the interned node.
+     */
+    const std::string &str() const;
+
+  private:
+    friend class FrontierState;
+    std::shared_ptr<const SignatureNode> node;
+};
 
 /** Persistency state of a tracked cell (untracked = Unmodified). */
 enum class CellState : std::uint8_t
@@ -107,8 +150,16 @@ class FrontierState
      * one. Two points with equal signatures at the same
      * ordering-point source location yield the same post-failure
      * finding keys.
+     *
+     * The canonical string (FrontierSignature::str()) joins the sorted
+     * in-flight set ("file:line:UC@region;" each), '|', the sorted
+     * inconsistent set ("file:line:S@region;"), then "#i=value:state"
+     * per commit variable. The returned value is interned instead:
+     * one call costs O(in-flight ranges + commit-covered persisted
+     * ranges), allocates no per-cell string, and equal values mean
+     * equal strings.
      */
-    std::string signature() const;
+    FrontierSignature signature() const;
 
     /**
      * Visit every cell still Modified or WritebackPending (for the
@@ -130,9 +181,21 @@ class FrontierState
         std::vector<AddrRange> ranges;
         std::int32_t tlast = -1;
         std::int32_t tprelast = -1;
-        /** Hex of the last commit write's bytes (16-byte cap). */
-        std::string lastVal;
+        /** Interned hex of the last commit write's bytes (16-byte cap). */
+        std::uint32_t lastVal = 0;
     };
+
+    /** Cells [begin key, end) sharing one FrontierCell. */
+    struct Span
+    {
+        std::uint64_t end;
+        FrontierCell cell;
+    };
+    /** Disjoint spans keyed by first cell index. */
+    using SpanMap = std::map<std::uint64_t, Span>;
+
+    /** Per-state interning tables, shared by copies of the state. */
+    struct Interner;
 
     std::uint64_t cellIndex(Addr a) const { return a / gran; }
 
@@ -145,30 +208,53 @@ class FrontierState
         return (a + n - 1) / gran - a / gran + 1;
     }
 
+    /** First cell whose start address is >= @p a. */
+    std::uint64_t cellCeil(Addr a) const { return (a + gran - 1) / gran; }
+
+    SpanMap &spansIn(CellState st);
+    const SpanMap &spansIn(CellState st) const;
+
+    /** Give cells [lo, hi) state @p c, replacing what they held. */
+    void assign(std::uint64_t lo, std::uint64_t hi, FrontierCell c);
+    /** Forget cells [lo, hi) in every state. */
+    void forget(std::uint64_t lo, std::uint64_t hi);
+    /** Rebuild the cell-space commit coverage after a registration. */
+    void rebuildCoverage();
+
     /**
-     * Commit variable governing @p a: explicit ranges first, then the
-     * single-variable default-cover rule (§5.2).
+     * Split [lo, hi) by governing commit variable (the explicit
+     * ranges first, then the single-variable default-cover rule of
+     * §5.2; nullptr = uncovered) and call @p fn per piece.
      */
-    const CommitVar *coveringVar(Addr a) const;
+    template <typename Fn>
+    void forEachCover(std::uint64_t lo, std::uint64_t hi, Fn &&fn) const;
+
+    /** Split [lo, hi) by allocation region and call @p fn per piece. */
+    template <typename Fn>
+    void forEachRegion(std::uint64_t lo, std::uint64_t hi, Fn &&fn) const;
 
     void applyWrite(const trace::TraceEntry &e);
     void applyFlush(Addr line);
     void applyFence();
 
-    /** Allocation-region tag of @p a for signature strings. */
-    std::string regionTag(Addr a) const;
-
     unsigned gran;
     /** eADR/CXL flush-free semantics (see the constructor). */
     bool eadr;
-    /** Ordered so signatures and exit scans are deterministic. */
-    std::map<std::uint64_t, FrontierCell> cells;
+    /** Cells by state; each cell is in at most one map. */
+    SpanMap modified;
+    SpanMap pending;
+    SpanMap persisted;
     /** Live allocations: begin -> (end, alloc site). */
     std::map<Addr, std::pair<Addr, trace::SrcLoc>> allocs;
     std::vector<CommitVar> commitVars;
-    /** Cell indices awaiting retirement at the next fence. */
-    std::vector<std::uint64_t> pendingCells;
+    /**
+     * Cells covered by an explicit commit range: first cell -> (end
+     * cell, commitVars index), first registration wins.
+     */
+    std::map<std::uint64_t, std::pair<std::uint64_t, std::size_t>>
+        coverage;
     std::int32_t ts = 0;
+    std::shared_ptr<Interner> interner;
 };
 
 } // namespace xfd::lint

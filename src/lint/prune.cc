@@ -16,6 +16,7 @@
  */
 
 #include <map>
+#include <unordered_map>
 
 #include "common/logging.hh"
 #include "lint/frontier.hh"
@@ -34,8 +35,10 @@ computePruneVerdicts(const trace::TraceBuffer &pre,
         return v;
 
     FrontierState st(granularity, flushFree);
-    // Ordering-point location -> signature -> kept representative.
-    std::map<std::string, std::map<std::string, std::uint32_t>> seen;
+    // Ordering-point location -> interned signature id -> kept
+    // representative.
+    std::map<std::string, std::unordered_map<std::uint32_t, std::uint32_t>>
+        seen;
 
     std::size_t next = 0;
     for (const auto &e : pre) {
@@ -44,11 +47,9 @@ computePruneVerdicts(const trace::TraceBuffer &pre,
             // the state *before* it applies.
             std::string group =
                 strprintf("%s:%u", e.loc.file, e.loc.line);
-            std::string sig = st.signature();
-            auto &bySig = seen[group];
-            auto it = bySig.find(sig);
-            if (it == bySig.end()) {
-                bySig.emplace(std::move(sig), e.seq);
+            auto [it, fresh] =
+                seen[group].try_emplace(st.signature().id(), e.seq);
+            if (fresh) {
                 v.kept.push_back(e.seq);
             } else {
                 v.pruned.push_back(

@@ -312,8 +312,8 @@ runDifferentialCampaign(pm::PmPool &pool, const core::ProgramFn &pre,
         if (csOn) {
             for (; lintCursor < fp; lintCursor++)
                 lintState.apply(preTrace[lintCursor]);
-            std::string group =
-                preTrace[fp].loc.str() + '|' + lintState.signature();
+            std::string group = preTrace[fp].loc.str() + '|' +
+                                lintState.signature().str();
             stream = 1469598103934665603ull; // FNV-1a 64
             for (char ch : group)
                 stream = (stream ^ static_cast<unsigned char>(ch)) *

@@ -10,7 +10,18 @@ namespace xfd::pm
 {
 
 CowImage::CowImage(const PmImage &src, std::size_t pageSize)
-    : baseAddr(src.base()), totalSize(src.size()), pageSz(pageSize)
+    : CowImage(src.base(), src.data(), src.size(), pageSize)
+{
+}
+
+CowImage::CowImage(const PmPool &pool, std::size_t pageSize)
+    : CowImage(pool.base(), pool.data(), pool.size(), pageSize)
+{
+}
+
+CowImage::CowImage(Addr base, const std::uint8_t *bytes, std::size_t size,
+                   std::size_t pageSize)
+    : baseAddr(base), totalSize(size), pageSz(pageSize)
 {
     if (pageSize == 0 || (pageSize & (pageSize - 1)) != 0)
         panic("cow page size %zu is not a power of two", pageSize);
@@ -21,7 +32,7 @@ CowImage::CowImage(const PmImage &src, std::size_t pageSize)
             new std::uint8_t[pageSz]);
         std::size_t off = p * pageSz;
         std::size_t len = std::min(pageSz, totalSize - off);
-        std::memcpy(page.get(), src.data() + off, len);
+        std::memcpy(page.get(), bytes + off, len);
         if (len < pageSz)
             std::memset(page.get() + len, 0, pageSz - len);
         pages.push_back(std::move(page));
@@ -134,19 +145,20 @@ void
 CowImage::collectNonZeroPages(std::size_t pageSize,
                               std::set<std::uint32_t> &out) const
 {
-    for (std::size_t p = 0; p < pages.size(); p++) {
-        const std::uint8_t *bytes = pages[p].get();
-        std::size_t off = p * pageSz;
-        std::size_t len = std::min(pageSz, totalSize - off);
-        for (std::size_t i = 0; i < len; i++) {
-            if (!bytes[i])
-                continue;
-            out.insert(static_cast<std::uint32_t>((off + i) /
-                                                  pageSize));
-            // Skip to the next output page — everything before it is
-            // already accounted for.
-            std::size_t next = ((off + i) / pageSize + 1) * pageSize;
-            i = next - off - 1;
+    // One memcmp per (output page ∩ CoW page) piece against a zero
+    // block no larger than either page.
+    const std::vector<std::uint8_t> zeros(std::min(pageSize, pageSz), 0);
+    for (std::size_t off = 0; off < totalSize; off += pageSize) {
+        std::size_t end = std::min(off + pageSize, totalSize);
+        for (std::size_t at = off; at < end;) {
+            std::size_t in_page = at & (pageSz - 1);
+            std::size_t n = std::min(end - at, pageSz - in_page);
+            if (std::memcmp(pages[at / pageSz].get() + in_page,
+                            zeros.data(), n) != 0) {
+                out.insert(static_cast<std::uint32_t>(off / pageSize));
+                break;
+            }
+            at += n;
         }
     }
 }

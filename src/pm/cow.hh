@@ -50,6 +50,13 @@ class CowImage
     explicit CowImage(const PmImage &src,
                       std::size_t pageSize = defaultPageSize);
 
+    /**
+     * Build straight from a live pool: the same single copy, without
+     * a PmImage holding a second whole-pool copy meanwhile.
+     */
+    explicit CowImage(const PmPool &pool,
+                      std::size_t pageSize = defaultPageSize);
+
     /** Forks: O(pages) pointer copies, no byte copying. */
     CowImage(const CowImage &) = default;
     CowImage &operator=(const CowImage &) = default;
@@ -99,13 +106,19 @@ class CowImage
     /**
      * Union into @p out the indices (at @p pageSize granularity,
      * which need not match pageSize()) of every page containing a
-     * nonzero byte. See pm::collectNonZeroPages for why the driver
-     * wants this of the initial snapshot.
+     * nonzero byte. Of the initial snapshot, together with an
+     * ImageDeltaStore's full write-log page set, this bounds where
+     * any campaign working image can differ from a fresh zeroed pool,
+     * which is what lets chunk starts restore a page subset instead
+     * of the whole pool (see Driver::handleFailurePoint).
      */
     void collectNonZeroPages(std::size_t pageSize,
                              std::set<std::uint32_t> &out) const;
 
   private:
+    CowImage(Addr base, const std::uint8_t *bytes, std::size_t size,
+             std::size_t pageSize);
+
     /** Writable view of page @p p, cloning it if shared. */
     std::uint8_t *mutablePage(std::size_t p);
 

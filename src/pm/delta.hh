@@ -152,17 +152,6 @@ void restoreFull(const CowImage &src, PmPool &pool,
                  DeltaRestoreStats &stats);
 /** @} */
 
-/**
- * Union into @p out the indices (at @p pageSize granularity) of
- * every page of @p img containing a nonzero byte. Together with an
- * ImageDeltaStore's full write-log page set this bounds where any
- * campaign working image can differ from a fresh zeroed pool, which
- * is what lets chunk starts restore a page subset instead of the
- * whole pool (see Driver::handleFailurePoint).
- */
-void collectNonZeroPages(const PmImage &img, std::size_t pageSize,
-                         std::set<std::uint32_t> &out);
-
 } // namespace xfd::pm
 
 #endif // XFD_PM_DELTA_HH

@@ -55,9 +55,13 @@ PmPool::disableDirtyTracking()
 void
 PmPool::drainDirtyPages(std::set<std::uint32_t> &out)
 {
+    // Most flags are clear: a plain load skips them without the
+    // locked read-modify-write an exchange costs.
     for (std::size_t p = 0; p < numPages; p++) {
-        if (dirtyMap[p].exchange(0, std::memory_order_relaxed))
+        if (dirtyMap[p].load(std::memory_order_relaxed) &&
+            dirtyMap[p].exchange(0, std::memory_order_relaxed)) {
             out.insert(static_cast<std::uint32_t>(p));
+        }
     }
 }
 

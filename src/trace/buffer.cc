@@ -15,7 +15,9 @@ TraceBuffer::append(TraceEntry e)
 void
 TraceBuffer::appendBatch(TraceEntry *batch, std::size_t n)
 {
-    entries.reserve(entries.size() + n);
+    // Do not reserve size() + n here: libstdc++ reserves exactly that,
+    // so every ring flush would move the whole trace. push_back grows
+    // geometrically.
     for (std::size_t i = 0; i < n; i++) {
         TraceEntry &e = batch[i];
         e.seq = static_cast<std::uint32_t>(entries.size());

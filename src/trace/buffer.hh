@@ -28,8 +28,7 @@ class TraceBuffer
     /**
      * Bulk-append @p n entries from @p batch (moved from), assigning
      * contiguous sequence numbers: the retire half of PmRuntime's
-     * fixed-slot emit ring — one reservation and one call per ring
-     * instead of per entry.
+     * fixed-slot emit ring — one call per ring instead of per entry.
      */
     void appendBatch(TraceEntry *batch, std::size_t n);
 
