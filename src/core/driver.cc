@@ -9,8 +9,10 @@
 #include <latch>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 
 #include "common/logging.hh"
+#include "core/crash_cells.hh"
 #include "lint/frontier.hh"
 #include "trace/buffer.hh"
 #include "trace/candidates.hh"
@@ -33,47 +35,21 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 } // namespace
 
 /**
- * Cell-granular persistency mirror for --crash-states. Semantics
- * replicate the oracle's per-cell model (oracle/oracle.cc advance())
- * exactly: the driver's write frontiers, prefix chains and candidate
- * images must agree with the oracle's byte for byte, or the
- * conformance tier could never hold agreement at 1.0.
+ * A cursor's crash-state exploration state: the cell model, the lint
+ * frontier state that keys candidate groups, and the groups this
+ * cursor has already rendered.
  */
 struct Driver::PreCursor::CsState
 {
-    enum class St : std::uint8_t
-    {
-        Modified,  ///< dirty in cache, no writeback in flight
-        Pending,   ///< writeback issued, fence not reached
-        Persisted, ///< last write guaranteed durable
-    };
-
-    struct Cell
-    {
-        St state = St::Modified;
-        /** Write seqs applied since the last guaranteed persist,
-            ascending — empty iff the cell's bytes are decided. */
-        std::vector<std::uint32_t> tail;
-    };
-
-    explicit CsState(const DetectorConfig &cfg)
-        : gran(cfg.granularity), lint(cfg.granularity, cfg.eadrOn())
+    CsState(AddrRange range, const DetectorConfig &cfg)
+        : cells(range, cfg.granularity),
+          lint(cfg.granularity, cfg.eadrOn())
     {
     }
 
-    unsigned gran;
-    std::map<std::uint64_t, Cell> cells;
-    /**
-     * Indices of the cells with a non-empty tail, ascending: the
-     * write frontier, so building it never walks persisted history.
-     * Index order keeps mask bits and prefix chains in the oracle's
-     * order.
-     */
-    std::set<std::uint64_t> open;
-    /** Cells awaiting the next fence (stale entries re-checked). */
-    std::vector<std::uint64_t> pending;
-    /** Registered commit variables (dropped-commit suppression). */
-    std::vector<AddrRange> commitVars;
+    CrashCells cells;
+    /** Cells the entry being advanced over persisted (scratch). */
+    std::vector<std::uint64_t> persisted;
     /**
      * Lint frontier state advanced to lintCursor — the equivalence
      * signature feeding the candidate pruning key and the sampler
@@ -82,45 +58,55 @@ struct Driver::PreCursor::CsState
     lint::FrontierState lint;
     std::uint32_t lintCursor = 0;
 
-    std::uint64_t cellIndex(Addr a) const { return a / gran; }
-    std::uint64_t cellCount(Addr a, std::size_t n) const
+    /** One candidate equivalence group: sampler stream + global id. */
+    struct Group
     {
-        return (a + n - 1) / gran - a / gran + 1;
-    }
-    Addr cellAddr(std::uint64_t idx) const { return idx * gran; }
-    const std::vector<std::uint32_t> &
-    tailOf(std::uint64_t idx) const
+        std::uint64_t stream = 0;
+        std::uint32_t id = 0;
+    };
+    /** Ordering-point location + signature id (per cursor). */
+    struct GroupKey
     {
-        return cells.find(idx)->second.tail;
-    }
+        const char *file;
+        unsigned line;
+        const char *func;
+        std::uint32_t sig;
 
-    /** In-flight write seqs (the open cells' tails), ascending. */
-    std::vector<std::uint32_t>
-    frontierSeqs() const
+        bool operator==(const GroupKey &) const = default;
+    };
+    struct GroupKeyHash
     {
-        std::set<std::uint32_t> seqs;
-        for (std::uint64_t idx : open) {
-            const auto &tail = tailOf(idx);
-            seqs.insert(tail.begin(), tail.end());
+        std::size_t
+        operator()(const GroupKey &k) const
+        {
+            std::size_t h = std::hash<const void *>()(k.file);
+            h = h * 31 + std::hash<const void *>()(k.func);
+            return h * 31 + (std::size_t{k.line} << 32 | k.sig);
         }
-        return {seqs.begin(), seqs.end()};
-    }
+    };
+    /**
+     * Rendered groups. Equal pointers name equal strings, so a key
+     * never maps to two groups; equal strings behind distinct
+     * pointers just render twice and intern to the same id.
+     */
+    std::unordered_map<GroupKey, Group, GroupKeyHash> groups;
 };
 
 Driver::PreCursor::PreCursor(AddrRange range,
                              const DetectorConfig &cfg,
-                             const pm::CowImage &initial)
+                             const pm::CowImage &initial,
+                             bool explore)
     : shadow(range, cfg), image(initial)
 {
     // Crash-state exploration needs the durable twin too: a partial
     // candidate materializes as durable image + masked frontier
     // events. Under eADR every frontier is empty and the mode
     // degenerates to the anchor, so the extra bookkeeping is skipped.
-    bool cs_on = cfg.crashStatesOn() && !cfg.eadrOn();
+    bool cs_on = explore && cfg.crashStatesOn() && !cfg.eadrOn();
     if (cfg.crashImageMode || cs_on)
         durable = initial;
     if (cs_on)
-        cs = std::make_unique<CsState>(cfg);
+        cs = std::make_unique<CsState>(range, cfg);
 }
 
 Driver::PreCursor::~PreCursor() = default;
@@ -134,8 +120,18 @@ struct Driver::CrashStateCtx
     bool exhaustive = false;
     std::size_t sampleCount = 0;
     std::mutex lock;
-    /** Equivalence key -> failure point whose run represents it. */
-    std::map<std::string, std::uint32_t> seen;
+    /**
+     * Group string (location '|' signature) -> campaign-global id,
+     * dense in first-seen order. Ids are only compared for equality,
+     * so the order in which workers first see groups does not matter.
+     */
+    std::unordered_map<std::string, std::uint32_t> groupIds;
+    /**
+     * The pruning set, keyed on (group id, mask): per group id, each
+     * mask's representative — the failure point whose run of that
+     * candidate stands for every later one.
+     */
+    std::vector<std::map<trace::SubsetMask, std::uint32_t>> seen;
 };
 
 std::size_t
@@ -328,51 +324,38 @@ Driver::advanceImage(PreCursor &cur, const trace::TraceBuffer &pre,
     using trace::Op;
 
     const bool eadr = cfg.eadrOn();
-    using St = PreCursor::CsState::St;
     PreCursor::CsState *cs = cur.cs.get();
-    // The oracle's persistCellBytes: a retired or freed cell's
-    // content is decided, so the durable image takes its bytes and
-    // partial candidates build on them.
-    auto persistCell = [&](std::uint64_t idx) {
-        Addr a = cs->cellAddr(idx);
-        cur.durable.copyFrom(cur.image, a, cs->gran);
-        if (deltaStore)
-            cur.durablePages.insert(deltaStore->pageOf(a));
-    };
     for (std::uint32_t &i = cur.imageCursor; i < to; i++) {
         const auto &e = pre[i];
-        if (e.isWrite()) {
+        if (e.isWrite())
             cur.image.applyWrite(e.addr, e.data.data(), e.data.size());
-            if (cs) {
-                if (e.has(trace::flagImageOnly)) {
-                    // Allocator zero-fill and friends: image data with
-                    // no persistence semantics. Both images take it at
-                    // once, so it is never part of any frontier.
-                    cur.durable.applyWrite(e.addr, e.data.data(),
-                                           e.data.size());
-                    if (deltaStore && !e.data.empty()) {
-                        Addr end = e.addr + e.data.size() - 1;
-                        std::size_t ps = deltaStore->pageSize();
-                        for (Addr a = e.addr; a <= end;
-                             a = (a / ps + 1) * ps) {
-                            cur.durablePages.insert(
-                                deltaStore->pageOf(a));
-                        }
-                    }
-                } else if (e.size != 0) {
-                    bool nt = e.op == Op::NtWrite;
-                    std::uint64_t first = cs->cellIndex(e.addr);
-                    std::uint64_t n = cs->cellCount(e.addr, e.size);
-                    for (std::uint64_t c = 0; c < n; c++) {
-                        auto &cell = cs->cells[first + c];
-                        cell.state = nt ? St::Pending : St::Modified;
-                        cell.tail.push_back(e.seq);
-                        cs->open.insert(first + c);
-                        if (nt)
-                            cs->pending.push_back(first + c);
-                    }
+        if (cs) {
+            if (e.isWrite() && e.has(trace::flagImageOnly)) {
+                // Allocator zero-fill and friends: image data with no
+                // persistence semantics. Both images take it at once,
+                // so it is never part of any frontier.
+                cur.durable.applyWrite(e.addr, e.data.data(),
+                                       e.data.size());
+            } else {
+                // The oracle's persistCellBytes: a retired or freed
+                // cell's content is decided, so the durable image
+                // takes its bytes (adjacent cells as one run) and
+                // partial candidates build on them.
+                cs->cells.apply(e, cs->persisted);
+                const auto &p = cs->persisted;
+                for (std::size_t a = 0; a < p.size();) {
+                    std::size_t b = a + 1;
+                    while (b < p.size() && p[b] == p[b - 1] + 1)
+                        b++;
+                    cur.durable.copyFrom(
+                        cur.image, cs->cells.cellAddr(p[a]),
+                        (b - a) * cs->cells.granularity());
+                    a = b;
                 }
+                cs->persisted.clear();
             }
+        }
+        if (e.isWrite()) {
             Addr last = lineBase(e.addr + (e.size ? e.size - 1 : 0));
             if (eadr) {
                 // Flush-free persistency: the store is durable on
@@ -404,24 +387,7 @@ Driver::advanceImage(PreCursor &cur, const trace::TraceBuffer &pre,
                         cur.pendingLines.insert(l);
                 }
             }
-            continue;
-        }
-        if (e.isFlush()) {
-            if (cs) {
-                // Writeback starts for every modified cell in the
-                // line; durability lands at the next fence.
-                std::uint64_t first = cs->cellIndex(e.addr);
-                std::uint64_t n = cs->cellCount(e.addr, cacheLineSize);
-                for (std::uint64_t c = 0; c < n; c++) {
-                    auto it = cs->cells.find(first + c);
-                    if (it == cs->cells.end() ||
-                        it->second.state != St::Modified) {
-                        continue;
-                    }
-                    it->second.state = St::Pending;
-                    cs->pending.push_back(first + c);
-                }
-            }
+        } else if (e.isFlush()) {
             // Flushing moves the line toward durability; it lands at
             // the next fence.
             if (cur.inflight.count(e.addr))
@@ -429,22 +395,6 @@ Driver::advanceImage(PreCursor &cur, const trace::TraceBuffer &pre,
             if (cfg.crashImageMode && cur.dirtyLines.count(e.addr))
                 cur.pendingLines.insert(e.addr);
         } else if (e.isFence()) {
-            if (cs) {
-                // The fence retires cells still pending (a cached
-                // write after the flush keeps the cell in flight).
-                for (std::uint64_t idx : cs->pending) {
-                    auto it = cs->cells.find(idx);
-                    if (it == cs->cells.end() ||
-                        it->second.state != St::Pending) {
-                        continue;
-                    }
-                    it->second.state = St::Persisted;
-                    persistCell(idx);
-                    it->second.tail.clear();
-                    cs->open.erase(idx);
-                }
-                cs->pending.clear();
-            }
             for (Addr l : cur.inflightPending)
                 cur.inflight.erase(l);
             cur.inflightPending.clear();
@@ -457,51 +407,6 @@ Driver::advanceImage(PreCursor &cur, const trace::TraceBuffer &pre,
                     cur.durablePages.insert(deltaStore->pageOf(l));
             }
             cur.pendingLines.clear();
-        } else if (cs) {
-            // Ops the line model ignores but the cell model mirrors
-            // from the oracle.
-            switch (e.op) {
-              case Op::Alloc: {
-                std::uint64_t first = cs->cellIndex(e.addr);
-                std::uint64_t n = cs->cellCount(e.addr, e.size);
-                for (std::uint64_t c = 0; c < n; c++)
-                    cs->cells[first + c].state = St::Modified;
-                break;
-              }
-              case Op::Free: {
-                std::uint64_t first = cs->cellIndex(e.addr);
-                std::uint64_t n = cs->cellCount(e.addr, e.size);
-                for (std::uint64_t c = 0; c < n; c++) {
-                    auto it = cs->cells.find(first + c);
-                    if (it == cs->cells.end())
-                        continue;
-                    // Freed cells leave the frontier; pin their bytes
-                    // at the last written value so the anchor stays
-                    // byte-identical to the footnote-3 image.
-                    if (!it->second.tail.empty()) {
-                        persistCell(first + c);
-                        cs->open.erase(first + c);
-                    }
-                    cs->cells.erase(it);
-                }
-                break;
-              }
-              case Op::CommitVar: {
-                AddrRange r{e.addr, e.addr + e.size};
-                bool known = false;
-                for (const auto &cv : cs->commitVars) {
-                    if (cv == r) {
-                        known = true;
-                        break;
-                    }
-                }
-                if (!known)
-                    cs->commitVars.push_back(r);
-                break;
-              }
-              default:
-                break;
-            }
         }
     }
 }
@@ -685,12 +590,18 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
     // persisted) write seqs as of fp, in ascending order — the
     // causal candidates for anything the post-failure stage trips
     // over. Captured before the post-failure run dirties anything.
-    // Crash-states campaigns take it from the cell model so the bit
-    // order of every candidate mask matches the oracle's exactly;
-    // otherwise the line-granular bookkeeping supplies it.
+    // Crash-states campaigns take it from the cell model, once per
+    // point, so the bit order of every candidate mask matches the
+    // oracle's exactly; otherwise the line-granular bookkeeping
+    // supplies it.
+    CellFrontier cell_frontier;
     std::vector<std::uint32_t> frontier;
+    double plan_s = 0;
     if (cur.cs) {
-        frontier = cur.cs->frontierSeqs();
+        auto tp = std::chrono::steady_clock::now();
+        cell_frontier = cur.cs->cells.frontier();
+        plan_s = secondsSince(tp);
+        frontier = cell_frontier.seqs;
     } else {
         for (const auto &ent : cur.inflight)
             frontier.insert(frontier.end(), ent.second.begin(),
@@ -700,64 +611,12 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
                        frontier.end());
     }
 
-    trace::TraceBuffer post_trace;
-    {
-        obs::SpanScope span(tl, "post-exec", "post", wobs.track);
-        trace::PmRuntime rt(exec_pool, post_trace,
-                            trace::Stage::PostFailure);
-        rt.setEntryCap(1u << 20);
-        // Ring-buffered emission; no same-value elision post-failure
-        // (recovery rewriting identical bytes still re-establishes
-        // consistency, so every post write must be traced).
-        rt.setBatching(true);
-        auto t0 = std::chrono::steady_clock::now();
-        try {
-            post(rt);
-        } catch (const trace::StageComplete &) {
-        } catch (const trace::PostFailureAbort &abort) {
-            BugReport r;
-            r.type = BugType::RecoveryFailure;
-            r.reader = abort.loc;
-            r.writer = pre[fp].loc;
-            r.failurePoint = fp;
-            r.note = abort.reason;
-            fp_sink.report(std::move(r));
-        } catch (const pm::BadPmAccess &bad) {
-            // The post-failure stage dereferenced a corrupted
-            // persistent pointer — the emulated equivalent of the
-            // resumption segfault in the paper's Figure 1.
-            BugReport r;
-            r.type = BugType::RecoveryFailure;
-            r.addr = bad.addr;
-            r.size = static_cast<std::uint32_t>(bad.size);
-            r.writer = pre[fp].loc;
-            r.failurePoint = fp;
-            r.note = strprintf(
-                "post-failure crash: wild PM access at %#llx",
-                static_cast<unsigned long long>(bad.addr));
-            fp_sink.report(std::move(r));
-        }
-        rt.setBatching(false); // flush the ring before reading counts
-        double post_s = secondsSince(t0);
-        stats.postSeconds += post_s;
-        stats.phases.note(obs::Phase::RecoveryExec, post_s);
-        if (wobs.postLatency)
-            wobs.postLatency->push_back(post_s);
-        if (wobs.postOps) {
-            const auto &ops = rt.opCounts();
-            for (std::size_t i = 0; i < ops.size(); i++)
-                (*wobs.postOps)[i] += ops[i];
-        }
-        if (wobs.live)
-            wobs.live->sample("post_exec_latency_us", post_s * 1e6);
-    }
-    stats.postExecutions++;
-    stats.postTraceEntries += post_trace.size();
+    runPost(cur, exec_pool, pre, post, fp, fp_sink, stats, wobs);
 
     auto tb1 = std::chrono::steady_clock::now();
     {
         obs::SpanScope span(tl, "replay", "backend", wobs.track);
-        replayPost(cur, pre, post_trace, fp, fp_sink);
+        replayPost(cur, pre, cur.postTrace, fp, fp_sink);
     }
     double classify_s = secondsSince(tb1);
     stats.backendSeconds += classify_s;
@@ -774,26 +633,7 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
         b.frontierSeqs = frontier;
         b.persistedMask = mask;
     });
-
-    if (tl) {
-        for (const auto &b : local.bugs()) {
-            std::vector<std::pair<std::string, std::string>> args;
-            args.emplace_back("type", bugTypeId(b.type));
-            args.emplace_back("reader", b.reader.str());
-            args.emplace_back("writer", b.writer.str());
-            args.emplace_back("failure_point", strprintf("%u", fp));
-            std::string seqs;
-            for (std::uint32_t s : frontier) {
-                if (!seqs.empty())
-                    seqs += ',';
-                seqs += strprintf("%u", s);
-            }
-            args.emplace_back("frontier", std::move(seqs));
-            args.emplace_back("persisted_mask", mask.toHex());
-            tl->recordInstant(strprintf("finding@fp#%u", fp), "finding",
-                              wobs.track, tl->nowUs(), std::move(args));
-        }
-    }
+    recordFindings(wobs, fp, frontier, mask, local);
 
     if (wobs.live) {
         wobs.live->count("failure_points");
@@ -807,8 +647,8 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
     // findings merge into the same per-point sink (each annotated
     // with its own persisted mask) before the hook fires.
     if (csCtx && cur.cs)
-        exploreCrashStates(cur, exec_pool, pre, post, fp, local,
-                           stats, wobs);
+        exploreCrashStates(cur, exec_pool, pre, post, fp, cell_frontier,
+                           plan_s, local, stats, wobs);
 
     if (observer)
         observer->notifyFailurePoint(fp, local);
@@ -816,40 +656,117 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
 }
 
 void
+Driver::runPost(PreCursor &cur, pm::PmPool &exec_pool,
+                const trace::TraceBuffer &pre, const ProgramFn &post,
+                std::uint32_t fp, BugSink &sink, CampaignStats &stats,
+                const WorkerObs &wobs)
+{
+    obs::SpanScope span(wobs.timeline, "post-exec", "post", wobs.track);
+    // One buffer per cursor, cleared per execution: it keeps its
+    // capacity, so a trace does not regrow from empty.
+    cur.postTrace.clear();
+    // The interval covers the runtime's construction (its emit ring).
+    auto t0 = std::chrono::steady_clock::now();
+    trace::PmRuntime rt(exec_pool, cur.postTrace,
+                        trace::Stage::PostFailure);
+    rt.setEntryCap(1u << 20);
+    // Ring-buffered emission; no same-value elision post-failure
+    // (recovery rewriting identical bytes still re-establishes
+    // consistency, so every post write must be traced).
+    rt.setBatching(true);
+    try {
+        post(rt);
+    } catch (const trace::StageComplete &) {
+    } catch (const trace::PostFailureAbort &abort) {
+        BugReport r;
+        r.type = BugType::RecoveryFailure;
+        r.reader = abort.loc;
+        r.writer = pre[fp].loc;
+        r.failurePoint = fp;
+        r.note = abort.reason;
+        sink.report(std::move(r));
+    } catch (const pm::BadPmAccess &bad) {
+        // The post-failure stage dereferenced a corrupted persistent
+        // pointer — the emulated equivalent of the resumption
+        // segfault in the paper's Figure 1.
+        BugReport r;
+        r.type = BugType::RecoveryFailure;
+        r.addr = bad.addr;
+        r.size = static_cast<std::uint32_t>(bad.size);
+        r.writer = pre[fp].loc;
+        r.failurePoint = fp;
+        r.note = strprintf("post-failure crash: wild PM access at %#llx",
+                           static_cast<unsigned long long>(bad.addr));
+        sink.report(std::move(r));
+    }
+    rt.setBatching(false); // flush the ring before reading counts
+    double post_s = secondsSince(t0);
+    stats.postSeconds += post_s;
+    stats.phases.note(obs::Phase::RecoveryExec, post_s);
+    if (wobs.postLatency)
+        wobs.postLatency->push_back(post_s);
+    if (wobs.postOps) {
+        const auto &ops = rt.opCounts();
+        for (std::size_t i = 0; i < ops.size(); i++)
+            (*wobs.postOps)[i] += ops[i];
+    }
+    if (wobs.live)
+        wobs.live->sample("post_exec_latency_us", post_s * 1e6);
+    stats.postExecutions++;
+    stats.postTraceEntries += cur.postTrace.size();
+}
+
+void
+Driver::recordFindings(const WorkerObs &wobs, std::uint32_t fp,
+                       const std::vector<std::uint32_t> &frontier,
+                       const trace::SubsetMask &mask, const BugSink &sink)
+{
+    obs::Timeline *tl = wobs.timeline;
+    if (!tl)
+        return;
+    for (const auto &b : sink.bugs()) {
+        std::vector<std::pair<std::string, std::string>> args;
+        args.emplace_back("type", bugTypeId(b.type));
+        args.emplace_back("reader", b.reader.str());
+        args.emplace_back("writer", b.writer.str());
+        args.emplace_back("failure_point", strprintf("%u", fp));
+        std::string seqs;
+        for (std::uint32_t s : frontier) {
+            if (!seqs.empty())
+                seqs += ',';
+            seqs += strprintf("%u", s);
+        }
+        args.emplace_back("frontier", std::move(seqs));
+        args.emplace_back("persisted_mask", mask.toHex());
+        tl->recordInstant(strprintf("finding@fp#%u", fp), "finding",
+                          wobs.track, tl->nowUs(), std::move(args));
+    }
+}
+
+void
 Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
                            const trace::TraceBuffer &pre,
                            const ProgramFn &post, std::uint32_t fp,
+                           const CellFrontier &cf, double plan_s,
                            BugSink &local, CampaignStats &stats,
                            const WorkerObs &wobs)
 {
     PreCursor::CsState &cs = *cur.cs;
-
-    // Frontier + per-cell prefix chains from the cell model — the
-    // identical inputs the oracle derives, so enumeration agrees with
-    // it candidate for candidate.
-    std::vector<std::uint32_t> frontier = cs.frontierSeqs();
-    if (frontier.empty())
+    const CrashCells &cells = cs.cells;
+    std::size_t k = cf.seqs.size();
+    // Planning (frontier and chains, group key, enumeration, prune
+    // lookups) bills to the plan phase, noted once per enumerated
+    // candidate so phase counts stay serial == parallel.
+    if (k == 0) {
+        stats.phases.note(obs::Phase::Plan, plan_s, 0);
         return;
+    }
+    auto tp = std::chrono::steady_clock::now();
     std::vector<trace::FrontierEvent> events;
-    events.reserve(frontier.size());
-    std::map<std::uint32_t, std::size_t> bitOf;
-    for (std::uint32_t s : frontier) {
-        bitOf[s] = events.size();
-        events.push_back(trace::FrontierEvent{s, pre[s].addr,
-                                              pre[s].size});
-    }
-    std::size_t k = events.size();
-    std::vector<std::vector<std::size_t>> chains;
-    chains.reserve(cs.open.size());
-    for (std::uint64_t idx : cs.open) {
-        const auto &tail = cs.tailOf(idx);
-        std::vector<std::size_t> chain;
-        chain.reserve(tail.size());
-        for (std::uint32_t s : tail)
-            chain.push_back(bitOf.at(s));
-        chains.push_back(std::move(chain));
-    }
-    trace::CandidateSet cset(std::move(events), std::move(chains));
+    events.reserve(k);
+    for (std::uint32_t s : cf.seqs)
+        events.push_back(trace::FrontierEvent{s, pre[s].addr, pre[s].size});
+    trace::CandidateSet cset(std::move(events), cf.chains);
     const auto &frontier_ev = cset.frontier();
 
     // Candidate equivalence class: ordering-point source location +
@@ -857,26 +774,44 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
     // failure points by. It keys both the sampler stream (equivalent
     // points sample identical mask sequences, keeping full, delta and
     // batched schedules fingerprint-identical) and the campaign-global
-    // pruning set.
+    // pruning set. Its string renders and hashes once per (location,
+    // signature) per cursor and interns to a campaign-global id.
     for (; cs.lintCursor < fp; cs.lintCursor++)
         cs.lint.apply(pre[cs.lintCursor]);
-    std::string group =
-        pre[fp].loc.str() + '|' + cs.lint.signature().str();
-    std::uint64_t stream = 1469598103934665603ull; // FNV-1a 64
-    for (char ch : group)
-        stream = (stream ^ static_cast<unsigned char>(ch)) *
-                 1099511628211ull;
+    lint::FrontierSignature sig = cs.lint.signature();
+    const trace::SrcLoc &loc = pre[fp].loc;
+    auto [git, fresh_group] =
+        cs.groups.try_emplace({loc.file, loc.line, loc.func, sig.id()});
+    PreCursor::CsState::Group &group = git->second;
+    if (fresh_group) {
+        std::string str = loc.str() + '|' + sig.str();
+        group.stream = 1469598103934665603ull; // FNV-1a 64
+        for (char ch : str)
+            group.stream = (group.stream ^ static_cast<unsigned char>(ch)) *
+                           1099511628211ull;
+        std::lock_guard<std::mutex> lock(csCtx->lock);
+        auto [it, fresh] = csCtx->groupIds.try_emplace(
+            std::move(str),
+            static_cast<std::uint32_t>(csCtx->groupIds.size()));
+        if (fresh)
+            csCtx->seen.emplace_back();
+        group.id = it->second;
+    }
 
     trace::CandidateSet::EnumerateOptions eopt;
     eopt.exhaustive = csCtx->exhaustive;
     eopt.frontierLimit = cfg.oracleFrontierLimit;
     eopt.sampleCount = csCtx->sampleCount;
     eopt.seed = cfg.crashStatesSeed;
-    eopt.stream = stream;
+    eopt.stream = group.stream;
     auto en = cset.enumerate(eopt);
-    if (en.masks.size() <= 1)
+    std::size_t enumerated = en.masks.size() - 1;
+    plan_s += secondsSince(tp);
+    if (enumerated == 0) {
+        stats.phases.note(obs::Phase::Plan, plan_s, 0);
         return;
-    stats.crashStatesEnumerated += en.masks.size() - 1;
+    }
+    stats.crashStatesEnumerated += enumerated;
 
     obs::Timeline *tl = wobs.timeline;
     obs::SpanScope span(tl,
@@ -888,21 +823,25 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
     std::set<std::uint32_t> touched;
     for (std::size_t ci = 1; ci < en.masks.size(); ci++) {
         const trace::SubsetMask &mask = en.masks[ci];
+        // Structurally identical candidates execute once per campaign:
+        // recovery is a function of the crash image, which (group,
+        // mask) determines up to batching equivalence.
+        auto tk = std::chrono::steady_clock::now();
+        std::uint32_t rep;
+        bool fresh;
         {
-            // Structurally identical candidates execute once per
-            // campaign: recovery is a function of the crash image,
-            // which this key determines up to batching equivalence.
-            std::string key =
-                group + '|' + strprintf("%zu:", k) + mask.toHex();
             std::lock_guard<std::mutex> lock(csCtx->lock);
-            auto [it, fresh] = csCtx->seen.emplace(key, fp);
-            if (!fresh) {
-                stats.crashStatesPruned++;
-                stats.crashPruned.push_back(
-                    {fp, it->second, mask.toHex()});
-                continue;
-            }
+            auto it = csCtx->seen[group.id].try_emplace(mask, fp);
+            rep = it.first->second;
+            fresh = it.second;
         }
+        if (!fresh) {
+            stats.crashStatesPruned++;
+            stats.crashPruned.push_back({fp, rep, mask.toHex()});
+        }
+        plan_s += secondsSince(tk);
+        if (!fresh)
+            continue;
         stats.crashStatesExplored++;
 
         auto tb0 = std::chrono::steady_clock::now();
@@ -916,8 +855,18 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
         } else {
             std::set<std::uint32_t> pages;
             if (first_restore) {
-                for (std::uint64_t idx : cs.open)
-                    pages.insert(deltaStore->pageOf(cs.cellAddr(idx)));
+                // Every open cell carries some frontier write.
+                for (const auto &runs : cf.runsOf) {
+                    for (const CellRun &r : runs) {
+                        std::uint32_t last =
+                            deltaStore->pageOf(cells.cellAddr(r.end - 1));
+                        for (std::uint32_t p = deltaStore->pageOf(
+                                 cells.cellAddr(r.first));
+                             p <= last; p++) {
+                            pages.insert(p);
+                        }
+                    }
+                }
             }
             exec_pool.drainDirtyPages(pages);
             pm::restorePages(cur.durable, exec_pool,
@@ -934,32 +883,16 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
         for (std::size_t b = 0; b < k; b++) {
             if (!mask.test(b))
                 continue;
-            const auto &e = pre[frontier_ev[b].seq];
+            const auto &e = pre[cf.seqs[b]];
             if (e.size == 0 || e.data.empty())
                 continue;
-            std::uint64_t first = cs.cellIndex(e.addr);
-            std::uint64_t n = cs.cellCount(e.addr, e.size);
-            for (std::uint64_t c = 0; c < n; c++) {
-                std::uint64_t idx = first + c;
-                auto it = cs.cells.find(idx);
-                if (it == cs.cells.end())
-                    continue;
-                const auto &tail = it->second.tail;
-                if (std::find(tail.begin(), tail.end(), e.seq) ==
-                    tail.end()) {
-                    continue;
-                }
-                Addr lo = std::max(cs.cellAddr(idx), e.addr);
-                Addr hi =
-                    std::min(cs.cellAddr(idx) + cs.gran,
-                             static_cast<Addr>(e.addr + e.size));
-                if (lo >= hi)
-                    continue;
-                std::size_t len = hi - lo;
-                std::memcpy(exec_pool.data() +
-                                (lo - exec_pool.base()),
-                            e.data.data() + (lo - e.addr), len);
-                exec_pool.markDirty(lo, len);
+            for (const CellRun &r : cf.runsOf[b]) {
+                Addr lo = std::max(cells.cellAddr(r.first), e.addr);
+                Addr hi = std::min(cells.cellAddr(r.end),
+                                   static_cast<Addr>(e.addr + e.size));
+                std::memcpy(exec_pool.data() + (lo - exec_pool.base()),
+                            e.data.data() + (lo - e.addr), hi - lo);
+                exec_pool.markDirty(lo, hi - lo);
             }
         }
         double restore_s = secondsSince(tb0);
@@ -976,7 +909,7 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
                 continue;
             AddrRange ev{frontier_ev[b].addr,
                          frontier_ev[b].addr + frontier_ev[b].size};
-            for (const auto &cv : cs.commitVars) {
+            for (const auto &cv : cells.commitVars()) {
                 if (cv.overlaps(ev)) {
                     dropped_commit = true;
                     break;
@@ -985,94 +918,28 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
         }
 
         BugSink cand;
-        trace::TraceBuffer post_trace;
-        {
-            obs::SpanScope s2(tl, "post-exec", "post", wobs.track);
-            trace::PmRuntime rt(exec_pool, post_trace,
-                                trace::Stage::PostFailure);
-            rt.setEntryCap(1u << 20);
-            rt.setBatching(true);
-            auto t0 = std::chrono::steady_clock::now();
-            try {
-                post(rt);
-            } catch (const trace::StageComplete &) {
-            } catch (const trace::PostFailureAbort &abort) {
-                BugReport r;
-                r.type = BugType::RecoveryFailure;
-                r.reader = abort.loc;
-                r.writer = pre[fp].loc;
-                r.failurePoint = fp;
-                r.note = abort.reason;
-                cand.report(std::move(r));
-            } catch (const pm::BadPmAccess &bad) {
-                BugReport r;
-                r.type = BugType::RecoveryFailure;
-                r.addr = bad.addr;
-                r.size = static_cast<std::uint32_t>(bad.size);
-                r.writer = pre[fp].loc;
-                r.failurePoint = fp;
-                r.note = strprintf(
-                    "post-failure crash: wild PM access at %#llx",
-                    static_cast<unsigned long long>(bad.addr));
-                cand.report(std::move(r));
-            }
-            rt.setBatching(false);
-            double post_s = secondsSince(t0);
-            stats.postSeconds += post_s;
-            stats.phases.note(obs::Phase::RecoveryExec, post_s);
-            if (wobs.postLatency)
-                wobs.postLatency->push_back(post_s);
-            if (wobs.postOps) {
-                const auto &ops = rt.opCounts();
-                for (std::size_t i = 0; i < ops.size(); i++)
-                    (*wobs.postOps)[i] += ops[i];
-            }
-            if (wobs.live)
-                wobs.live->sample("post_exec_latency_us",
-                                  post_s * 1e6);
-        }
-        stats.postExecutions++;
-        stats.postTraceEntries += post_trace.size();
+        runPost(cur, exec_pool, pre, post, fp, cand, stats, wobs);
 
         auto tb1 = std::chrono::steady_clock::now();
         {
             obs::SpanScope s2(tl, "replay", "backend", wobs.track);
-            replayPost(cur, pre, post_trace, fp, cand, dropped_commit);
+            replayPost(cur, pre, cur.postTrace, fp, cand,
+                       dropped_commit);
         }
         double classify_s = secondsSince(tb1);
         stats.backendSeconds += classify_s;
         stats.phases.note(obs::Phase::Classify, classify_s);
 
         cand.annotate([&](BugReport &b) {
-            b.frontierSeqs = frontier;
+            b.frontierSeqs = cf.seqs;
             b.persistedMask = mask;
         });
-
-        if (tl) {
-            for (const auto &b : cand.bugs()) {
-                std::vector<std::pair<std::string, std::string>> args;
-                args.emplace_back("type", bugTypeId(b.type));
-                args.emplace_back("reader", b.reader.str());
-                args.emplace_back("writer", b.writer.str());
-                args.emplace_back("failure_point",
-                                  strprintf("%u", fp));
-                std::string fs;
-                for (std::uint32_t s : frontier) {
-                    if (!fs.empty())
-                        fs += ',';
-                    fs += strprintf("%u", s);
-                }
-                args.emplace_back("frontier", std::move(fs));
-                args.emplace_back("persisted_mask", mask.toHex());
-                tl->recordInstant(strprintf("finding@fp#%u", fp),
-                                  "finding", wobs.track, tl->nowUs(),
-                                  std::move(args));
-            }
-        }
+        recordFindings(wobs, fp, cf.seqs, mask, cand);
         if (wobs.live)
             wobs.live->count("crash_candidates");
         local.merge(cand);
     }
+    stats.phases.note(obs::Phase::Plan, plan_s, enumerated);
     // Pages restored toward durable hold stale bytes relative to the
     // working image; re-dirty them so the next anchor restore
     // re-copies them (XFD_DELTA_VALIDATE holds across the mix).
@@ -1260,7 +1127,7 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
     std::deque<CampaignStats> stats(threads);
     std::deque<PreCursor> cursors;
     for (unsigned t = 0; t < threads; t++)
-        cursors.emplace_back(pool.range(), cfg, initial);
+        cursors.emplace_back(pool.range(), cfg, initial, true);
 
     // Per-worker observability sinks, merged deterministically
     // (worker order) into the observer after the join.
@@ -1419,7 +1286,7 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
     ShadowFsmCounters fsm;
     {
         obs::SpanScope span(tl, "perf-scan", "phase", 0);
-        PreCursor full(pool.range(), cfg, initial);
+        PreCursor full(pool.range(), cfg, initial, false);
         auto tb = std::chrono::steady_clock::now();
         advanceShadow(full, pre_trace, trace_end, &merged);
         advanceImage(full, pre_trace, trace_end);

@@ -46,10 +46,14 @@
 #include "pm/delta.hh"
 #include "pm/image.hh"
 #include "pm/pool.hh"
+#include "trace/buffer.hh"
 #include "trace/runtime.hh"
+#include "trace/subset.hh"
 
 namespace xfd::core
 {
+
+struct CellFrontier;
 
 /** A traced program stage: receives the tracing runtime. */
 using ProgramFn = std::function<void(trace::PmRuntime &)>;
@@ -229,10 +233,12 @@ class Driver
         /**
          * @p initial is the shared campaign-start snapshot; both
          * images fork it (O(pages) pointer copies — pages physically
-         * split only as writes land).
+         * split only as writes land). @p explore builds the
+         * crash-state model when the campaign explores partial crash
+         * states; the end-of-campaign perf scan never reads it.
          */
         PreCursor(AddrRange range, const DetectorConfig &cfg,
-                  const pm::CowImage &initial);
+                  const pm::CowImage &initial, bool explore);
         ~PreCursor();
 
         ShadowPM shadow;
@@ -248,6 +254,8 @@ class Driver
         std::uint32_t imageCursor = 0;
         /** TX_ADD ranges of the open transaction (perf bugs). */
         std::vector<AddrRange> openTxAdds;
+        /** Post-failure trace, reused (cleared) by every execution. */
+        trace::TraceBuffer postTrace;
 
         /**
          * @name Frontier tracking (finding provenance)
@@ -287,8 +295,8 @@ class Driver
         /** @} */
 
         /**
-         * Crash-state exploration state (--crash-states): a
-         * cell-granular mirror of the oracle's persistency model so
+         * Crash-state exploration state (--crash-states): the
+         * cell-granular persistency model (core/crash_cells.hh) so
          * the driver's frontiers, candidate masks and candidate
          * images agree with the oracle's byte for byte. Null unless
          * the campaign explores partial crash states.
@@ -335,6 +343,25 @@ class Driver
                             const WorkerObs &wobs);
 
     /**
+     * Run the post-failure stage once on @p exec_pool under tracing
+     * into cur.postTrace, reporting a recovery abort or wild PM
+     * access into @p sink, and account the execution.
+     */
+    void runPost(PreCursor &cur, pm::PmPool &exec_pool,
+                 const trace::TraceBuffer &pre, const ProgramFn &post,
+                 std::uint32_t fp, BugSink &sink, CampaignStats &stats,
+                 const WorkerObs &wobs);
+
+    /**
+     * One Chrome-trace finding instant per finding in @p sink, with
+     * its provenance (frontier, persisted mask) as args.
+     */
+    static void recordFindings(const WorkerObs &wobs, std::uint32_t fp,
+                               const std::vector<std::uint32_t> &frontier,
+                               const trace::SubsetMask &mask,
+                               const BugSink &sink);
+
+    /**
      * Replay one post-failure trace against the shadow PM.
      * @param suppressSemantic drop commit-window (condition (3))
      *        verdicts — set for partial candidates that dropped a
@@ -353,12 +380,14 @@ class Driver
      * materialize each surviving candidate (durable image + masked
      * frontier events) on @p exec_pool, run recovery and classify.
      * Candidate findings merge into @p local annotated with their
-     * own persistedMask. Runs after the anchor execution; the exec
-     * pool is left consistent with the delta bookkeeping.
+     * own persistedMask. Runs after the anchor execution on the
+     * point's frontier @p cf, whose build took @p plan_s seconds; the
+     * exec pool is left consistent with the delta bookkeeping.
      */
     void exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
                             const trace::TraceBuffer &pre,
                             const ProgramFn &post, std::uint32_t fp,
+                            const CellFrontier &cf, double plan_s,
                             BugSink &local, CampaignStats &stats,
                             const WorkerObs &wobs);
 

@@ -71,13 +71,16 @@ struct PhaseTotals
     std::array<double, phaseCount> seconds{};
     std::array<std::uint64_t, phaseCount> count{};
 
-    /** Attribute one measured interval of @p sec seconds to @p p. */
+    /**
+     * Attribute @p sec measured seconds to @p p, counting @p n timed
+     * units (one interval by default).
+     */
     void
-    note(Phase p, double sec)
+    note(Phase p, double sec, std::uint64_t n = 1)
     {
         auto i = static_cast<std::size_t>(p);
         seconds[i] += sec;
-        count[i]++;
+        count[i] += n;
     }
 
     /** Fold another worker's totals into this one. */

@@ -52,12 +52,15 @@ class CandidateSet
      * @param chains   per-cell tails as bit indices into @p frontier,
      *                 each ascending (a cell's applied events must be
      *                 a prefix of its chain)
+     *
+     * Only adjacent pairs of a chain constrain (a prefix is exactly
+     * a set closed under "predecessor applied"), so the set keeps
+     * each distinct pair once: chains of length <= 1 add nothing and
+     * duplicate chains collapse. Legality, repair and enumeration
+     * depend on nothing but these pairs.
      */
     CandidateSet(std::vector<FrontierEvent> frontier,
-                 std::vector<std::vector<std::size_t>> chains)
-        : events(std::move(frontier)), cellChains(std::move(chains))
-    {
-    }
+                 const std::vector<std::vector<std::size_t>> &chains);
 
     /** Frontier size = mask width. */
     std::size_t bits() const { return events.size(); }
@@ -110,13 +113,27 @@ class CandidateSet
      * either every other legal mask (exhaustive, frontier within the
      * limit) or up to sampleCount distinct repaired random masks (the
      * all-zero mask is always included). Deterministic for a fixed
-     * (seed, stream) pair regardless of caller threading.
+     * (seed, stream) pair regardless of caller threading. The sampler
+     * stops as soon as every legal mask is in, so a legal space
+     * smaller than the sample costs its size, not the attempt bound.
      */
     Enumeration enumerate(const EnumerateOptions &opt) const;
 
+    /**
+     * Number of legal masks, counted up to @p cap (the walk stops
+     * there, so the cost is O(cap * bits)).
+     */
+    std::size_t legalCount(std::size_t cap) const;
+
   private:
     std::vector<FrontierEvent> events;
-    std::vector<std::vector<std::size_t>> cellChains;
+    /**
+     * Distinct chain-adjacent pairs by successor: event b may persist
+     * only if every event in preds[predBegin[b] .. predBegin[b + 1])
+     * does. Predecessors precede b, since chains ascend.
+     */
+    std::vector<std::size_t> predBegin;
+    std::vector<std::size_t> preds;
 };
 
 } // namespace xfd::trace
