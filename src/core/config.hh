@@ -109,7 +109,8 @@ struct DetectorConfig
      * Extension beyond the paper: build the post-failure PM image the
      * way a real crash would leave it — writes that were not flushed
      * *and* fenced by the failure point are absent (they revert to
-     * their last persisted value). The paper instead copies all
+     * their last persisted value): the all-zero candidate over the
+     * --crash-states cell model. The paper instead copies all
      * updates and relies on the shadow PM (footnote 3); that finds
      * races that this mode's single materialization might mask, while
      * this mode makes the post-failure stage *behave* like a real

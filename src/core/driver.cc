@@ -32,6 +32,28 @@ secondsSince(std::chrono::steady_clock::time_point t0)
     return duration<double>(steady_clock::now() - t0).count();
 }
 
+/**
+ * Paranoia mode (XFD_DELTA_VALIDATE=1): after any restore the exec
+ * pool must equal the source image byte-for-byte; a mismatch means a
+ * mutation path missed markDirty() or the write-log index missed a
+ * write. The equivalence suite runs its campaigns under this check.
+ */
+void
+validateRestore(const pm::CowImage &src, const pm::PmPool &exec_pool,
+                std::uint32_t fp, std::size_t page_size)
+{
+    static const bool validate =
+        std::getenv("XFD_DELTA_VALIDATE") != nullptr;
+    if (!validate)
+        return;
+    std::size_t off = src.firstMismatch(exec_pool.data());
+    if (off != SIZE_MAX) {
+        panic("delta restore diverged at fp %u: pool offset %#zx "
+              "(page %zu) pool=%02x",
+              fp, off, off / page_size, exec_pool.data()[off]);
+    }
+}
+
 } // namespace
 
 /**
@@ -98,15 +120,13 @@ Driver::PreCursor::PreCursor(AddrRange range,
                              bool explore)
     : shadow(range, cfg), image(initial)
 {
-    // Crash-state exploration needs the durable twin too: a partial
-    // candidate materializes as durable image + masked frontier
-    // events. Under eADR every frontier is empty and the mode
-    // degenerates to the anchor, so the extra bookkeeping is skipped.
-    bool cs_on = explore && cfg.crashStatesOn() && !cfg.eadrOn();
-    if (cfg.crashImageMode || cs_on)
+    // Under eADR every frontier is empty, so every candidate is the
+    // anchor and the cell model is skipped.
+    if (explore && (cfg.crashStatesOn() || cfg.crashImageMode) &&
+        !cfg.eadrOn()) {
         durable = initial;
-    if (cs_on)
         cs = std::make_unique<CsState>(range, cfg);
+    }
 }
 
 Driver::PreCursor::~PreCursor() = default;
@@ -336,77 +356,44 @@ Driver::advanceImage(PreCursor &cur, const trace::TraceBuffer &pre,
                 // so it is never part of any frontier.
                 cur.durable.applyWrite(e.addr, e.data.data(),
                                        e.data.size());
-            } else {
-                // The oracle's persistCellBytes: a retired or freed
-                // cell's content is decided, so the durable image
-                // takes its bytes (adjacent cells as one run) and
-                // partial candidates build on them.
-                cs->cells.apply(e, cs->persisted);
-                const auto &p = cs->persisted;
-                for (std::size_t a = 0; a < p.size();) {
-                    std::size_t b = a + 1;
-                    while (b < p.size() && p[b] == p[b - 1] + 1)
-                        b++;
-                    cur.durable.copyFrom(
-                        cur.image, cs->cells.cellAddr(p[a]),
-                        (b - a) * cs->cells.granularity());
-                    a = b;
-                }
-                cs->persisted.clear();
-            }
-        }
-        if (e.isWrite()) {
-            Addr last = lineBase(e.addr + (e.size ? e.size - 1 : 0));
-            if (eadr) {
-                // Flush-free persistency: the store is durable on
-                // arrival, so it is never part of a write frontier
-                // (provenance stays empty) and a realistic crash
-                // image carries it immediately.
-                if (cfg.crashImageMode) {
-                    for (Addr l = lineBase(e.addr); l <= last;
-                         l += cacheLineSize) {
-                        cur.durable.copyFrom(cur.image, l,
-                                             cacheLineSize);
-                        if (deltaStore)
-                            cur.durablePages.insert(
-                                deltaStore->pageOf(l));
-                    }
-                }
                 continue;
             }
+            // The oracle's persistCellBytes: a retired or freed cell's
+            // content is decided, so the durable image takes its bytes
+            // (adjacent cells as one run) and candidates build on them.
+            cs->cells.apply(e, cs->persisted);
+            const auto &p = cs->persisted;
+            for (std::size_t a = 0; a < p.size();) {
+                std::size_t b = a + 1;
+                while (b < p.size() && p[b] == p[b - 1] + 1)
+                    b++;
+                cur.durable.copyFrom(cur.image, cs->cells.cellAddr(p[a]),
+                                     (b - a) * cs->cells.granularity());
+                a = b;
+            }
+            cs->persisted.clear();
+        } else if (eadr) {
+            // Flush-free persistency: a store is durable on arrival,
+            // so it is never part of a write frontier.
+            continue;
+        } else if (e.isWrite()) {
+            // The write is in flight until a fence lands its line.
+            Addr last = lineBase(e.addr + (e.size ? e.size - 1 : 0));
             for (Addr l = lineBase(e.addr); l <= last;
                  l += cacheLineSize) {
-                // Frontier bookkeeping (provenance): the write is
-                // in flight until a fence lands its line.
                 cur.inflight[l].push_back(e.seq);
                 if (e.op == Op::NtWrite)
                     cur.inflightPending.insert(l);
-                if (cfg.crashImageMode) {
-                    cur.dirtyLines.insert(l);
-                    if (e.op == Op::NtWrite)
-                        cur.pendingLines.insert(l);
-                }
             }
         } else if (e.isFlush()) {
             // Flushing moves the line toward durability; it lands at
             // the next fence.
             if (cur.inflight.count(e.addr))
                 cur.inflightPending.insert(e.addr);
-            if (cfg.crashImageMode && cur.dirtyLines.count(e.addr))
-                cur.pendingLines.insert(e.addr);
         } else if (e.isFence()) {
             for (Addr l : cur.inflightPending)
                 cur.inflight.erase(l);
             cur.inflightPending.clear();
-            if (!cfg.crashImageMode)
-                continue;
-            for (Addr l : cur.pendingLines) {
-                cur.durable.copyFrom(cur.image, l, cacheLineSize);
-                cur.dirtyLines.erase(l);
-                if (deltaStore)
-                    cur.durablePages.insert(deltaStore->pageOf(l));
-            }
-            cur.pendingLines.clear();
         }
     }
 }
@@ -447,17 +434,8 @@ Driver::replayPost(PreCursor &cur, const trace::TraceBuffer &pre,
                 res.verdict != ReadCheck::SemanticBug) {
                 break;
             }
-            if (res.verdict == ReadCheck::SemanticBug &&
-                (cfg.crashImageMode || suppressSemantic)) {
-                // The commit-variable timestamps assume recovery
-                // observes the *latest* commit write, which only the
-                // paper's all-updates image guarantees; under a
-                // realistic crash image — or a partial candidate that
-                // dropped a commit write — the recovery may be acting
-                // on an older committed version, so the semantic
-                // verdict is not sound here.
+            if (res.verdict == ReadCheck::SemanticBug && suppressSemantic)
                 break;
-            }
             BugReport r;
             r.type = res.verdict == ReadCheck::Race
                          ? BugType::CrossFailureRace
@@ -498,13 +476,10 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
                                   : std::string(),
                            "fp", wobs.track);
 
-    // Findings collect in a local sink first, for two reasons: the
-    // per-failure-point hook must see a finding's recurrence at later
-    // points (the worker sink dedups across points), and provenance
-    // (this point's write frontier) is annotated onto exactly the
-    // findings this point produced before they merge.
+    // Findings collect in a local sink first: the per-failure-point
+    // hook must see a finding's recurrence at later points (the
+    // worker sink dedups across points).
     BugSink local;
-    BugSink &fp_sink = local;
 
     auto tb0 = std::chrono::steady_clock::now();
     {
@@ -522,62 +497,7 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
             advanceImage(cur, pre, fp);
         }
         obs::SpanScope s3(tl, "restore-pool", "backend", wobs.track);
-
-        const pm::CowImage &src =
-            cfg.crashImageMode ? cur.durable : cur.image;
-        bool checkpoint_due =
-            cfg.deltaCheckpointInterval != 0 &&
-            cur.sinceCheckpoint >= cfg.deltaCheckpointInterval;
-        if (!deltaStore) {
-            pm::restoreFull(src, exec_pool, stats.restore);
-        } else if (!cur.execSynced || checkpoint_due) {
-            // Chunk start or checkpoint cadence: resync from scratch.
-            // A fresh pool is all zeros and any working image can
-            // differ from zero only where the write log landed or the
-            // initial snapshot was nonzero (chunkSyncPages), so
-            // restoring that set plus the exec pool's own dirt is
-            // byte-equivalent to the old full O(pool) copy.
-            std::set<std::uint32_t> pages = *chunkSyncPages;
-            exec_pool.drainDirtyPages(pages);
-            pm::restorePages(src, exec_pool, deltaStore->pageSize(),
-                             pages, stats.restore);
-            stats.restore.syncRestores++;
-            cur.durablePages.clear();
-            cur.execSynced = true;
-            cur.sinceCheckpoint = 0;
-        } else {
-            // The exec pool matches the source image as of the
-            // previous restore except on (a) pages the image gained
-            // since, and (b) pages the previous post-failure
-            // execution soiled. Copy exactly that union.
-            std::set<std::uint32_t> pages;
-            if (cfg.crashImageMode)
-                pages.swap(cur.durablePages);
-            else
-                deltaStore->collectPages(cur.lastRestoredSeq, fp,
-                                         pages);
-            exec_pool.drainDirtyPages(pages);
-            pm::restorePages(src, exec_pool, deltaStore->pageSize(),
-                             pages, stats.restore);
-            cur.sinceCheckpoint++;
-        }
-        cur.lastRestoredSeq = fp;
-        // Paranoia mode (XFD_DELTA_VALIDATE=1): after any restore the
-        // exec pool must equal the source image byte-for-byte; a
-        // mismatch means a mutation path missed markDirty() or the
-        // write-log index missed a write. The equivalence suite runs
-        // its campaigns under this check.
-        static const bool validate =
-            std::getenv("XFD_DELTA_VALIDATE") != nullptr;
-        if (validate) {
-            std::size_t off = src.firstMismatch(exec_pool.data());
-            if (off != SIZE_MAX) {
-                panic("delta restore diverged at fp %u: pool offset "
-                      "%#zx (page %zu) pool=%02x",
-                      fp, off, off / cfg.deltaPageSize,
-                      exec_pool.data()[off]);
-            }
-        }
+        restoreAnchor(cur, exec_pool, fp, stats);
     }
     // The phase entry reuses the exact interval that feeds
     // backendSeconds, so restore + classify attribute the backend
@@ -585,74 +505,222 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
     double restore_s = secondsSince(tb0);
     stats.backendSeconds += restore_s;
     stats.phases.note(obs::Phase::Restore, restore_s);
-
-    // This point's write frontier: the in-flight (not durably
-    // persisted) write seqs as of fp, in ascending order — the
-    // causal candidates for anything the post-failure stage trips
-    // over. Captured before the post-failure run dirties anything.
-    // Crash-states campaigns take it from the cell model, once per
-    // point, so the bit order of every candidate mask matches the
-    // oracle's exactly; otherwise the line-granular bookkeeping
-    // supplies it.
-    CellFrontier cell_frontier;
-    std::vector<std::uint32_t> frontier;
-    double plan_s = 0;
-    if (cur.cs) {
-        auto tp = std::chrono::steady_clock::now();
-        cell_frontier = cur.cs->cells.frontier();
-        plan_s = secondsSince(tp);
-        frontier = cell_frontier.seqs;
-    } else {
-        for (const auto &ent : cur.inflight)
-            frontier.insert(frontier.end(), ent.second.begin(),
-                            ent.second.end());
-        std::sort(frontier.begin(), frontier.end());
-        frontier.erase(std::unique(frontier.begin(), frontier.end()),
-                       frontier.end());
-    }
-
-    runPost(cur, exec_pool, pre, post, fp, fp_sink, stats, wobs);
-
-    auto tb1 = std::chrono::steady_clock::now();
-    {
-        obs::SpanScope span(tl, "replay", "backend", wobs.track);
-        replayPost(cur, pre, cur.postTrace, fp, fp_sink);
-    }
-    double classify_s = secondsSince(tb1);
-    stats.backendSeconds += classify_s;
-    stats.phases.note(obs::Phase::Classify, classify_s);
-
-    // Annotate provenance onto the findings this exact point exposed:
-    // its frontier, plus which frontier writes the post-failure image
-    // contained (all of them under the paper's footnote-3 image, none
-    // under --crash-image, where in flight means absent).
-    trace::SubsetMask mask(frontier.size());
-    if (!cfg.crashImageMode)
-        mask.setAll();
-    local.annotate([&](BugReport &b) {
-        b.frontierSeqs = frontier;
-        b.persistedMask = mask;
-    });
-    recordFindings(wobs, fp, frontier, mask, local);
-
     if (wobs.live) {
         wobs.live->count("failure_points");
         wobs.live->count("restore_us",
                          static_cast<std::uint64_t>(restore_s * 1e6));
-        wobs.live->count("classify_us",
-                         static_cast<std::uint64_t>(classify_s * 1e6));
     }
 
-    // Partial crash-state exploration rides after the anchor so its
-    // findings merge into the same per-point sink (each annotated
-    // with its own persisted mask) before the hook fires.
-    if (csCtx && cur.cs)
-        exploreCrashStates(cur, exec_pool, pre, post, fp, cell_frontier,
-                           plan_s, local, stats, wobs);
+    // This point's write frontier: the in-flight (not durably
+    // persisted) write seqs as of fp, ascending — the causal
+    // candidates for anything the post-failure stage trips over, and
+    // the bit order of every candidate mask. The cell model supplies
+    // it (built once per point, so masks match the oracle's bit for
+    // bit); anchor-only campaigns keep the cheaper line-granular
+    // bookkeeping.
+    CellFrontier cf;
+    if (cur.cs) {
+        auto tp = std::chrono::steady_clock::now();
+        cf = cur.cs->cells.frontier();
+        stats.phases.note(obs::Phase::Plan, secondsSince(tp), 0);
+    } else {
+        for (const auto &ent : cur.inflight)
+            cf.seqs.insert(cf.seqs.end(), ent.second.begin(),
+                           ent.second.end());
+        std::sort(cf.seqs.begin(), cf.seqs.end());
+        cf.seqs.erase(std::unique(cf.seqs.begin(), cf.seqs.end()),
+                      cf.seqs.end());
+    }
+
+    // The point's own candidate: the paper's footnote-3 image (every
+    // frontier write persisted), or under --crash-image none of them.
+    trace::SubsetMask own(cf.seqs.size());
+    if (!cfg.crashImageMode)
+        own.setAll();
+    runCandidate(cur, exec_pool, pre, post, fp, cf, own, local, stats,
+                 wobs);
+
+    // Partial candidates merge into the same per-point sink, each
+    // annotated with its own persisted mask, before the hook fires.
+    if (csCtx && cur.cs) {
+        std::vector<trace::SubsetMask> masks =
+            planCrashStates(cur, pre, fp, cf, stats);
+        if (!masks.empty()) {
+            obs::SpanScope span(tl,
+                                tl ? strprintf("crash-states@fp#%u", fp)
+                                   : std::string(),
+                                "crash-states", wobs.track);
+            for (const auto &mask : masks) {
+                runCandidate(cur, exec_pool, pre, post, fp, cf, mask,
+                             local, stats, wobs);
+                if (wobs.live)
+                    wobs.live->count("crash_candidates");
+            }
+        }
+    }
 
     if (observer)
         observer->notifyFailurePoint(fp, local);
     sink.merge(local);
+}
+
+void
+Driver::restoreAnchor(PreCursor &cur, pm::PmPool &exec_pool,
+                      std::uint32_t fp, CampaignStats &stats)
+{
+    bool checkpoint_due = cfg.deltaCheckpointInterval != 0 &&
+                          cur.sinceCheckpoint >= cfg.deltaCheckpointInterval;
+    if (!deltaStore) {
+        pm::restoreFull(cur.image, exec_pool, stats.restore);
+    } else if (!cur.execSynced || checkpoint_due) {
+        // Chunk start or checkpoint cadence: resync from scratch. A
+        // fresh pool is all zeros and any working image can differ
+        // from zero only where the write log landed or the initial
+        // snapshot was nonzero (chunkSyncPages), so restoring that
+        // set plus the exec pool's own dirt is byte-equivalent to the
+        // old full O(pool) copy.
+        std::set<std::uint32_t> pages = *chunkSyncPages;
+        exec_pool.drainDirtyPages(pages);
+        pm::restorePages(cur.image, exec_pool, deltaStore->pageSize(),
+                         pages, stats.restore);
+        stats.restore.syncRestores++;
+        cur.execSynced = true;
+        cur.sinceCheckpoint = 0;
+    } else {
+        // The exec pool matches the working image as of the previous
+        // restore except on (a) pages the image gained since, (b)
+        // pages the previous executions soiled, and (c) pages a
+        // candidate restore took from the durable image. Copy exactly
+        // that union.
+        std::set<std::uint32_t> pages = std::move(cur.candidatePages);
+        deltaStore->collectPages(cur.lastRestoredSeq, fp, pages);
+        exec_pool.drainDirtyPages(pages);
+        pm::restorePages(cur.image, exec_pool, deltaStore->pageSize(),
+                         pages, stats.restore);
+        cur.sinceCheckpoint++;
+    }
+    cur.candidatePages.clear();
+    cur.lastRestoredSeq = fp;
+    validateRestore(cur.image, exec_pool, fp, cfg.deltaPageSize);
+}
+
+void
+Driver::runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
+                     const trace::TraceBuffer &pre, const ProgramFn &post,
+                     std::uint32_t fp, const CellFrontier &cf,
+                     const trace::SubsetMask &mask, BugSink &sink,
+                     CampaignStats &stats, const WorkerObs &wobs)
+{
+    // The commit-variable timestamps assume recovery observes the
+    // *latest* commit write, which only the all-updates image
+    // guarantees. Under --crash-image, or on a candidate that drops a
+    // commit-variable write, recovery may act on an older committed
+    // epoch, so commit-window (condition (3)) verdicts are not sound.
+    bool suppress_semantic = cfg.crashImageMode;
+    if (!mask.all()) {
+        auto t0 = std::chrono::steady_clock::now();
+        restoreCandidate(cur, exec_pool, pre, fp, cf, mask, stats);
+        double restore_s = secondsSince(t0);
+        stats.backendSeconds += restore_s;
+        stats.phases.note(obs::Phase::Restore, restore_s);
+        if (wobs.live) {
+            wobs.live->count("restore_us",
+                             static_cast<std::uint64_t>(restore_s * 1e6));
+        }
+        const auto &cvars = cur.cs->cells.commitVars();
+        for (std::size_t b = 0; b < mask.size() && !suppress_semantic;
+             b++) {
+            if (mask.test(b))
+                continue;
+            const auto &e = pre[cf.seqs[b]];
+            AddrRange ev{e.addr, e.addr + e.size};
+            for (const auto &cv : cvars)
+                suppress_semantic = suppress_semantic || cv.overlaps(ev);
+        }
+    }
+
+    BugSink cand;
+    runPost(cur, exec_pool, pre, post, fp, cand, stats, wobs);
+
+    auto t1 = std::chrono::steady_clock::now();
+    {
+        obs::SpanScope span(wobs.timeline, "replay", "backend",
+                            wobs.track);
+        replayPost(cur, pre, cur.postTrace, fp, cand, suppress_semantic);
+    }
+    double classify_s = secondsSince(t1);
+    stats.backendSeconds += classify_s;
+    stats.phases.note(obs::Phase::Classify, classify_s);
+    if (wobs.live) {
+        wobs.live->count("classify_us",
+                         static_cast<std::uint64_t>(classify_s * 1e6));
+    }
+
+    // Provenance: the point's frontier, plus which of its writes this
+    // candidate image contained.
+    cand.annotate([&](BugReport &b) {
+        b.frontierSeqs = cf.seqs;
+        b.persistedMask = mask;
+    });
+    recordFindings(wobs, fp, cf.seqs, mask, cand);
+    sink.merge(cand);
+}
+
+void
+Driver::restoreCandidate(PreCursor &cur, pm::PmPool &exec_pool,
+                         const trace::TraceBuffer &pre, std::uint32_t fp,
+                         const CellFrontier &cf,
+                         const trace::SubsetMask &mask,
+                         CampaignStats &stats)
+{
+    const CrashCells &cells = cur.cs->cells;
+    if (!deltaStore) {
+        pm::restoreFull(cur.durable, exec_pool, stats.restore);
+    } else {
+        // The pool holds the anchor image or an earlier candidate of
+        // this point, plus its own dirt. Only the pages of in-flight
+        // cells separate the anchor from the durable image, and every
+        // open cell carries some frontier write.
+        std::set<std::uint32_t> pages;
+        if (cur.candidatePages.empty()) {
+            for (const auto &runs : cf.runsOf) {
+                for (const CellRun &r : runs) {
+                    std::uint32_t last =
+                        deltaStore->pageOf(cells.cellAddr(r.end - 1));
+                    for (std::uint32_t p =
+                             deltaStore->pageOf(cells.cellAddr(r.first));
+                         p <= last; p++) {
+                        pages.insert(p);
+                    }
+                }
+            }
+        }
+        exec_pool.drainDirtyPages(pages);
+        pm::restorePages(cur.durable, exec_pool, deltaStore->pageSize(),
+                         pages, stats.restore);
+        cur.candidatePages.insert(pages.begin(), pages.end());
+    }
+    validateRestore(cur.durable, exec_pool, fp, cfg.deltaPageSize);
+
+    // Apply the persisted subset in ascending seq order; only cells
+    // still carrying the event are undecided (mirrors the oracle's
+    // applyMask byte for byte). Payload-elided same-value writes
+    // (empty data) have nothing to materialize.
+    for (std::size_t b = 0; b < mask.size(); b++) {
+        if (!mask.test(b))
+            continue;
+        const auto &e = pre[cf.seqs[b]];
+        if (e.size == 0 || e.data.empty())
+            continue;
+        for (const CellRun &r : cf.runsOf[b]) {
+            Addr lo = std::max(cells.cellAddr(r.first), e.addr);
+            Addr hi = std::min(cells.cellAddr(r.end),
+                               static_cast<Addr>(e.addr + e.size));
+            std::memcpy(exec_pool.data() + (lo - exec_pool.base()),
+                        e.data.data() + (lo - e.addr), hi - lo);
+            exec_pool.markDirty(lo, hi - lo);
+        }
+    }
 }
 
 void
@@ -743,31 +811,24 @@ Driver::recordFindings(const WorkerObs &wobs, std::uint32_t fp,
     }
 }
 
-void
-Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
-                           const trace::TraceBuffer &pre,
-                           const ProgramFn &post, std::uint32_t fp,
-                           const CellFrontier &cf, double plan_s,
-                           BugSink &local, CampaignStats &stats,
-                           const WorkerObs &wobs)
+std::vector<trace::SubsetMask>
+Driver::planCrashStates(PreCursor &cur, const trace::TraceBuffer &pre,
+                        std::uint32_t fp, const CellFrontier &cf,
+                        CampaignStats &stats)
 {
-    PreCursor::CsState &cs = *cur.cs;
-    const CrashCells &cells = cs.cells;
-    std::size_t k = cf.seqs.size();
-    // Planning (frontier and chains, group key, enumeration, prune
-    // lookups) bills to the plan phase, noted once per enumerated
-    // candidate so phase counts stay serial == parallel.
-    if (k == 0) {
-        stats.phases.note(obs::Phase::Plan, plan_s, 0);
-        return;
-    }
+    std::vector<trace::SubsetMask> keep;
+    if (cf.seqs.empty())
+        return keep;
+    // Planning (group key, enumeration, prune lookups) bills to the
+    // plan phase, noted once per enumerated candidate so phase counts
+    // stay serial == parallel.
     auto tp = std::chrono::steady_clock::now();
+    PreCursor::CsState &cs = *cur.cs;
     std::vector<trace::FrontierEvent> events;
-    events.reserve(k);
+    events.reserve(cf.seqs.size());
     for (std::uint32_t s : cf.seqs)
         events.push_back(trace::FrontierEvent{s, pre[s].addr, pre[s].size});
     trace::CandidateSet cset(std::move(events), cf.chains);
-    const auto &frontier_ev = cset.frontier();
 
     // Candidate equivalence class: ordering-point source location +
     // lint frontier signature — the identity --backend=batched folds
@@ -806,27 +867,13 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
     eopt.stream = group.stream;
     auto en = cset.enumerate(eopt);
     std::size_t enumerated = en.masks.size() - 1;
-    plan_s += secondsSince(tp);
-    if (enumerated == 0) {
-        stats.phases.note(obs::Phase::Plan, plan_s, 0);
-        return;
-    }
     stats.crashStatesEnumerated += enumerated;
 
-    obs::Timeline *tl = wobs.timeline;
-    obs::SpanScope span(tl,
-                        tl ? strprintf("crash-states@fp#%u", fp)
-                           : std::string(),
-                        "crash-states", wobs.track);
-
-    bool first_restore = true;
-    std::set<std::uint32_t> touched;
+    // Structurally identical candidates execute once per campaign:
+    // recovery is a function of the crash image, which (group, mask)
+    // determines up to batching equivalence.
     for (std::size_t ci = 1; ci < en.masks.size(); ci++) {
-        const trace::SubsetMask &mask = en.masks[ci];
-        // Structurally identical candidates execute once per campaign:
-        // recovery is a function of the crash image, which (group,
-        // mask) determines up to batching equivalence.
-        auto tk = std::chrono::steady_clock::now();
+        trace::SubsetMask &mask = en.masks[ci];
         std::uint32_t rep;
         bool fresh;
         {
@@ -835,122 +882,16 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
             rep = it.first->second;
             fresh = it.second;
         }
-        if (!fresh) {
+        if (fresh) {
+            stats.crashStatesExplored++;
+            keep.push_back(std::move(mask));
+        } else {
             stats.crashStatesPruned++;
             stats.crashPruned.push_back({fp, rep, mask.toHex()});
         }
-        plan_s += secondsSince(tk);
-        if (!fresh)
-            continue;
-        stats.crashStatesExplored++;
-
-        auto tb0 = std::chrono::steady_clock::now();
-        // Materialize: durable image + masked frontier events. The
-        // pool holds the previous run's aftermath; restore only what
-        // can differ from durable — the pool's own dirt plus, before
-        // the first candidate, the pages of in-flight cells (the only
-        // places the anchor image diverges from durable).
-        if (!deltaStore) {
-            pm::restoreFull(cur.durable, exec_pool, stats.restore);
-        } else {
-            std::set<std::uint32_t> pages;
-            if (first_restore) {
-                // Every open cell carries some frontier write.
-                for (const auto &runs : cf.runsOf) {
-                    for (const CellRun &r : runs) {
-                        std::uint32_t last =
-                            deltaStore->pageOf(cells.cellAddr(r.end - 1));
-                        for (std::uint32_t p = deltaStore->pageOf(
-                                 cells.cellAddr(r.first));
-                             p <= last; p++) {
-                            pages.insert(p);
-                        }
-                    }
-                }
-            }
-            exec_pool.drainDirtyPages(pages);
-            pm::restorePages(cur.durable, exec_pool,
-                             deltaStore->pageSize(), pages,
-                             stats.restore);
-            touched.insert(pages.begin(), pages.end());
-        }
-        first_restore = false;
-
-        // Apply the persisted subset in ascending seq order; only
-        // cells still carrying the event are undecided (mirrors the
-        // oracle's applyMask byte for byte). Payload-elided same-value
-        // writes (empty data) have nothing to materialize.
-        for (std::size_t b = 0; b < k; b++) {
-            if (!mask.test(b))
-                continue;
-            const auto &e = pre[cf.seqs[b]];
-            if (e.size == 0 || e.data.empty())
-                continue;
-            for (const CellRun &r : cf.runsOf[b]) {
-                Addr lo = std::max(cells.cellAddr(r.first), e.addr);
-                Addr hi = std::min(cells.cellAddr(r.end),
-                                   static_cast<Addr>(e.addr + e.size));
-                std::memcpy(exec_pool.data() + (lo - exec_pool.base()),
-                            e.data.data() + (lo - e.addr), hi - lo);
-                exec_pool.markDirty(lo, hi - lo);
-            }
-        }
-        double restore_s = secondsSince(tb0);
-        stats.backendSeconds += restore_s;
-        stats.phases.note(obs::Phase::Restore, restore_s);
-
-        // A candidate that drops a commit-variable write shows
-        // recovery the previous committed epoch: commit-window
-        // (condition (3)) verdicts on it describe a legitimate older
-        // state, not a bug.
-        bool dropped_commit = false;
-        for (std::size_t b = 0; b < k && !dropped_commit; b++) {
-            if (mask.test(b))
-                continue;
-            AddrRange ev{frontier_ev[b].addr,
-                         frontier_ev[b].addr + frontier_ev[b].size};
-            for (const auto &cv : cells.commitVars()) {
-                if (cv.overlaps(ev)) {
-                    dropped_commit = true;
-                    break;
-                }
-            }
-        }
-
-        BugSink cand;
-        runPost(cur, exec_pool, pre, post, fp, cand, stats, wobs);
-
-        auto tb1 = std::chrono::steady_clock::now();
-        {
-            obs::SpanScope s2(tl, "replay", "backend", wobs.track);
-            replayPost(cur, pre, cur.postTrace, fp, cand,
-                       dropped_commit);
-        }
-        double classify_s = secondsSince(tb1);
-        stats.backendSeconds += classify_s;
-        stats.phases.note(obs::Phase::Classify, classify_s);
-
-        cand.annotate([&](BugReport &b) {
-            b.frontierSeqs = cf.seqs;
-            b.persistedMask = mask;
-        });
-        recordFindings(wobs, fp, cf.seqs, mask, cand);
-        if (wobs.live)
-            wobs.live->count("crash_candidates");
-        local.merge(cand);
     }
-    stats.phases.note(obs::Phase::Plan, plan_s, enumerated);
-    // Pages restored toward durable hold stale bytes relative to the
-    // working image; re-dirty them so the next anchor restore
-    // re-copies them (XFD_DELTA_VALIDATE holds across the mix).
-    if (deltaStore) {
-        std::size_t ps = deltaStore->pageSize();
-        for (std::uint32_t page : touched) {
-            exec_pool.markDirty(exec_pool.base() +
-                                    static_cast<Addr>(page) * ps,
-                                ps);
-        }
-    }
+    stats.phases.note(obs::Phase::Plan, secondsSince(tp), enumerated);
+    return keep;
 }
 
 CampaignResult

@@ -131,8 +131,8 @@ struct CampaignStats
  * and the configuration it ran under — the first-class return object
  * of Driver::run()/xfd::Campaign::run(). Prefer the accessors
  * (findings(), statistics(), phases(), config(), fingerprint()) over
- * reaching into the public members; the members stay public for one
- * PR of source compatibility (removal schedule: DESIGN.md §16).
+ * reaching into the public members; the members stay public because
+ * the campaign benchmark (perfbench/) reads them (DESIGN.md §16).
  */
 struct CampaignResult
 {
@@ -217,8 +217,8 @@ class Driver
     /**
      * Attach observability sinks: phase/failure-point spans land on
      * @p o's timeline, stat counters are aggregated into its registry
-     * at campaign end (when cfg.collectStats), and o->onProgress fires
-     * after every failure point. Pass nullptr to detach. The observer
+     * at campaign end (when cfg.collectStats), and o->hooks receives
+     * the campaign events. Pass nullptr to detach. The observer
      * must outlive subsequent run()/runParallel() calls.
      */
     void setObserver(CampaignObserver *o) { observer = o; }
@@ -233,9 +233,10 @@ class Driver
         /**
          * @p initial is the shared campaign-start snapshot; both
          * images fork it (O(pages) pointer copies — pages physically
-         * split only as writes land). @p explore builds the
-         * crash-state model when the campaign explores partial crash
-         * states; the end-of-campaign perf scan never reads it.
+         * split only as writes land). @p explore builds the cell
+         * model when the campaign runs candidates other than the
+         * anchor (--crash-states, --crash-image); the end-of-campaign
+         * perf scan never reads it.
          */
         PreCursor(AddrRange range, const DetectorConfig &cfg,
                   const pm::CowImage &initial, bool explore);
@@ -244,12 +245,12 @@ class Driver
         ShadowPM shadow;
         /** All updates applied (the paper's footnote-3 image). */
         pm::CowImage image;
-        /** Persisted-only image (crashImageMode extension). */
+        /**
+         * The working image minus the cell model's open cells: the
+         * all-zero candidate, and the base every other candidate
+         * builds on. Maintained only when cs is set.
+         */
         pm::CowImage durable;
-        /** Lines written since their last durable copy. */
-        std::set<Addr> dirtyLines;
-        /** Lines flushed, awaiting the next fence. */
-        std::set<Addr> pendingLines;
         std::uint32_t shadowCursor = 0;
         std::uint32_t imageCursor = 0;
         /** TX_ADD ranges of the open transaction (perf bugs). */
@@ -258,16 +259,14 @@ class Driver
         trace::TraceBuffer postTrace;
 
         /**
-         * @name Frontier tracking (finding provenance)
+         * @name Line-granular frontier (anchor-only provenance)
          *
-         * Mirrors the line-granular persistency bookkeeping above,
-         * but keyed by write seq: inflight maps each dirty cache
-         * line to the seqs of writes covering it that are not yet
-         * durably persisted; inflightPending holds lines whose
-         * writes have been flushed and persist at the next fence.
-         * The sorted union of inflight's seq lists at a failure
-         * point is that point's write frontier — the same identity
-         * the crash-state oracle enumerates subsets of.
+         * Without a cell model, inflight maps each dirty cache line
+         * to the seqs of writes covering it that are not yet durably
+         * persisted; inflightPending holds lines whose writes have
+         * been flushed and persist at the next fence. The sorted
+         * union of inflight's seq lists at a failure point is that
+         * point's write frontier.
          * @{
          */
         std::map<Addr, std::vector<std::uint32_t>> inflight;
@@ -286,20 +285,21 @@ class Driver
         /** Delta restores since the last full checkpoint. */
         std::size_t sinceCheckpoint = 0;
         /**
-         * Pages of the durable image changed since the last restore
-         * (crashImageMode: fences persist lines whose writes may
-         * predate the restore window, so the write-log index cannot
-         * derive the durable delta; track it where it happens).
+         * Pages candidate restores copied from the durable image
+         * since the last anchor restore. The write-log index cannot
+         * see that they differ from the working image, so the next
+         * anchor restore re-copies them. Empty while the exec pool
+         * holds the anchor image.
          */
-        std::set<std::uint32_t> durablePages;
+        std::set<std::uint32_t> candidatePages;
         /** @} */
 
         /**
-         * Crash-state exploration state (--crash-states): the
-         * cell-granular persistency model (core/crash_cells.hh) so
-         * the driver's frontiers, candidate masks and candidate
-         * images agree with the oracle's byte for byte. Null unless
-         * the campaign explores partial crash states.
+         * The cell-granular persistency model (core/crash_cells.hh),
+         * so the driver's frontiers, candidate masks and candidate
+         * images agree with the oracle's byte for byte. Null in
+         * anchor-only campaigns and under eADR, where every frontier
+         * is empty.
          */
         struct CsState;
         std::unique_ptr<CsState> cs;
@@ -332,15 +332,49 @@ class Driver
     };
 
     /**
-     * Handle failure point @p fp end to end on @p exec_pool:
-     * reconstruct the image, run the post-failure stage, replay the
-     * post trace against the shadow.
+     * Handle failure point @p fp end to end on @p exec_pool: advance
+     * the cursors, restore the anchor image, then run the point's own
+     * candidate (all-ones mask, or all-zero under --crash-image) and
+     * the partial masks --crash-states keeps.
      */
     void handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
                             const trace::TraceBuffer &pre,
                             const ProgramFn &post, std::uint32_t fp,
                             BugSink &sink, CampaignStats &stats,
                             const WorkerObs &wobs);
+
+    /**
+     * Restore @p exec_pool to the working (footnote-3) image as of
+     * @p fp: a write-log delta restore when a delta store is
+     * attached, a full copy otherwise.
+     */
+    void restoreAnchor(PreCursor &cur, pm::PmPool &exec_pool,
+                       std::uint32_t fp, CampaignStats &stats);
+
+    /**
+     * Execute one candidate crash image of failure point @p fp: the
+     * persisted subset @p mask of frontier @p cf. The all-ones mask
+     * runs on the anchor image the exec pool already holds; any
+     * other mask materializes over the durable image first. Runs
+     * recovery, classifies its trace, annotates the findings with
+     * (cf.seqs, mask) and merges them into @p sink.
+     */
+    void runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
+                      const trace::TraceBuffer &pre,
+                      const ProgramFn &post, std::uint32_t fp,
+                      const CellFrontier &cf,
+                      const trace::SubsetMask &mask, BugSink &sink,
+                      CampaignStats &stats, const WorkerObs &wobs);
+
+    /**
+     * Materialize a non-anchor candidate on @p exec_pool: restore it
+     * to the durable image, then apply the masked frontier writes.
+     */
+    void restoreCandidate(PreCursor &cur, pm::PmPool &exec_pool,
+                          const trace::TraceBuffer &pre,
+                          std::uint32_t fp, const CellFrontier &cf,
+                          const trace::SubsetMask &mask,
+                          CampaignStats &stats);
 
     /**
      * Run the post-failure stage once on @p exec_pool under tracing
@@ -364,32 +398,25 @@ class Driver
     /**
      * Replay one post-failure trace against the shadow PM.
      * @param suppressSemantic drop commit-window (condition (3))
-     *        verdicts — set for partial candidates that dropped a
-     *        commit-variable write, where recovery legitimately
-     *        observes the previous committed epoch.
+     *        verdicts (see runCandidate for when).
      */
     void replayPost(PreCursor &cur, const trace::TraceBuffer &pre,
                     const trace::TraceBuffer &post, std::uint32_t fp,
-                    BugSink &sink, bool suppressSemantic = false);
+                    BugSink &sink, bool suppressSemantic);
 
     /**
-     * Partial crash-state exploration at failure point @p fp
+     * Plan partial crash-state candidates at failure point @p fp
      * (--crash-states=sample:<n>|exhaustive): enumerate the legal
-     * persisted subsets of the write frontier from the cursor's cell
-     * model, equivalence-prune against the campaign-global seen set,
-     * materialize each surviving candidate (durable image + masked
-     * frontier events) on @p exec_pool, run recovery and classify.
-     * Candidate findings merge into @p local annotated with their
-     * own persistedMask. Runs after the anchor execution on the
-     * point's frontier @p cf, whose build took @p plan_s seconds; the
-     * exec pool is left consistent with the delta bookkeeping.
+     * persisted subsets of frontier @p cf from the cursor's cell
+     * model and equivalence-prune them against the campaign-global
+     * seen set. Executes nothing; accounts enumeration and pruning
+     * in @p stats and bills its time to the plan phase.
+     * @return the masks to execute, in enumeration order.
      */
-    void exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
-                            const trace::TraceBuffer &pre,
-                            const ProgramFn &post, std::uint32_t fp,
-                            const CellFrontier &cf, double plan_s,
-                            BugSink &local, CampaignStats &stats,
-                            const WorkerObs &wobs);
+    std::vector<trace::SubsetMask>
+    planCrashStates(PreCursor &cur, const trace::TraceBuffer &pre,
+                    std::uint32_t fp, const CellFrontier &cf,
+                    CampaignStats &stats);
 
     /**
      * Aggregate campaign counters into the observer's registry:

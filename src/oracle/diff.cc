@@ -141,8 +141,8 @@ runDifferentialCampaign(pm::PmPool &pool, const core::ProgramFn &pre,
 
     core::DetectorConfig dcfg = cfg.detector;
     if (dcfg.crashImageMode) {
-        warn("oracle: crash-image mode keeps a line-granular durable "
-             "image the cell-granular oracle cannot reproduce; "
+        warn("oracle: the differential checks each point's "
+             "all-updates anchor, which crash-image mode never runs; "
              "running the differential campaign without it");
         dcfg.crashImageMode = false;
     }

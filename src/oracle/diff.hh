@@ -7,7 +7,7 @@
  * planned failure point:
  *
  *  - The detector's per-point findings are captured through the
- *    CampaignObserver::onFailurePoint hook (pre-dedup, so a bug
+ *    CampaignHooks::onFailurePoint hook (pre-dedup, so a bug
  *    recurring at several points is seen at each of them).
  *  - The oracle's all-updates anchor candidate runs on a byte-
  *    identical crash image, so its finding classes must match the
@@ -57,9 +57,9 @@ struct DiffConfig
 {
     /**
      * Campaign configuration for the detector side; the oracle
-     * mirrors its semantics knobs. crashImageMode is force-disabled
-     * (the driver's durable image is line-granular where the oracle's
-     * is cell-granular, so the images are not comparable).
+     * mirrors its semantics knobs. crashImageMode is force-disabled:
+     * the differential checks each point's all-updates anchor, which
+     * a crash-image campaign never runs.
      */
     core::DetectorConfig detector;
 

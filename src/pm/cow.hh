@@ -3,12 +3,12 @@
  * Copy-on-write PM image with refcounted pages.
  *
  * The campaign loop materializes one working image per worker (plus a
- * durable image in crash-image mode), all seeded from the same
- * initial pool snapshot. With contiguous PmImage buffers that seeding
- * costs one O(pool) memcpy per cursor; a CowImage instead shares its
- * fixed-size pages by shared_ptr, so forking an image is O(pages)
- * pointer copies and a page is physically duplicated only when a
- * write first lands on it (applyWrite clones shared pages). Since a
+ * durable image when it runs crash-state candidates), all seeded from
+ * the same initial pool snapshot. With contiguous PmImage buffers that
+ * seeding costs one O(pool) memcpy per cursor; a CowImage instead
+ * shares its fixed-size pages by shared_ptr, so forking an image is
+ * O(pages) pointer copies and a page is physically duplicated only when
+ * a write first lands on it (applyWrite clones shared pages). Since a
  * campaign's working images diverge on exactly the pages the
  * pre-failure write log touches, the shared remainder — usually the
  * vast majority of a mostly-idle pool — is never copied at all.
@@ -76,9 +76,9 @@ class CowImage
     void applyWrite(Addr a, const void *src, std::size_t n);
 
     /**
-     * Copy [a, a+n) from @p src into this image (the durable-image
-     * fence sync). Sources and destination must cover the same
-     * address range and share a page size.
+     * Copy [a, a+n) from @p src into this image (the durable image
+     * taking persisted cells). Sources and destination must cover the
+     * same address range and share a page size.
      */
     void copyFrom(const CowImage &src, Addr a, std::size_t n);
 

@@ -102,9 +102,9 @@ streamEndPos(std::istream &in)
 }
 
 /**
- * String interner shared by both writers: stable ids in first-use
- * order, id 0 always the empty string (the overwhelmingly common
- * label), so v2 presence decisions stay simple.
+ * String interner: stable ids in first-use order, id 0 always the
+ * empty string (the overwhelmingly common label), so presence
+ * decisions stay simple.
  */
 class InternTable
 {
@@ -156,59 +156,6 @@ class Remaining
 };
 
 } // namespace
-
-void
-writeTraceV1(const TraceBuffer &buf, std::ostream &out)
-{
-    // Intern all strings first. v1 has no reserved empty-string slot,
-    // so build the table ad hoc exactly as the original writer did.
-    std::map<std::string, std::uint32_t> intern;
-    std::vector<const std::string *> ordered;
-    auto intern_str = [&](const char *s) {
-        auto [it, fresh] = intern.emplace(s ? s : "", 0);
-        if (fresh) {
-            it->second = static_cast<std::uint32_t>(ordered.size());
-            ordered.push_back(&it->first);
-        }
-        return it->second;
-    };
-
-    struct Ids
-    {
-        std::uint32_t file, func, label;
-    };
-    std::vector<Ids> ids;
-    ids.reserve(buf.size());
-    for (const auto &e : buf) {
-        ids.push_back(Ids{intern_str(e.loc.file), intern_str(e.loc.func),
-                          intern_str(e.label)});
-    }
-
-    put(out, traceMagic);
-    put(out, traceFormatVersionV1);
-    put(out, static_cast<std::uint32_t>(ordered.size()));
-    for (const auto *s : ordered) {
-        put(out, static_cast<std::uint32_t>(s->size()));
-        out.write(s->data(), static_cast<std::streamsize>(s->size()));
-    }
-    put(out, static_cast<std::uint32_t>(buf.size()));
-    for (std::size_t i = 0; i < buf.size(); i++) {
-        const TraceEntry &e = buf[i];
-        put(out, static_cast<std::uint8_t>(e.op));
-        put(out, e.flags);
-        put(out, e.size);
-        put(out, e.addr);
-        put(out, e.aux);
-        put(out, e.seq);
-        put(out, e.loc.line);
-        put(out, ids[i].file);
-        put(out, ids[i].func);
-        put(out, ids[i].label);
-        put(out, static_cast<std::uint32_t>(e.data.size()));
-        out.write(reinterpret_cast<const char *>(e.data.data()),
-                  static_cast<std::streamsize>(e.data.size()));
-    }
-}
 
 void
 writeTrace(const TraceBuffer &buf, std::ostream &out)
@@ -303,85 +250,15 @@ writeTrace(const TraceBuffer &buf, std::ostream &out)
 }
 
 LoadedTrace
-Reader::readV1(LoadedTrace loaded)
+Reader::read()
 {
+    LoadedTrace loaded;
+    loaded.version = ver;
     // Every variable-length field is validated against the bytes
     // actually left in the stream *before* its buffer is allocated:
     // a fuzzed length that is individually plausible must still fail
     // when it overflows the stream. Unseekable streams keep only the
     // fixed caps.
-    Remaining remaining(in);
-
-    std::uint32_t nstrings = get<std::uint32_t>(in);
-    // Each interned string needs at least its length field in the
-    // stream; a fuzzed count must fail before the table allocation.
-    if (nstrings > (1u << 24) || nstrings > remaining() / 4)
-        throw std::runtime_error("implausible string count");
-    std::vector<const char *> table;
-    table.reserve(nstrings);
-    for (std::uint32_t i = 0; i < nstrings; i++) {
-        std::uint32_t len = get<std::uint32_t>(in);
-        if (len > (1u << 20) || len > remaining())
-            throw std::runtime_error("oversized interned string");
-        std::string s(len, '\0');
-        in.read(s.data(), len);
-        if (!in)
-            throw std::runtime_error("trace stream truncated");
-        loaded.strings.push_back(std::move(s));
-        table.push_back(loaded.strings.back().c_str());
-    }
-
-    auto lookup = [&](std::uint32_t id) -> const char * {
-        if (id >= table.size())
-            throw std::runtime_error("bad string id");
-        return table[id];
-    };
-
-    std::uint32_t count = get<std::uint32_t>(in);
-    for (std::uint32_t i = 0; i < count; i++) {
-        TraceEntry e;
-        std::uint8_t op = get<std::uint8_t>(in);
-        if (op >= opCount)
-            throw std::runtime_error("bad trace op kind");
-        e.op = static_cast<Op>(op);
-        e.flags = get<std::uint16_t>(in);
-        e.size = get<std::uint32_t>(in);
-        e.addr = get<Addr>(in);
-        e.aux = get<Addr>(in);
-        std::uint32_t seq = get<std::uint32_t>(in);
-        e.loc.line = get<unsigned>(in);
-        e.loc.file = lookup(get<std::uint32_t>(in));
-        e.loc.func = lookup(get<std::uint32_t>(in));
-        e.label = lookup(get<std::uint32_t>(in));
-        std::uint32_t dlen = get<std::uint32_t>(in);
-        if (dlen > (1u << 24) || dlen > remaining())
-            throw std::runtime_error("oversized data payload");
-        e.data.resize(dlen);
-        in.read(reinterpret_cast<char *>(e.data.data()), dlen);
-        if (!in)
-            throw std::runtime_error("trace stream truncated");
-        std::uint32_t assigned = loaded.buf.append(std::move(e));
-        if (assigned != seq)
-            throw std::runtime_error("non-contiguous trace seq");
-    }
-
-    // v1 has no alloc-site table: reconstruct it by scanning, giving
-    // cross-version consumers of allocSites() identical results.
-    for (const TraceEntry &e : loaded.buf) {
-        if (e.op != Op::Alloc)
-            continue;
-        bool seen = false;
-        for (const SrcLoc &s : loaded.sites)
-            seen = seen || s == e.loc;
-        if (!seen)
-            loaded.sites.push_back(e.loc);
-    }
-    return loaded;
-}
-
-LoadedTrace
-Reader::readV2(LoadedTrace loaded)
-{
     Remaining remaining(in);
 
     // String table. Each string needs at least its 1-byte length
@@ -489,17 +366,8 @@ Reader::Reader(std::istream &in) : in(in), ver(0)
     if (get<std::uint32_t>(in) != traceMagic)
         throw std::runtime_error("bad trace magic");
     ver = get<std::uint32_t>(in);
-    if (ver != traceFormatVersionV1 && ver != traceFormatVersion)
+    if (ver != traceFormatVersion)
         throw std::runtime_error("unsupported trace version");
-}
-
-LoadedTrace
-Reader::read()
-{
-    LoadedTrace loaded;
-    loaded.version = ver;
-    return ver == traceFormatVersionV1 ? readV1(std::move(loaded))
-                                       : readV2(std::move(loaded));
 }
 
 LoadedTrace

@@ -9,24 +9,19 @@
  * compact binary stream, so a trace captured in one process can be
  * replayed by the detector in another.
  *
- * Two on-disk framings share the 8-byte magic+version header:
- *
- *  - v1: fixed-width little-endian fields, one interned string table.
- *    Kept writable (writeTraceV1) so old consumers and cross-version
- *    tests still have a producer; readable forever.
- *  - v2 (current, written by writeTrace): LEB128 varints throughout,
- *    an interned string table, an interned source-location table
- *    ((file, line, func) triples — the per-entry cost of a location
- *    drops to one small varint id), an allocation-site table (the
- *    distinct locations of Op::Alloc entries, so tools can inventory
- *    alloc sites without scanning the stream), and per-entry
- *    presence-byte encoding: addr/aux/size/data are only present
- *    when nonzero/nonempty, and the sequence number is implicit in
- *    entry order.
+ * The stream is an 8-byte magic+version header followed by the v2
+ * framing: LEB128 varints throughout, an interned string table, an
+ * interned source-location table ((file, line, func) triples — the
+ * per-entry cost of a location drops to one small varint id), an
+ * allocation-site table (the distinct locations of Op::Alloc
+ * entries, so tools can inventory alloc sites without scanning the
+ * stream), and per-entry presence-byte encoding: addr/aux/size/data
+ * are only present when nonzero/nonempty, and the sequence number is
+ * implicit in entry order. Streams of any other version (the retired
+ * fixed-width v1 included) are rejected.
  *
  * Readers should go through trace::Reader (or the readTrace
- * convenience wrapper), which sniffs the version and hides the
- * framing difference entirely.
+ * convenience wrapper), which validates the header.
  */
 
 #ifndef XFD_TRACE_SERIALIZE_HH
@@ -42,21 +37,11 @@
 namespace xfd::trace
 {
 
-/** Current serialization format version (what writeTrace emits). */
+/** Serialization format version (what writeTrace emits and reads). */
 constexpr std::uint32_t traceFormatVersion = 2;
 
-/** Legacy fixed-width format version (still read; writeTraceV1). */
-constexpr std::uint32_t traceFormatVersionV1 = 1;
-
-/** Write @p buf to @p out in the current (v2) binary trace format. */
+/** Write @p buf to @p out in the binary trace format. */
 void writeTrace(const TraceBuffer &buf, std::ostream &out);
-
-/**
- * Write @p buf in the legacy v1 framing. Exists for cross-version
- * tests and for feeding consumers that predate v2; new code should
- * use writeTrace().
- */
-void writeTraceV1(const TraceBuffer &buf, std::ostream &out);
 
 /**
  * A deserialized trace. Owns the storage behind every SrcLoc/label
@@ -75,12 +60,12 @@ class LoadedTrace
 
     /**
      * Distinct source locations of Op::Alloc entries, in first-use
-     * order: decoded from the v2 alloc-site table, reconstructed by
-     * scanning for v1 streams. Strings point into this object.
+     * order, decoded from the alloc-site table. Strings point into
+     * this object.
      */
     const std::vector<SrcLoc> &allocSites() const { return sites; }
 
-    /** Format version the stream carried (1 or 2). */
+    /** Format version the stream carried. */
     std::uint32_t formatVersion() const { return version; }
 
   private:
@@ -95,9 +80,7 @@ class LoadedTrace
 
 /**
  * The single entry point of the trace read path: binds to a stream,
- * sniffs the magic + format version, and decodes whichever framing
- * the producer used. Consumers never branch on the version
- * themselves.
+ * validates the magic + format version, and decodes the body.
  *
  *   trace::Reader r(in);      // throws on bad magic / unknown version
  *   LoadedTrace t = r.read(); // decodes the body
@@ -110,23 +93,21 @@ class Reader
     /** Parse and validate the 8-byte header of @p in. */
     explicit Reader(std::istream &in);
 
-    /** Format version announced by the stream (1 or 2). */
+    /** Format version announced by the stream. */
     std::uint32_t version() const { return ver; }
 
     /** Decode the stream body. Call once. */
     LoadedTrace read();
 
   private:
-    LoadedTrace readV1(LoadedTrace loaded);
-    LoadedTrace readV2(LoadedTrace loaded);
 
     std::istream &in;
     std::uint32_t ver;
 };
 
 /**
- * Read a trace written by writeTrace() of any supported format
- * version (convenience wrapper over trace::Reader).
+ * Read a trace written by writeTrace() (convenience wrapper over
+ * trace::Reader).
  * @throw std::runtime_error on a malformed stream.
  */
 LoadedTrace readTrace(std::istream &in);

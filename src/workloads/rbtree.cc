@@ -328,6 +328,10 @@ class Impl
             if (p_p.null() || !isRed(p_p))
                 break;
             pm::PPtr<RbNode> g_p = rt.load(resolve(p_p)->parent);
+            // A red root (left by the elided removal fixup) has no
+            // grandparent; the root recolor below completes the fixup.
+            if (g_p.null())
+                break;
             RbNode *g = resolve(g_p);
             bool parent_is_left = rt.load(g->left) == p_p;
             pm::PPtr<RbNode> uncle_p =

@@ -132,17 +132,6 @@ class Campaign
         return *this;
     }
 
-    /**
-     * @deprecated Use backend("delta") / backend("full"); kept one PR
-     * for source compatibility (removal schedule: DESIGN.md §16).
-     */
-    Campaign &
-    deltaImages(bool on = true)
-    {
-        cfg.backend = on ? "delta" : "full";
-        return *this;
-    }
-
     /** Delta restore granularity in bytes (power of two >= 64). */
     Campaign &
     deltaPageSize(std::size_t bytes)
@@ -215,17 +204,6 @@ class Campaign
     lintRules(const std::string &rules)
     {
         cfg.lintRules = rules;
-        return *this;
-    }
-
-    /**
-     * @deprecated Use backend("batched"); kept one PR for source
-     * compatibility (removal schedule: DESIGN.md §16).
-     */
-    Campaign &
-    lintPrune(bool on = true)
-    {
-        cfg.backend = on ? "batched" : "delta";
         return *this;
     }
 

@@ -295,6 +295,40 @@ TEST(BatchProgress, WeightedTicksCoverFoldedMembers)
     EXPECT_LT(res.statistics().postExecutions, total);
 }
 
+TEST(BatchRegression, RbtreeRedRootInsertFixupIsClean)
+{
+    // A red root, left by rbtree's elided removal fixup, once sent the
+    // insert fixup to a null grandparent: the pre-failure stage threw
+    // pm::BadPmAccess at these seeds, and at --init 3 --test 4 --post 1
+    // the same crash surfaced as a recovery failure under the full and
+    // delta backends but not under batched.
+    for (std::uint64_t seed : {193u, 355u}) {
+        workloads::WorkloadConfig wcfg;
+        wcfg.initOps = 5;
+        wcfg.testOps = 20;
+        wcfg.postOps = 1;
+        wcfg.seed = seed;
+        CampaignResult res =
+            xfdtest::runWorkload("rbtree", wcfg, withBackend("delta"));
+        EXPECT_FALSE(res.hasBugs()) << "seed " << seed << "\n"
+                                    << res.summary();
+    }
+    workloads::WorkloadConfig wcfg;
+    wcfg.initOps = 3;
+    wcfg.testOps = 4;
+    wcfg.postOps = 1;
+    std::string full =
+        xfdtest::runWorkload("rbtree", wcfg, withBackend("full"))
+            .fingerprint();
+    EXPECT_EQ(xfdtest::runWorkload("rbtree", wcfg, withBackend("delta"))
+                  .fingerprint(),
+              full);
+    EXPECT_EQ(
+        xfdtest::runWorkload("rbtree", wcfg, withBackend("batched"))
+            .fingerprint(),
+        full);
+}
+
 TEST(SameValueElision, ElidedWritesDoNotChangeFindings)
 {
     for (const std::string &name : {std::string("btree"),

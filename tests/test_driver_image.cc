@@ -5,15 +5,18 @@
  * before F (paper footnote 3: the copy "contains all updates,
  * including those not persisted"). Verified against an independent
  * byte-level reconstruction for every failure point of a real
- * workload run.
+ * workload run. Under --crash-image the image must instead equal the
+ * crash-state oracle's all-zero candidate, byte for byte.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/driver.hh"
 #include "core/failure_planner.hh"
+#include "oracle/oracle.hh"
 #include "workloads/workload.hh"
 
 namespace
@@ -201,6 +204,101 @@ TEST(DriverImage, MaxFailurePointsCapsExecutions)
                    [&](PmRuntime &rt) { w->post(rt); });
     EXPECT_EQ(res.stats.failurePoints, 5u);
     EXPECT_EQ(res.stats.postExecutions, 5u);
+}
+
+/** FNV-1a over every byte of @p p. */
+std::uint64_t
+poolHash(const pm::PmPool &p)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (std::size_t i = 0; i < p.size(); i++)
+        h = (h ^ p.data()[i]) * 1099511628211ull;
+    return h;
+}
+
+TEST(DriverImage, CrashImageIsTheOracleAllZeroCandidate)
+{
+    // --crash-image is the all-zero mask over the cell model, so at
+    // every failure point the post-failure stage must see exactly the
+    // image the independent oracle materializes for its all-zero
+    // candidate: allocator zero-fill durable at once, a store after a
+    // flush keeping its cell in flight, freed cells pinned.
+    for (const char *name :
+         {"ctree", "hashmap_tx", "hashmap_atomic", "ringlog"}) {
+        for (const char *backend : {"delta", "full"}) {
+            SCOPED_TRACE(std::string(name) + " " + backend);
+            workloads::WorkloadConfig wcfg;
+            wcfg.initOps = 4;
+            wcfg.testOps = 6;
+            wcfg.postOps = 2;
+            auto w = workloads::makeWorkload(name, wcfg);
+
+            pm::PmPool pool(1 << 22);
+            pm::PmImage initial = pool.snapshot();
+            core::DetectorConfig dcfg;
+            dcfg.backend = backend;
+            dcfg.crashImageMode = true;
+
+            struct Capture : core::CampaignHooks
+            {
+                trace::TraceBuffer pre;
+                std::vector<std::uint32_t> fps;
+                void
+                onPreTraceReady(const trace::TraceBuffer &b) override
+                {
+                    pre = b;
+                }
+                void
+                onFailurePoint(std::uint32_t fp,
+                               const core::BugSink &) override
+                {
+                    fps.push_back(fp);
+                }
+            } cap;
+            core::CampaignObserver obs;
+            obs.hooks = &cap;
+            std::vector<std::uint64_t> driver_hashes;
+            core::Driver driver(pool, dcfg);
+            driver.setObserver(&obs);
+            driver.run([&](PmRuntime &rt) { w->pre(rt); },
+                       [&](PmRuntime &rt) {
+                           driver_hashes.push_back(poolHash(rt.pool()));
+                           w->post(rt);
+                       });
+            ASSERT_EQ(driver_hashes.size(), cap.fps.size());
+            ASSERT_FALSE(cap.fps.empty());
+
+            // One all-zero mask per width: runFailurePoint skips the
+            // ones whose width is not the point's frontier size.
+            std::vector<trace::SubsetMask> zeros;
+            for (std::size_t k = 0; k <= 1024; k++)
+                zeros.emplace_back(k);
+            oracle::OracleConfig ocfg;
+            ocfg.exhaustive = false;
+            ocfg.sampleCount = 1;
+            std::vector<std::uint64_t> oracle_hashes;
+            oracle::CrashStateOracle orc(cap.pre, initial, ocfg);
+            for (std::size_t i = 0; i < cap.fps.size(); i++) {
+                oracle_hashes.clear();
+                auto res = orc.runFailurePoint(
+                    cap.fps[i],
+                    [&](PmRuntime &rt) {
+                        oracle_hashes.push_back(poolHash(rt.pool()));
+                        w->post(rt);
+                    },
+                    &zeros);
+                ASSERT_EQ(oracle_hashes.size(), res.candidates.size());
+                std::size_t c = 0;
+                while (c < res.candidates.size() &&
+                       !res.candidates[c].mask.none())
+                    c++;
+                ASSERT_LT(c, res.candidates.size())
+                    << "fp " << cap.fps[i] << ": no all-zero candidate";
+                EXPECT_EQ(driver_hashes[i], oracle_hashes[c])
+                    << "fp " << cap.fps[i] << " (point " << i << ")";
+            }
+        }
+    }
 }
 
 } // namespace

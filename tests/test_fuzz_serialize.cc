@@ -1,17 +1,17 @@
 /**
  * @file
- * Round-trip fuzz for the trace wire formats (trace/serialize):
+ * Round-trip fuzz for the trace wire format (trace/serialize):
  * random entry streams covering every Op kind must survive
- * writeTrace/readTrace byte-for-byte in both the v2 (current) and v1
- * (legacy) framings, a v1 stream and a v2 stream of the same trace
- * must replay identically, and every torn tail or corrupted prefix
- * of a valid stream must be rejected with a clean std::runtime_error
- * — never a crash, hang, or silently short trace. Seeded like the
- * other fuzz suites; XFD_FUZZ_SEED replays one case.
+ * writeTrace/readTrace byte-for-byte, with an alloc-site table that
+ * lists each allocation location once, and every torn tail or
+ * corrupted prefix of a valid stream must be rejected with a clean
+ * std::runtime_error — never a crash, hang, or silently short trace.
+ * Seeded like the other fuzz suites; XFD_FUZZ_SEED replays one case.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -109,29 +109,25 @@ roundTripOne(std::uint64_t seed)
     Rng sizes(seed ^ 0x5eedull);
     TraceBuffer buf = randomTrace(seed, 1 + sizes.below(200));
 
-    // Current v2 framing round-trips byte-for-byte...
-    std::stringstream v2;
-    trace::writeTrace(buf, v2);
-    LoadedTrace l2 = trace::readTrace(v2);
-    EXPECT_EQ(l2.formatVersion(), trace::traceFormatVersion);
-    expectEqualTraces(buf, l2.buffer(), seed);
+    std::stringstream ss;
+    trace::writeTrace(buf, ss);
+    LoadedTrace loaded = trace::readTrace(ss);
+    EXPECT_EQ(loaded.formatVersion(), trace::traceFormatVersion);
+    expectEqualTraces(buf, loaded.buffer(), seed);
 
-    // ...and so does the legacy v1 framing through the same reader.
-    std::stringstream v1;
-    trace::writeTraceV1(buf, v1);
-    LoadedTrace l1 = trace::readTrace(v1);
-    EXPECT_EQ(l1.formatVersion(), trace::traceFormatVersionV1);
-    expectEqualTraces(buf, l1.buffer(), seed);
-
-    // Cross-version replay: both framings decode to the same trace
-    // and the same alloc-site inventory (v2 reads it from its table,
-    // v1 reconstructs it by scanning).
-    expectEqualTraces(l1.buffer(), l2.buffer(), seed);
-    ASSERT_EQ(l1.allocSites().size(), l2.allocSites().size())
+    // The alloc-site table holds each Op::Alloc location once, in
+    // first-use order — what a scan of the trace finds.
+    std::vector<trace::SrcLoc> sites;
+    for (const TraceEntry &e : buf) {
+        if (e.op == Op::Alloc &&
+            std::find(sites.begin(), sites.end(), e.loc) == sites.end())
+            sites.push_back(e.loc);
+    }
+    ASSERT_EQ(loaded.allocSites().size(), sites.size())
         << "XFD_FUZZ_SEED=" << seed;
-    for (std::size_t i = 0; i < l1.allocSites().size(); i++) {
-        EXPECT_STREQ(l1.allocSites()[i].file, l2.allocSites()[i].file);
-        EXPECT_EQ(l1.allocSites()[i].line, l2.allocSites()[i].line);
+    for (std::size_t i = 0; i < sites.size(); i++) {
+        EXPECT_STREQ(loaded.allocSites()[i].file, sites[i].file);
+        EXPECT_EQ(loaded.allocSites()[i].line, sites[i].line);
     }
 }
 
@@ -145,12 +141,10 @@ TEST(FuzzSerialize, RandomStreamsRoundTrip)
 
 TEST(FuzzSerialize, TornTailsFailCleanly)
 {
-    using WriteFn = void (*)(const TraceBuffer &, std::ostream &);
-    const WriteFn writers[] = {&trace::writeTrace, &trace::writeTraceV1};
     for (std::uint64_t seed = 1; seed <= 10; seed++) {
         TraceBuffer buf = randomTrace(seed, 40);
         std::stringstream ss;
-        writers[seed % 2](buf, ss);
+        trace::writeTrace(buf, ss);
         const std::string bytes = ss.str();
 
         // Every proper prefix is a torn write of the trace file; the
@@ -210,12 +204,27 @@ rejectionMessage(const std::string &bytes)
     return "";
 }
 
+/** @p v as a LEB128 varint, the wire encoding of every length. */
+std::string
+varint(std::uint64_t v)
+{
+    std::string out;
+    while (v >= 0x80) {
+        out += static_cast<char>(v | 0x80);
+        v >>= 7;
+    }
+    out += static_cast<char>(v);
+    return out;
+}
+
 TEST(FuzzSerialize, PlausibleLengthsBeyondStreamEndAreRejected)
 {
-    // The fixed-width v1 framing puts the variable-length fields at
-    // known offsets (v2's varints would shift with the values): one
-    // Write with 8 data bytes means the entry occupies the last 55
-    // bytes and its dlen field the 4 bytes before the payload.
+    // One Write with 8 data bytes. Its fields sit at known offsets:
+    // the string count is the first byte after the 8-byte header and
+    // the empty string's length the next, and the entry is the last
+    // 15 + |addr varint| bytes (op, presence, flags, location id,
+    // label id, addr, size, data length, 8 payload bytes). Each case
+    // splices a plausible but oversized varint into one field.
     TraceBuffer buf;
     TraceEntry e;
     e.op = Op::Write;
@@ -228,8 +237,16 @@ TEST(FuzzSerialize, PlausibleLengthsBeyondStreamEndAreRejected)
     e.data = {1, 2, 3, 4, 5, 6, 7, 8};
     buf.append(std::move(e));
     std::stringstream ss;
-    trace::writeTraceV1(buf, ss);
+    trace::writeTrace(buf, ss);
     const std::string bytes = ss.str();
+    const std::size_t countOff = 8, firstLenOff = 9;
+    const std::size_t dlenOff = bytes.size() - 9;
+    const std::size_t opOff =
+        bytes.size() - 15 - varint(defaultPoolBase).size();
+    ASSERT_EQ(bytes[countOff], 3);   // "", "f.cc", "fn"
+    ASSERT_EQ(bytes[firstLenOff], 0); // ""
+    ASSERT_EQ(bytes[dlenOff], 8);
+    ASSERT_EQ(bytes[opOff], static_cast<char>(Op::Write));
 
     {
         // Data length under the fixed 16 MiB cap but far past the end
@@ -237,31 +254,27 @@ TEST(FuzzSerialize, PlausibleLengthsBeyondStreamEndAreRejected)
         // before the payload buffer is allocated — not by a failed
         // read afterwards.
         std::string bad = bytes;
-        std::uint32_t dlen = 1u << 20;
-        std::memcpy(&bad[bad.size() - 12], &dlen, sizeof(dlen));
+        bad.replace(dlenOff, 1, varint(1u << 20));
         EXPECT_EQ(rejectionMessage(bad), "oversized data payload");
     }
     {
         // Interned-string length under the 1 MiB cap but larger than
-        // the whole file (first length field sits right after the
-        // 12-byte header).
+        // the whole file.
         std::string bad = bytes;
-        std::uint32_t slen = 4096;
-        std::memcpy(&bad[12], &slen, sizeof(slen));
+        bad.replace(firstLenOff, 1, varint(4096));
         EXPECT_EQ(rejectionMessage(bad), "oversized interned string");
     }
     {
         // String count under the count cap but needing more length
         // fields than bytes remain.
         std::string bad = bytes;
-        std::uint32_t n = 1u << 16;
-        std::memcpy(&bad[8], &n, sizeof(n));
+        bad.replace(countOff, 1, varint(1u << 16));
         EXPECT_EQ(rejectionMessage(bad), "implausible string count");
     }
     {
         // Structurally intact entry with an out-of-range op kind.
         std::string bad = bytes;
-        bad[bad.size() - 55] = '\x7f';
+        bad[opOff] = '\x7f';
         EXPECT_EQ(rejectionMessage(bad), "bad trace op kind");
     }
     {
@@ -269,6 +282,18 @@ TEST(FuzzSerialize, PlausibleLengthsBeyondStreamEndAreRejected)
         // hit the intended fields rather than tripping other guards.
         EXPECT_EQ(rejectionMessage(bytes), "");
     }
+}
+
+TEST(FuzzSerialize, Version1HeadersAreUnsupported)
+{
+    // The fixed-width v1 framing is retired: a v1 header is refused
+    // up front, never decoded as the current framing.
+    std::stringstream ss;
+    trace::writeTrace(randomTrace(5, 8), ss);
+    std::string bytes = ss.str();
+    std::uint32_t v1 = 1;
+    std::memcpy(&bytes[4], &v1, sizeof(v1));
+    EXPECT_EQ(rejectionMessage(bytes), "unsupported trace version");
 }
 
 TEST(FuzzSerialize, FuzzedLengthFieldsNeverCrash)

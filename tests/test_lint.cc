@@ -445,16 +445,22 @@ workloadTrace(const std::string &name)
     wcfg.testOps = 3;
     if (name == "memcached")
         wcfg.memcachedCapacity = 8;
-    TraceBuffer captured;
+    struct Capture : core::CampaignHooks
+    {
+        TraceBuffer captured;
+        void
+        onPreTraceReady(const TraceBuffer &b) override
+        {
+            captured = b;
+        }
+    } cap;
     core::CampaignObserver obs;
-    obs.onPreTraceReady = [&captured](const TraceBuffer &b) {
-        captured = b;
-    };
+    obs.hooks = &cap;
     xfdtest::RunOptions opt;
     opt.observer = &obs;
     opt.detector.maxFailurePoints = 1;
     xfdtest::runWorkload(name, wcfg, opt);
-    return captured;
+    return cap.captured;
 }
 
 TEST(LintInference, CommitVarSweepAcrossWorkloads)

@@ -54,17 +54,23 @@ TraceBuffer
 captureTrace(const std::string &workload,
              workloads::WorkloadConfig wcfg, unsigned threads = 1)
 {
-    TraceBuffer captured;
+    struct Capture : core::CampaignHooks
+    {
+        TraceBuffer captured;
+        void
+        onPreTraceReady(const TraceBuffer &b) override
+        {
+            captured = b;
+        }
+    } cap;
     core::CampaignObserver obs;
-    obs.onPreTraceReady = [&captured](const TraceBuffer &b) {
-        captured = b;
-    };
+    obs.hooks = &cap;
     RunOptions opt;
     opt.observer = &obs;
     opt.threads = threads;
     opt.detector.maxFailurePoints = 1;
     xfdtest::runWorkload(workload, std::move(wcfg), opt);
-    return captured;
+    return cap.captured;
 }
 
 /** Lint @p buf with the planner's failure points supplied. */

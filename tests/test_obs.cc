@@ -603,21 +603,26 @@ TEST(CampaignExport, ParallelWorkersGetDistinctTimelineTracks)
 
 TEST(CampaignExport, ProgressCallbackCoversEveryFailurePoint)
 {
+    struct Ticks : core::CampaignHooks
+    {
+        std::size_t calls = 0;
+        std::size_t lastDone = 0, lastTotal = 0;
+        void
+        onProgress(const core::ProgressUpdate &u) override
+        {
+            calls++;
+            lastDone = std::max(lastDone, u.done);
+            lastTotal = u.total;
+        }
+    } ticks;
     core::CampaignObserver obs;
-    std::size_t calls = 0;
-    std::size_t last_done = 0, last_total = 0;
-    obs.onProgress = [&](std::size_t done, std::size_t total,
-                         std::size_t) {
-        calls++;
-        last_done = std::max(last_done, done);
-        last_total = total;
-    };
+    obs.hooks = &ticks;
     auto res = runObserved("btree", 2, obs);
     // One tick per executed failure point, plus the zero anchor tick
     // the driver fires before the loop starts.
-    EXPECT_EQ(calls, res.stats.failurePoints + 1);
-    EXPECT_EQ(last_done, res.stats.failurePoints);
-    EXPECT_EQ(last_total, res.stats.failurePoints);
+    EXPECT_EQ(ticks.calls, res.stats.failurePoints + 1);
+    EXPECT_EQ(ticks.lastDone, res.stats.failurePoints);
+    EXPECT_EQ(ticks.lastTotal, res.stats.failurePoints);
 }
 
 TEST(CampaignExport, NoStatsWhenCollectionDisabled)
