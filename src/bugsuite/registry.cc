@@ -299,7 +299,8 @@ bugCasesFor(const std::string &workload)
 }
 
 core::CampaignResult
-runBugCase(const BugCase &c, core::DetectorConfig cfg)
+runBugCase(const BugCase &c, core::DetectorConfig cfg,
+           core::CampaignObserver *observer)
 {
     if (!c.crashStates.empty() && cfg.crashStates.empty())
         cfg.crashStates = c.crashStates;
@@ -316,6 +317,7 @@ runBugCase(const BugCase &c, core::DetectorConfig cfg)
                    })
             .config(cfg)
             .poolSize(1 << 22)
+            .observer(observer)
             .run();
     }
 
@@ -336,6 +338,7 @@ runBugCase(const BugCase &c, core::DetectorConfig cfg)
                [&](trace::PmRuntime &rt) { w->post(rt); })
         .config(cfg)
         .poolSize(1 << 22)
+        .observer(observer)
         .run();
 }
 

@@ -70,9 +70,13 @@ const std::vector<BugCase> &allBugCases();
 /** Cases restricted to one workload. */
 std::vector<BugCase> bugCasesFor(const std::string &workload);
 
-/** Run one case's detection campaign. */
+/**
+ * Run one case's detection campaign, with @p observer (when
+ * non-null) attached to it.
+ */
 core::CampaignResult runBugCase(const BugCase &c,
-                                core::DetectorConfig cfg = {});
+                                core::DetectorConfig cfg = {},
+                                core::CampaignObserver *observer = nullptr);
 
 /** @return whether @p result contains the case's expected finding. */
 bool detected(const BugCase &c, const core::CampaignResult &result);

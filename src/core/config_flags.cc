@@ -1,7 +1,9 @@
 #include "core/config_flags.hh"
 
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "common/logging.hh"
 #include "obs/json.hh"
@@ -230,56 +232,76 @@ findDetectorFlag(const char *flag)
     return nullptr;
 }
 
-void
+std::string
 applyDetectorFlag(const ConfigFlagDesc &d, DetectorConfig &cfg,
                   const char *value)
 {
     if (d.boolField) {
         cfg.*(d.boolField) = d.boolValue;
-        return;
+        return {};
     }
+    if (d.stringField && !value)
+        value = d.impliedValue;
+    if (!value)
+        return strprintf("flag %s requires a value", d.flag);
     if (d.stringField) {
-        if (!value)
-            value = d.impliedValue;
-        if (!value)
-            panic("flag %s requires a value", d.flag);
-        if (d.stringField == &DetectorConfig::backend) {
-            BackendMode m;
-            if (!DetectorConfig::parseBackend(value, m)) {
-                panic("flag %s: unknown backend \"%s\" (expected "
-                      "full, delta or batched)",
-                      d.flag, value);
-            }
+        BackendMode backend;
+        PersistencyModel model;
+        bool exhaustive = false;
+        std::size_t n = 0;
+        if (d.stringField == &DetectorConfig::backend &&
+            !DetectorConfig::parseBackend(value, backend)) {
+            return strprintf("flag %s: unknown backend \"%s\" (expected "
+                             "full, delta or batched)",
+                             d.flag, value);
         }
-        if (d.stringField == &DetectorConfig::pmModel) {
-            PersistencyModel m;
-            if (!DetectorConfig::parsePmModel(value, m)) {
-                panic("flag %s: unknown persistency model \"%s\" "
-                      "(expected clwb or eadr)",
-                      d.flag, value);
-            }
+        if (d.stringField == &DetectorConfig::pmModel &&
+            !DetectorConfig::parsePmModel(value, model)) {
+            return strprintf("flag %s: unknown persistency model \"%s\" "
+                             "(expected clwb or eadr)",
+                             d.flag, value);
         }
-        if (d.stringField == &DetectorConfig::crashStates) {
-            bool exhaustive = false;
-            std::size_t n = 0;
-            if (!DetectorConfig::parseCrashStates(value, exhaustive,
-                                                  n)) {
-                panic("flag %s: bad crash-states mode \"%s\" "
-                      "(expected anchor, sample:<n> or exhaustive)",
-                      d.flag, value);
-            }
+        if (d.stringField == &DetectorConfig::crashStates &&
+            !DetectorConfig::parseCrashStates(value, exhaustive, n)) {
+            return strprintf("flag %s: bad crash-states mode \"%s\" "
+                             "(expected anchor, sample:<n> or "
+                             "exhaustive)",
+                             d.flag, value);
         }
         cfg.*(d.stringField) = value;
-        return;
+        return {};
     }
-    if (!value)
-        panic("flag %s requires a value", d.flag);
-    if (d.uintField) {
-        cfg.*(d.uintField) =
-            static_cast<unsigned>(std::strtoul(value, nullptr, 10));
-    } else if (d.sizeField) {
-        cfg.*(d.sizeField) = std::strtoul(value, nullptr, 10);
+
+    // Numeric rows: base-10 digits only, within the field's range.
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long v = std::strtoull(value, &end, 10);
+    std::size_t digits = std::strspn(value, "0123456789");
+    unsigned long long max = d.uintField
+                                 ? std::numeric_limits<unsigned>::max()
+                                 : std::numeric_limits<std::size_t>::max();
+    if (digits == 0 || value[digits] != '\0' || errno == ERANGE ||
+        v > max) {
+        return strprintf("flag %s: \"%s\" is not a number in [0, %llu]",
+                         d.flag, value, max);
     }
+    if (d.uintField == &DetectorConfig::granularity && v != 1 && v != 2 &&
+        v != 4 && v != 8) {
+        return strprintf("flag %s: bad cell size \"%s\" (expected 1, 2, "
+                         "4 or 8)",
+                         d.flag, value);
+    }
+    if (d.sizeField == &DetectorConfig::deltaPageSize &&
+        (v < 64 || (v & (v - 1)) != 0)) {
+        return strprintf("flag %s: bad page size \"%s\" (expected a "
+                         "power of two >= 64)",
+                         d.flag, value);
+    }
+    if (d.uintField)
+        cfg.*(d.uintField) = static_cast<unsigned>(v);
+    else
+        cfg.*(d.sizeField) = static_cast<std::size_t>(v);
+    return {};
 }
 
 std::string

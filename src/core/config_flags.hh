@@ -82,10 +82,16 @@ const ConfigFlagDesc *findDetectorFlag(const char *flag);
 
 /**
  * Apply one parsed flag to @p cfg. @p value is the argument string
- * for value-taking rows (parsed base-10), ignored for switches.
+ * for value-taking rows, ignored for switches. Numeric values must be
+ * base-10 digits in the field's range; --granularity takes 1, 2, 4 or
+ * 8, --delta-page a power of two >= 64, and --backend, --pm-model and
+ * --crash-states their documented spellings.
+ * @return why @p value was rejected (@p cfg is then unchanged), or
+ *         an empty string when the flag applied.
  */
-void applyDetectorFlag(const ConfigFlagDesc &d, DetectorConfig &cfg,
-                       const char *value);
+[[nodiscard]] std::string applyDetectorFlag(const ConfigFlagDesc &d,
+                                            DetectorConfig &cfg,
+                                            const char *value);
 
 /** Formatted help lines for every row (the --help detector section). */
 std::string detectorFlagHelp();

@@ -12,7 +12,6 @@
 #include <unordered_map>
 
 #include "common/logging.hh"
-#include "core/crash_cells.hh"
 #include "lint/frontier.hh"
 #include "trace/buffer.hh"
 #include "trace/candidates.hh"
@@ -54,24 +53,32 @@ validateRestore(const pm::CowImage &src, const pm::PmPool &exec_pool,
     }
 }
 
+/** The shadow's frontier, its build billed to the plan phase. */
+CellFrontier
+frontierOf(const ShadowPM &shadow, CampaignStats &stats)
+{
+    auto tp = std::chrono::steady_clock::now();
+    CellFrontier cf = shadow.frontier();
+    stats.phases.note(obs::Phase::Plan, secondsSince(tp), 0);
+    return cf;
+}
+
 } // namespace
 
 /**
- * A cursor's crash-state exploration state: the cell model, the lint
- * frontier state that keys candidate groups, and the groups this
- * cursor has already rendered.
+ * A cursor's non-anchor candidate state: the cells the shadow decided
+ * while advancing, the lint frontier state that keys candidate
+ * groups, and the groups this cursor has already rendered.
  */
 struct Driver::PreCursor::CsState
 {
-    CsState(AddrRange range, const DetectorConfig &cfg)
-        : cells(range, cfg.granularity),
-          lint(cfg.granularity, cfg.eadrOn())
+    explicit CsState(const DetectorConfig &cfg)
+        : lint(cfg.granularity, cfg.eadrOn())
     {
     }
 
-    CrashCells cells;
-    /** Cells the entry being advanced over persisted (scratch). */
-    std::vector<std::uint64_t> persisted;
+    /** Cells the entry being advanced over decided (scratch). */
+    std::vector<CellRun> decided;
     /**
      * Lint frontier state advanced to lintCursor — the equivalence
      * signature feeding the candidate pruning key and the sampler
@@ -118,14 +125,12 @@ Driver::PreCursor::PreCursor(AddrRange range,
                              const DetectorConfig &cfg,
                              const pm::CowImage &initial,
                              bool explore)
-    : shadow(range, cfg), image(initial)
+    : shadow(range, cfg, explore), image(initial)
 {
-    // Under eADR every frontier is empty, so every candidate is the
-    // anchor and the cell model is skipped.
-    if (explore && (cfg.crashStatesOn() || cfg.crashImageMode) &&
-        !cfg.eadrOn()) {
+    if (explore && (cfg.crashStatesOn() || cfg.crashImageMode)) {
         durable = initial;
-        cs = std::make_unique<CsState>(range, cfg);
+        cs = std::make_unique<CsState>(cfg);
+        shadow.reportDecided(&cs->decided);
     }
 }
 
@@ -253,13 +258,14 @@ Driver::runBaseline(const ProgramFn &pre, bool traced)
 }
 
 void
-Driver::advanceShadow(PreCursor &cur, const trace::TraceBuffer &pre,
-                      std::uint32_t to, BugSink *perf_sink)
+Driver::advance(PreCursor &cur, const trace::TraceBuffer &pre,
+                std::uint32_t to, BugSink *perf_sink)
 {
     using trace::Op;
 
     ShadowPM &shadow = cur.shadow;
-    for (std::uint32_t &i = cur.shadowCursor; i < to; i++) {
+    PreCursor::CsState *cs = cur.cs.get();
+    for (std::uint32_t &i = cur.cursor; i < to; i++) {
         const auto &e = pre[i];
         bool detectable = e.has(trace::flagInRoi) &&
                           !e.has(trace::flagInternal) &&
@@ -267,9 +273,16 @@ Driver::advanceShadow(PreCursor &cur, const trace::TraceBuffer &pre,
         switch (e.op) {
           case Op::Write:
           case Op::NtWrite:
+            cur.image.applyWrite(e.addr, e.data.data(), e.data.size());
             if (!e.has(trace::flagImageOnly)) {
                 shadow.preWrite(e.addr, e.size, e.seq,
                                 e.op == Op::NtWrite);
+            } else if (cs) {
+                // Allocator zero-fill and friends: image data with no
+                // persistence semantics. Both images take it at once,
+                // so it is never part of any frontier.
+                cur.durable.applyWrite(e.addr, e.data.data(),
+                                       e.data.size());
             }
             break;
           case Op::Clwb:
@@ -334,66 +347,15 @@ Driver::advanceShadow(PreCursor &cur, const trace::TraceBuffer &pre,
           default:
             break;
         }
-    }
-}
-
-void
-Driver::advanceImage(PreCursor &cur, const trace::TraceBuffer &pre,
-                     std::uint32_t to)
-{
-    using trace::Op;
-
-    const bool eadr = cfg.eadrOn();
-    PreCursor::CsState *cs = cur.cs.get();
-    for (std::uint32_t &i = cur.imageCursor; i < to; i++) {
-        const auto &e = pre[i];
-        if (e.isWrite())
-            cur.image.applyWrite(e.addr, e.data.data(), e.data.size());
-        if (cs) {
-            if (e.isWrite() && e.has(trace::flagImageOnly)) {
-                // Allocator zero-fill and friends: image data with no
-                // persistence semantics. Both images take it at once,
-                // so it is never part of any frontier.
-                cur.durable.applyWrite(e.addr, e.data.data(),
-                                       e.data.size());
-                continue;
-            }
+        if (cs && !cs->decided.empty()) {
             // The oracle's persistCellBytes: a retired or freed cell's
             // content is decided, so the durable image takes its bytes
-            // (adjacent cells as one run) and candidates build on them.
-            cs->cells.apply(e, cs->persisted);
-            const auto &p = cs->persisted;
-            for (std::size_t a = 0; a < p.size();) {
-                std::size_t b = a + 1;
-                while (b < p.size() && p[b] == p[b - 1] + 1)
-                    b++;
-                cur.durable.copyFrom(cur.image, cs->cells.cellAddr(p[a]),
-                                     (b - a) * cs->cells.granularity());
-                a = b;
+            // and candidates build on them.
+            for (const CellRun &r : cs->decided) {
+                cur.durable.copyFrom(cur.image, shadow.cellAddr(r.first),
+                                     (r.end - r.first) * cfg.granularity);
             }
-            cs->persisted.clear();
-        } else if (eadr) {
-            // Flush-free persistency: a store is durable on arrival,
-            // so it is never part of a write frontier.
-            continue;
-        } else if (e.isWrite()) {
-            // The write is in flight until a fence lands its line.
-            Addr last = lineBase(e.addr + (e.size ? e.size - 1 : 0));
-            for (Addr l = lineBase(e.addr); l <= last;
-                 l += cacheLineSize) {
-                cur.inflight[l].push_back(e.seq);
-                if (e.op == Op::NtWrite)
-                    cur.inflightPending.insert(l);
-            }
-        } else if (e.isFlush()) {
-            // Flushing moves the line toward durability; it lands at
-            // the next fence.
-            if (cur.inflight.count(e.addr))
-                cur.inflightPending.insert(e.addr);
-        } else if (e.isFence()) {
-            for (Addr l : cur.inflightPending)
-                cur.inflight.erase(l);
-            cur.inflightPending.clear();
+            cs->decided.clear();
         }
     }
 }
@@ -487,14 +449,8 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
         // Performance bugs are collected by the dedicated full-trace
         // advance, not here (workers would double-report them).
         {
-            obs::SpanScope s2(tl, "advance-shadow", "backend",
-                              wobs.track);
-            advanceShadow(cur, pre, fp, nullptr);
-        }
-        {
-            obs::SpanScope s2(tl, "advance-image", "backend",
-                              wobs.track);
-            advanceImage(cur, pre, fp);
+            obs::SpanScope s2(tl, "advance", "backend", wobs.track);
+            advance(cur, pre, fp, nullptr);
         }
         obs::SpanScope s3(tl, "restore-pool", "backend", wobs.track);
         restoreAnchor(cur, exec_pool, fp, stats);
@@ -514,44 +470,32 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
     // This point's write frontier: the in-flight (not durably
     // persisted) write seqs as of fp, ascending — the causal
     // candidates for anything the post-failure stage trips over, and
-    // the bit order of every candidate mask. The cell model supplies
-    // it (built once per point, so masks match the oracle's bit for
-    // bit); anchor-only campaigns keep the cheaper line-granular
-    // bookkeeping.
-    CellFrontier cf;
-    if (cur.cs) {
-        auto tp = std::chrono::steady_clock::now();
-        cf = cur.cs->cells.frontier();
-        stats.phases.note(obs::Phase::Plan, secondsSince(tp), 0);
-    } else {
-        for (const auto &ent : cur.inflight)
-            cf.seqs.insert(cf.seqs.end(), ent.second.begin(),
-                           ent.second.end());
-        std::sort(cf.seqs.begin(), cf.seqs.end());
-        cf.seqs.erase(std::unique(cf.seqs.begin(), cf.seqs.end()),
-                      cf.seqs.end());
-    }
+    // the bit order of every candidate mask. A point that may run a
+    // non-anchor candidate needs it up front; an anchor-only point
+    // builds it only if the anchor run has findings to annotate.
+    std::optional<CellFrontier> cf;
+    if (cur.cs)
+        cf = frontierOf(cur.shadow, stats);
 
     // The point's own candidate: the paper's footnote-3 image (every
     // frontier write persisted), or under --crash-image none of them.
-    trace::SubsetMask own(cf.seqs.size());
-    if (!cfg.crashImageMode)
-        own.setAll();
-    runCandidate(cur, exec_pool, pre, post, fp, cf, own, local, stats,
+    trace::SubsetMask none(cf ? cf->seqs.size() : 0);
+    runCandidate(cur, exec_pool, pre, post, fp, cf,
+                 cfg.crashImageMode ? &none : nullptr, local, stats,
                  wobs);
 
     // Partial candidates merge into the same per-point sink, each
     // annotated with its own persisted mask, before the hook fires.
     if (csCtx && cur.cs) {
         std::vector<trace::SubsetMask> masks =
-            planCrashStates(cur, pre, fp, cf, stats);
+            planCrashStates(cur, pre, fp, *cf, stats);
         if (!masks.empty()) {
             obs::SpanScope span(tl,
                                 tl ? strprintf("crash-states@fp#%u", fp)
                                    : std::string(),
                                 "crash-states", wobs.track);
             for (const auto &mask : masks) {
-                runCandidate(cur, exec_pool, pre, post, fp, cf, mask,
+                runCandidate(cur, exec_pool, pre, post, fp, cf, &mask,
                              local, stats, wobs);
                 if (wobs.live)
                     wobs.live->count("crash_candidates");
@@ -607,8 +551,8 @@ Driver::restoreAnchor(PreCursor &cur, pm::PmPool &exec_pool,
 void
 Driver::runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
                      const trace::TraceBuffer &pre, const ProgramFn &post,
-                     std::uint32_t fp, const CellFrontier &cf,
-                     const trace::SubsetMask &mask, BugSink &sink,
+                     std::uint32_t fp, std::optional<CellFrontier> &cf,
+                     const trace::SubsetMask *mask, BugSink &sink,
                      CampaignStats &stats, const WorkerObs &wobs)
 {
     // The commit-variable timestamps assume recovery observes the
@@ -617,9 +561,9 @@ Driver::runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
     // commit-variable write, recovery may act on an older committed
     // epoch, so commit-window (condition (3)) verdicts are not sound.
     bool suppress_semantic = cfg.crashImageMode;
-    if (!mask.all()) {
+    if (mask && !mask->all()) {
         auto t0 = std::chrono::steady_clock::now();
-        restoreCandidate(cur, exec_pool, pre, fp, cf, mask, stats);
+        restoreCandidate(cur, exec_pool, pre, fp, *cf, *mask, stats);
         double restore_s = secondsSince(t0);
         stats.backendSeconds += restore_s;
         stats.phases.note(obs::Phase::Restore, restore_s);
@@ -627,15 +571,12 @@ Driver::runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
             wobs.live->count("restore_us",
                              static_cast<std::uint64_t>(restore_s * 1e6));
         }
-        const auto &cvars = cur.cs->cells.commitVars();
-        for (std::size_t b = 0; b < mask.size() && !suppress_semantic;
+        for (std::size_t b = 0; b < mask->size() && !suppress_semantic;
              b++) {
-            if (mask.test(b))
-                continue;
-            const auto &e = pre[cf.seqs[b]];
-            AddrRange ev{e.addr, e.addr + e.size};
-            for (const auto &cv : cvars)
-                suppress_semantic = suppress_semantic || cv.overlaps(ev);
+            const auto &e = pre[cf->seqs[b]];
+            suppress_semantic = !mask->test(b) &&
+                                cur.shadow.overlapsCommitVar(
+                                    {e.addr, e.addr + e.size});
         }
     }
 
@@ -655,14 +596,23 @@ Driver::runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
         wobs.live->count("classify_us",
                          static_cast<std::uint64_t>(classify_s * 1e6));
     }
+    if (cand.empty())
+        return;
 
     // Provenance: the point's frontier, plus which of its writes this
     // candidate image contained.
+    if (!cf)
+        cf = frontierOf(cur.shadow, stats);
+    trace::SubsetMask persisted(cf->seqs.size());
+    if (mask)
+        persisted = *mask;
+    else
+        persisted.setAll();
     cand.annotate([&](BugReport &b) {
-        b.frontierSeqs = cf.seqs;
-        b.persistedMask = mask;
+        b.frontierSeqs = cf->seqs;
+        b.persistedMask = persisted;
     });
-    recordFindings(wobs, fp, cf.seqs, mask, cand);
+    recordFindings(wobs, fp, cf->seqs, persisted, cand);
     sink.merge(cand);
 }
 
@@ -673,7 +623,7 @@ Driver::restoreCandidate(PreCursor &cur, pm::PmPool &exec_pool,
                          const trace::SubsetMask &mask,
                          CampaignStats &stats)
 {
-    const CrashCells &cells = cur.cs->cells;
+    const ShadowPM &shadow = cur.shadow;
     if (!deltaStore) {
         pm::restoreFull(cur.durable, exec_pool, stats.restore);
     } else {
@@ -686,9 +636,9 @@ Driver::restoreCandidate(PreCursor &cur, pm::PmPool &exec_pool,
             for (const auto &runs : cf.runsOf) {
                 for (const CellRun &r : runs) {
                     std::uint32_t last =
-                        deltaStore->pageOf(cells.cellAddr(r.end - 1));
+                        deltaStore->pageOf(shadow.cellAddr(r.end - 1));
                     for (std::uint32_t p =
-                             deltaStore->pageOf(cells.cellAddr(r.first));
+                             deltaStore->pageOf(shadow.cellAddr(r.first));
                          p <= last; p++) {
                         pages.insert(p);
                     }
@@ -713,8 +663,8 @@ Driver::restoreCandidate(PreCursor &cur, pm::PmPool &exec_pool,
         if (e.size == 0 || e.data.empty())
             continue;
         for (const CellRun &r : cf.runsOf[b]) {
-            Addr lo = std::max(cells.cellAddr(r.first), e.addr);
-            Addr hi = std::min(cells.cellAddr(r.end),
+            Addr lo = std::max(shadow.cellAddr(r.first), e.addr);
+            Addr hi = std::min(shadow.cellAddr(r.end),
                                static_cast<Addr>(e.addr + e.size));
             std::memcpy(exec_pool.data() + (lo - exec_pool.base()),
                         e.data.data() + (lo - e.addr), hi - lo);
@@ -915,7 +865,7 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
               "and cannot combine with --crash-image");
     }
     CrashStateCtx cs_ctx;
-    if (cfg.crashStatesOn() && !cfg.eadrOn()) {
+    if (cfg.crashStatesOn()) {
         bool exhaustive = false;
         std::size_t n = 0;
         if (!DetectorConfig::parseCrashStates(cfg.crashStates,
@@ -1229,8 +1179,7 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
         obs::SpanScope span(tl, "perf-scan", "phase", 0);
         PreCursor full(pool.range(), cfg, initial, false);
         auto tb = std::chrono::steady_clock::now();
-        advanceShadow(full, pre_trace, trace_end, &merged);
-        advanceImage(full, pre_trace, trace_end);
+        advance(full, pre_trace, trace_end, &merged);
         double scan_s = secondsSince(tb);
         result.stats.backendSeconds += scan_s;
         result.stats.phases.note(obs::Phase::Classify, scan_s);

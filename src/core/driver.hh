@@ -32,6 +32,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -52,8 +53,6 @@
 
 namespace xfd::core
 {
-
-struct CellFrontier;
 
 /** A traced program stage: receives the tracing runtime. */
 using ProgramFn = std::function<void(trace::PmRuntime &)>;
@@ -226,17 +225,19 @@ class Driver
   private:
     /**
      * Per-worker replay state: the shadow PM and the working image,
-     * both advanced monotonically over the pre-failure trace.
+     * both advanced monotonically over the pre-failure trace by one
+     * cursor.
      */
     struct PreCursor
     {
         /**
          * @p initial is the shared campaign-start snapshot; both
          * images fork it (O(pages) pointer copies — pages physically
-         * split only as writes land). @p explore builds the cell
-         * model when the campaign runs candidates other than the
-         * anchor (--crash-states, --crash-image); the end-of-campaign
-         * perf scan never reads it.
+         * split only as writes land). @p explore keeps the shadow's
+         * write tails (finding provenance), plus the durable image
+         * when the campaign runs candidates other than the anchor
+         * (--crash-states, --crash-image); the end-of-campaign perf
+         * scan needs neither.
          */
         PreCursor(AddrRange range, const DetectorConfig &cfg,
                   const pm::CowImage &initial, bool explore);
@@ -246,32 +247,17 @@ class Driver
         /** All updates applied (the paper's footnote-3 image). */
         pm::CowImage image;
         /**
-         * The working image minus the cell model's open cells: the
+         * The working image minus the shadow's open cells: the
          * all-zero candidate, and the base every other candidate
          * builds on. Maintained only when cs is set.
          */
         pm::CowImage durable;
-        std::uint32_t shadowCursor = 0;
-        std::uint32_t imageCursor = 0;
+        /** Pre-trace entries applied so far. */
+        std::uint32_t cursor = 0;
         /** TX_ADD ranges of the open transaction (perf bugs). */
         std::vector<AddrRange> openTxAdds;
         /** Post-failure trace, reused (cleared) by every execution. */
         trace::TraceBuffer postTrace;
-
-        /**
-         * @name Line-granular frontier (anchor-only provenance)
-         *
-         * Without a cell model, inflight maps each dirty cache line
-         * to the seqs of writes covering it that are not yet durably
-         * persisted; inflightPending holds lines whose writes have
-         * been flushed and persist at the next fence. The sorted
-         * union of inflight's seq lists at a failure point is that
-         * point's write frontier.
-         * @{
-         */
-        std::map<Addr, std::vector<std::uint32_t>> inflight;
-        std::set<Addr> inflightPending;
-        /** @} */
 
         /**
          * @name Delta-restore state (meaningful only when the driver
@@ -295,26 +281,22 @@ class Driver
         /** @} */
 
         /**
-         * The cell-granular persistency model (core/crash_cells.hh),
-         * so the driver's frontiers, candidate masks and candidate
-         * images agree with the oracle's byte for byte. Null in
-         * anchor-only campaigns and under eADR, where every frontier
-         * is empty.
+         * Non-anchor candidate state: the cells the shadow decided
+         * (copied into the durable image) and the lint frontier
+         * state that keys candidate groups. Null in anchor-only
+         * campaigns.
          */
         struct CsState;
         std::unique_ptr<CsState> cs;
     };
 
     /**
-     * Advance the shadow PM over pre-trace entries up to @p to.
+     * Advance the cursor's shadow PM and images over pre-trace
+     * entries up to @p to, decoding each entry once.
      * @param perf_sink when non-null, performance bugs are reported
      */
-    void advanceShadow(PreCursor &cur, const trace::TraceBuffer &pre,
-                       std::uint32_t to, BugSink *perf_sink);
-
-    /** Advance the working image over pre-trace writes up to @p to. */
-    void advanceImage(PreCursor &cur, const trace::TraceBuffer &pre,
-                      std::uint32_t to);
+    void advance(PreCursor &cur, const trace::TraceBuffer &pre,
+                 std::uint32_t to, BugSink *perf_sink);
 
     /** Per-worker observability context threaded through the chunk. */
     struct WorkerObs
@@ -353,17 +335,19 @@ class Driver
 
     /**
      * Execute one candidate crash image of failure point @p fp: the
-     * persisted subset @p mask of frontier @p cf. The all-ones mask
-     * runs on the anchor image the exec pool already holds; any
-     * other mask materializes over the durable image first. Runs
-     * recovery, classifies its trace, annotates the findings with
-     * (cf.seqs, mask) and merges them into @p sink.
+     * persisted subset @p mask of frontier @p cf, or with a null
+     * @p mask the anchor (every frontier write persisted), which runs
+     * on the image the exec pool already holds; any other mask
+     * materializes over the durable image first. Runs recovery,
+     * classifies its trace, annotates the findings with (cf.seqs,
+     * mask) and merges them into @p sink. An anchor-only point passes
+     * @p cf empty; it is built only if the run found something.
      */
     void runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
                       const trace::TraceBuffer &pre,
                       const ProgramFn &post, std::uint32_t fp,
-                      const CellFrontier &cf,
-                      const trace::SubsetMask &mask, BugSink &sink,
+                      std::optional<CellFrontier> &cf,
+                      const trace::SubsetMask *mask, BugSink &sink,
                       CampaignStats &stats, const WorkerObs &wobs);
 
     /**
@@ -407,8 +391,8 @@ class Driver
     /**
      * Plan partial crash-state candidates at failure point @p fp
      * (--crash-states=sample:<n>|exhaustive): enumerate the legal
-     * persisted subsets of frontier @p cf from the cursor's cell
-     * model and equivalence-prune them against the campaign-global
+     * persisted subsets of frontier @p cf from the cursor's shadow
+     * and equivalence-prune them against the campaign-global
      * seen set. Executes nothing; accounts enumeration and pruning
      * in @p stats and bills its time to the plan phase.
      * @return the masks to execute, in enumeration order.

@@ -19,12 +19,27 @@ persistStateName(PersistState s)
     return "?";
 }
 
-ShadowPM::ShadowPM(AddrRange pool, const DetectorConfig &c)
+ShadowPM::ShadowPM(AddrRange pool, const DetectorConfig &c, bool t)
     : poolRange(pool), cfg(c), gran(c.granularity),
-      collect(c.collectStats), eadr(c.eadrOn())
+      collect(c.collectStats), eadr(c.eadrOn()), tails(t)
 {
     if (gran == 0 || (gran & (gran - 1)) != 0 || gran > cacheLineSize)
         fatal("shadow granularity must be a power of two <= 64");
+    cellTotal = (pool.size() + gran - 1) / gran;
+    pages.resize((cellTotal + cellsPerPage - 1) / cellsPerPage);
+}
+
+std::pair<std::uint64_t, std::uint64_t>
+ShadowPM::cellSpan(Addr a, std::size_t n) const
+{
+    // Clamped in address space, so the extent can neither run past
+    // the pool nor wrap.
+    Addr lo = std::max(a, poolRange.begin);
+    Addr hi = a + n < a ? poolRange.end
+                        : std::min<Addr>(a + n, poolRange.end);
+    if (lo >= hi)
+        return {0, 0};
+    return {cellIndex(lo), cellIndex(hi - 1) + 1};
 }
 
 ShadowPM::Page &
@@ -37,25 +52,17 @@ ShadowPM::pageAt(std::uint64_t idx)
 }
 
 ShadowPM::Page *
-ShadowPM::findPage(std::uint64_t idx)
+ShadowPM::findPage(std::uint64_t idx) const
 {
-    auto it = pages.find(idx / cellsPerPage);
-    return it == pages.end() ? nullptr : it->second.get();
-}
-
-ShadowPM::Cell &
-ShadowPM::cellAt(std::uint64_t idx)
-{
-    return pageAt(idx)[idx % cellsPerPage];
+    std::uint64_t p = idx / cellsPerPage;
+    return p < pages.size() ? pages[p].get() : nullptr;
 }
 
 const ShadowPM::Cell *
 ShadowPM::findCell(std::uint64_t idx) const
 {
-    auto it = pages.find(idx / cellsPerPage);
-    if (it == pages.end())
-        return nullptr;
-    return &(*it->second)[idx % cellsPerPage];
+    const Page *pg = findPage(idx);
+    return pg ? &(*pg)[idx % cellsPerPage] : nullptr;
 }
 
 ShadowPM::PostPage &
@@ -71,17 +78,17 @@ void
 ShadowPM::preWrite(Addr a, std::size_t n, std::uint32_t seq,
                    bool non_temporal)
 {
-    if (n == 0)
+    auto [idx, end] = cellSpan(a, n);
+    if (idx == end)
         return;
-    std::uint64_t idx = cellIndex(a);
-    std::uint64_t end = idx + cellCount(a, n);
+    std::uint64_t first = idx;
     // Under eADR the persistence domain covers the caches: every
     // store is durable the moment it lands, so the Modified and
     // WritebackPending states are skipped entirely.
     PersistState to = eadr ? PersistState::Persisted
                      : non_temporal ? PersistState::WritebackPending
                                     : PersistState::Modified;
-    // Page-chunked: one hash lookup per page run, not per cell.
+    // Page-chunked: one table lookup per page run, not per cell.
     while (idx < end) {
         std::uint64_t off = idx % cellsPerPage;
         std::uint64_t run = std::min(end - idx, cellsPerPage - off);
@@ -97,6 +104,12 @@ ShadowPM::preWrite(Addr a, std::size_t n, std::uint32_t seq,
                 pendingCells.push_back(idx + i);
         }
         idx += run;
+    }
+    if (tails) {
+        if (eadr)
+            noteDecided(first, end);
+        else
+            openTails(first, end, seq);
     }
     // A write that overlaps a commit variable is a commit write Cx:
     // it versions the consistency of the variable's address set.
@@ -121,10 +134,9 @@ ShadowPM::preFlush(Addr line, std::uint32_t seq, bool repair)
     // program carries for clwb portability, not a performance bug.
     if (eadr)
         return false;
-    std::uint64_t first = cellIndex(line);
-    std::uint64_t end = first + cellCount(line, cacheLineSize);
+    auto [first, end] = cellSpan(line, cacheLineSize);
     // Page-chunked in both passes: a line's cells live in at most two
-    // pages, so the scan costs two hash lookups instead of one per
+    // pages, so the scan costs two table lookups instead of one per
     // cell. Cells in absent pages are Unmodified by construction.
     bool any_modified = false;
     for (std::uint64_t idx = first; idx < end && !any_modified;) {
@@ -189,21 +201,35 @@ ShadowPM::preFence()
 {
     bool retired = false;
     // pendingCells runs are mostly consecutive (whole lines): cache
-    // the page across iterations.
+    // the page across iterations, and gather retired cells into
+    // spans of adjacent cells that close their tails at once.
     std::uint64_t cached_pg = ~std::uint64_t{0};
     Page *pg = nullptr;
+    CellRun span;
     for (std::uint64_t idx : pendingCells) {
         if (idx / cellsPerPage != cached_pg) {
             cached_pg = idx / cellsPerPage;
             pg = &pageAt(idx);
         }
         Cell &c = (*pg)[idx % cellsPerPage];
-        if (c.ps == PersistState::WritebackPending) {
-            noteEdge(PersistState::WritebackPending,
-                     PersistState::Persisted);
-            c.ps = PersistState::Persisted;
-            retired = true;
+        if (c.ps != PersistState::WritebackPending)
+            continue;
+        noteEdge(PersistState::WritebackPending, PersistState::Persisted);
+        c.ps = PersistState::Persisted;
+        retired = true;
+        if (!tails)
+            continue;
+        if (span.end == idx) {
+            span.end++;
+        } else {
+            closeTails(span.first, span.end, false);
+            noteDecided(span.first, span.end);
+            span = {idx, idx + 1};
         }
+    }
+    if (tails) {
+        closeTails(span.first, span.end, false);
+        noteDecided(span.first, span.end);
     }
     pendingCells.clear();
     if (obs::statsCompiledIn && collect) {
@@ -218,8 +244,7 @@ ShadowPM::preFence()
 void
 ShadowPM::preAlloc(Addr a, std::size_t n, std::uint32_t seq)
 {
-    std::uint64_t idx = cellIndex(a);
-    std::uint64_t end = idx + cellCount(a, n);
+    auto [idx, end] = cellSpan(a, n);
     while (idx < end) {
         std::uint64_t off = idx % cellsPerPage;
         std::uint64_t run = std::min(end - idx, cellsPerPage - off);
@@ -243,8 +268,12 @@ ShadowPM::preAlloc(Addr a, std::size_t n, std::uint32_t seq)
 void
 ShadowPM::preFree(Addr a, std::size_t n)
 {
-    std::uint64_t idx = cellIndex(a);
-    std::uint64_t end = idx + cellCount(a, n);
+    auto [idx, end] = cellSpan(a, n);
+    // Freed cells leave the frontier; their bytes are pinned at the
+    // last written value so the anchor stays byte-identical to the
+    // footnote-3 image.
+    if (tails)
+        closeTails(idx, end, true);
     while (idx < end) {
         std::uint64_t off = idx % cellsPerPage;
         std::uint64_t run = std::min(end - idx, cellsPerPage - off);
@@ -259,6 +288,109 @@ ShadowPM::preFree(Addr a, std::size_t n)
         }
         idx += run;
     }
+}
+
+ShadowPM::OpenRuns::iterator
+ShadowPM::splitRunAt(std::uint64_t at)
+{
+    auto it = runs.lower_bound(at);
+    if (it != runs.begin()) {
+        auto prev = std::prev(it);
+        if (prev->second.end > at) {
+            OpenRun back{prev->second.end, prev->second.tail};
+            prev->second.end = at;
+            it = runs.emplace_hint(it, at, std::move(back));
+        }
+    }
+    return it;
+}
+
+void
+ShadowPM::openTails(std::uint64_t first, std::uint64_t end,
+                    std::uint32_t seq)
+{
+    auto it = splitRunAt(first);
+    splitRunAt(end);
+    // Runs inside the span take the write; the gaps between them
+    // become runs of their own.
+    for (std::uint64_t at = first; at < end;) {
+        if (it != runs.end() && it->first == at) {
+            it->second.tail.push_back(seq);
+            at = it->second.end;
+            ++it;
+            continue;
+        }
+        std::uint64_t gap_end =
+            it == runs.end() ? end : std::min(it->first, end);
+        runs.emplace_hint(it, at, OpenRun{gap_end, {seq}});
+        at = gap_end;
+    }
+}
+
+void
+ShadowPM::closeTails(std::uint64_t first, std::uint64_t end, bool pin)
+{
+    if (runs.empty() || first == end)
+        return;
+    auto it = splitRunAt(first);
+    splitRunAt(end);
+    while (it != runs.end() && it->first < end) {
+        if (pin)
+            noteDecided(it->first, it->second.end);
+        it = runs.erase(it);
+    }
+}
+
+void
+ShadowPM::noteDecided(std::uint64_t first, std::uint64_t end)
+{
+    if (!decided || first == end)
+        return;
+    if (!decided->empty() && decided->back().end == first)
+        decided->back().end = end;
+    else
+        decided->push_back({first, end});
+}
+
+CellFrontier
+ShadowPM::frontier() const
+{
+    // Neighbouring runs mostly carry distinct tails, but a tail equal
+    // to the previous run's reuses its bit indices.
+    CellFrontier f;
+    const std::vector<std::uint32_t> *prev = nullptr;
+    for (const auto &[first, run] : runs) {
+        if (!prev || *prev != run.tail)
+            f.seqs.insert(f.seqs.end(), run.tail.begin(), run.tail.end());
+        prev = &run.tail;
+    }
+    std::sort(f.seqs.begin(), f.seqs.end());
+    f.seqs.erase(std::unique(f.seqs.begin(), f.seqs.end()),
+                 f.seqs.end());
+    f.runsOf.resize(f.seqs.size());
+    std::vector<std::size_t> bits;
+    prev = nullptr;
+    for (const auto &[first, run] : runs) {
+        if (!prev || *prev != run.tail) {
+            bits.clear();
+            for (std::uint32_t s : run.tail) {
+                bits.push_back(static_cast<std::size_t>(
+                    std::lower_bound(f.seqs.begin(), f.seqs.end(), s) -
+                    f.seqs.begin()));
+            }
+            if (bits.size() > 1)
+                f.chains.push_back(bits);
+            prev = &run.tail;
+        }
+        for (std::size_t b : bits) {
+            std::vector<CellRun> &cells = f.runsOf[b];
+            if (!cells.empty() && cells.back().end == first)
+                cells.back().end = run.end;
+            else
+                cells.push_back({first, run.end});
+        }
+    }
+    return f;
 }
 
 void
@@ -299,6 +431,16 @@ ShadowPM::registerCommitRange(Addr cv_addr, Addr a, std::size_t n)
     }
     warn("addCommitRange: no commit variable registered at %#llx",
          static_cast<unsigned long long>(cv_addr));
+}
+
+bool
+ShadowPM::overlapsCommitVar(AddrRange r) const
+{
+    for (const auto &cv : commitVars) {
+        if (cv.var.overlaps(r))
+            return true;
+    }
+    return false;
 }
 
 const ShadowPM::CommitVar *
@@ -398,8 +540,7 @@ ShadowPM::checkPostRead(Addr a, std::size_t n)
         if (idx / cellsPerPage != cached_pg) {
             cached_pg = idx / cellsPerPage;
             post_pg = &postPageAt(idx);
-            auto it = pages.find(cached_pg);
-            pre_pg = it == pages.end() ? nullptr : it->second.get();
+            pre_pg = findPage(idx);
         }
         std::uint8_t &pflags = (*post_pg)[idx % cellsPerPage];
         if (pflags & postOverwritten)

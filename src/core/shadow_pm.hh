@@ -16,14 +16,29 @@
  * from one failure point to the next); each post-failure trace is
  * replayed against a lightweight overlay so the pre-failure state is
  * never disturbed.
+ *
+ * It is also the detector's only crash-state model. With tails on,
+ * every open cell (at least one write not yet guaranteed durable)
+ * carries its write tail, and frontier() turns the open cells into a
+ * failure point's write frontier: the anchor's provenance, the bit
+ * order of every --crash-states/--crash-image candidate mask, and
+ * the cells each candidate write may touch. Its semantics replicate
+ * the oracle's per-cell model (oracle/oracle.cc advance()), so the
+ * driver's frontiers and candidate images agree with the oracle's
+ * byte for byte. Tails are stored as runs of adjacent cells sharing
+ * one tail (a multi-byte store is one run): a write splits at most
+ * two runs, a fence closes the runs of the cells it retires, and a
+ * frontier costs O(open runs), never O(history).
  */
 
 #ifndef XFD_CORE_SHADOW_PM_HH
 #define XFD_CORE_SHADOW_PM_HH
 
 #include <array>
+#include <map>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -74,6 +89,36 @@ struct ShadowFsmCounters
     }
 };
 
+/** Adjacent cells [first, end), by cell index. */
+struct CellRun
+{
+    std::uint64_t first = 0;
+    std::uint64_t end = 0;
+
+    bool operator==(const CellRun &) const = default;
+};
+
+/** One failure point's write frontier, derived from the open cells. */
+struct CellFrontier
+{
+    /** In-flight write seqs, ascending (mask bit i = seqs[i]). */
+    std::vector<std::uint32_t> seqs;
+    /**
+     * The open cells' tails as bit indices, ascending by cell — the
+     * prefix chains candidates must respect. A tail equal to the
+     * previous open cell's (every cell of one multi-byte store) is
+     * listed once, and single-write tails, which cannot constrain,
+     * not at all.
+     */
+    std::vector<std::vector<std::size_t>> chains;
+    /**
+     * Per bit: the open cells whose tail carries that write, as
+     * ascending runs of adjacent cells — exactly the cells applying
+     * the write to a candidate image may touch.
+     */
+    std::vector<std::vector<CellRun>> runsOf;
+};
+
 /** Outcome of checking one post-failure read. */
 enum class ReadCheck : std::uint8_t
 {
@@ -109,7 +154,14 @@ struct ReadCheckResult
 class ShadowPM
 {
   public:
-    ShadowPM(AddrRange pool, const DetectorConfig &cfg);
+    /**
+     * Cells are cfg.granularity bytes of @p pool; accesses outside it
+     * are clamped away. @p tails also keeps the write tails and the
+     * decided-cell reports below — the detector's replay cursors do;
+     * the end-of-campaign perf scan and FSM-only users do not.
+     */
+    ShadowPM(AddrRange pool, const DetectorConfig &cfg,
+             bool tails = false);
 
     /**
      * @name Pre-failure replay
@@ -180,6 +232,61 @@ class ShadowPM
 
     /** @} */
 
+    /**
+     * @name Write tails and the cell frontier (tails on)
+     * @{
+     */
+
+    /**
+     * Open cells [first, end) sharing one write tail: the seqs
+     * applied since their last guaranteed persist, ascending and
+     * never empty. Under eADR a write is durable on arrival and opens
+     * no tail.
+     */
+    struct OpenRun
+    {
+        std::uint64_t end = 0;
+        std::vector<std::uint32_t> tail;
+    };
+    /** Open runs by first cell; runs never overlap. */
+    using OpenRuns = std::map<std::uint64_t, OpenRun>;
+
+    const OpenRuns &openRuns() const { return runs; }
+
+    /**
+     * Append to @p sink the cells whose content each later
+     * pre-failure call decides, in decision order: retired by a
+     * fence, open cells pinned by a free, and under eADR every
+     * written cell. The caller copies their bytes into its durable
+     * image (the working image minus the open cells). Null stops
+     * reporting.
+     */
+    void reportDecided(std::vector<CellRun> *sink) { decided = sink; }
+
+    /**
+     * The frontier, chains and event -> cell index of the open cells:
+     * one pass over the open runs, never over persisted cells.
+     */
+    CellFrontier frontier() const;
+
+    /** Whether @p r overlaps a registered commit variable. */
+    bool overlapsCommitVar(AddrRange r) const;
+
+    /** Address of cell @p idx. */
+    Addr
+    cellAddr(std::uint64_t idx) const
+    {
+        return poolRange.begin + idx * gran;
+    }
+
+    std::uint64_t
+    cellIndex(Addr a) const
+    {
+        return (a - poolRange.begin) / gran;
+    }
+
+    /** @} */
+
     /** Current global timestamp (increments per ordering point). */
     std::int32_t timestamp() const { return ts; }
 
@@ -235,11 +342,12 @@ class ShadowPM
     /** Post-overlay flags, paged like the pre-state cells. */
     using PostPage = std::array<std::uint8_t, cellsPerPage>;
 
-    std::uint64_t
-    cellIndex(Addr a) const
-    {
-        return (a - poolRange.begin) / gran;
-    }
+    /**
+     * Cells [first, last) of extent [a, a+n), clamped to the pool so
+     * a hostile extent cannot run away; empty when n == 0.
+     */
+    std::pair<std::uint64_t, std::uint64_t> cellSpan(Addr a,
+                                                     std::size_t n) const;
 
     /** Cell count covering [a, a+n). */
     std::uint64_t
@@ -250,14 +358,13 @@ class ShadowPM
         return cellIndex(a + n - 1) - cellIndex(a) + 1;
     }
 
-    Cell &cellAt(std::uint64_t idx);
     const Cell *findCell(std::uint64_t idx) const;
 
-    /** Pre-state page holding cell @p idx, created on demand. */
+    /** Pre-state page holding in-pool cell @p idx, created on demand. */
     Page &pageAt(std::uint64_t idx);
 
     /** Pre-state page holding cell @p idx, or nullptr. */
-    Page *findPage(std::uint64_t idx);
+    Page *findPage(std::uint64_t idx) const;
 
     /** Post-overlay page holding cell @p idx, created zeroed. */
     PostPage &postPageAt(std::uint64_t idx);
@@ -270,6 +377,25 @@ class ShadowPM
 
     /** Evaluate paper condition (3) for a cell under @p var. */
     bool consistentUnder(const Cell &c, const CommitVar &var) const;
+
+    /**
+     * Split the open run straddling cell @p at, if any.
+     * @return the first run starting at or after @p at.
+     */
+    OpenRuns::iterator splitRunAt(std::uint64_t at);
+
+    /** Append @p seq to the tails of cells [first, end). */
+    void openTails(std::uint64_t first, std::uint64_t end,
+                   std::uint32_t seq);
+
+    /**
+     * Drop the tails of cells [first, end); with @p pin, report the
+     * open ones as decided.
+     */
+    void closeTails(std::uint64_t first, std::uint64_t end, bool pin);
+
+    /** Report cells [first, end) as decided. */
+    void noteDecided(std::uint64_t first, std::uint64_t end);
 
     /** FSM edge bookkeeping; compiles to nothing under XFD_STATS_NOOP. */
     void
@@ -294,10 +420,21 @@ class ShadowPM
      * allocation (uninitialized cells).
      */
     bool eadr;
+    /** Keep write tails (see the constructor). */
+    bool tails;
     ShadowFsmCounters fsm;
     std::int32_t ts = 0;
 
-    std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages;
+    /** The pool's cell count. */
+    std::uint64_t cellTotal;
+    /**
+     * The pre-state cell table, indexed directly by page: pages[p]
+     * holds cells [p, p + 1) * cellsPerPage, null while all of them
+     * are Unmodified.
+     */
+    std::vector<std::unique_ptr<Page>> pages;
+    OpenRuns runs;
+    std::vector<CellRun> *decided = nullptr;
     /** Cells with a writeback pending, resolved at the next fence. */
     std::vector<std::uint64_t> pendingCells;
     /**

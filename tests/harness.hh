@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/campaign_json.hh"
@@ -98,6 +99,38 @@ fuzzSeedFromEnv(std::uint64_t &out)
         return false;
     out = std::strtoull(s, nullptr, 0);
     return true;
+}
+
+/** Campaign hooks that keep the pre-trace and every point's findings. */
+struct PointFindings : xfd::core::CampaignHooks
+{
+    xfd::trace::TraceBuffer pre;
+    std::vector<std::pair<std::uint32_t, std::vector<xfd::core::BugReport>>>
+        points;
+
+    void
+    onPreTraceReady(const xfd::trace::TraceBuffer &b) override
+    {
+        pre = b;
+    }
+    void
+    onFailurePoint(std::uint32_t fp, const xfd::core::BugSink &s) override
+    {
+        points.emplace_back(fp, s.bugs());
+    }
+};
+
+/** Whether @p b's frontier holds the write that left its cell racy. */
+inline bool
+frontierHoldsWriter(const xfd::trace::TraceBuffer &pre,
+                    const xfd::core::BugReport &b)
+{
+    return std::any_of(
+        b.frontierSeqs.begin(), b.frontierSeqs.end(), [&](std::uint32_t s) {
+            const auto &e = pre[s];
+            return e.isWrite() && e.loc == b.writer && e.addr <= b.addr &&
+                   b.addr < e.addr + e.size;
+        });
 }
 
 /** EXPECT_TRUE-able: at least @p atLeast findings of class @p t. */

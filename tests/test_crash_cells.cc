@@ -1,17 +1,19 @@
 /**
  * @file
- * core::CrashCells — the --crash-states cell model (chunked state
- * table + ordered open-cell map) — against the per-cell std::map model
- * it replaced, kept here as the reference: one node and one write tail
- * per cell ever written, and a set of open cells.
+ * The cell model inside core::ShadowPM (run-length write tails over
+ * the shadow's own Fig. 9 FSM) against the per-cell std::map model the
+ * detector's crash-state tier started from, kept here as the
+ * reference: one node and one write tail per cell ever written, and a
+ * set of open cells.
  *
  * After every entry of every trace the two must agree on cell states,
  * open cells, tails, the frontier (seqs, per-cell chains, event ->
- * cell index) and the cells each entry reports persisted. The
- * CrashCellsFuzz cases run seeded random traces (Write, NtWrite, all
- * three flushes, both fences, Alloc, Free, CommitVar, image-only and
- * payload-elided same-value writes) at granularity 1, 2 and 8;
- * XFD_FUZZ_SEED replays one of them.
+ * cell index), commit variables and the cells each entry reports
+ * decided (retired by a fence, pinned by a free). The CrashCellsFuzz
+ * cases run seeded random traces (Write, NtWrite, all three flushes,
+ * both fences, Alloc, Free, CommitVar, image-only and payload-elided
+ * same-value writes) at granularity 1, 2 and 8; XFD_FUZZ_SEED replays
+ * one of them.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +24,7 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "core/crash_cells.hh"
+#include "core/shadow_pm.hh"
 #include "harness.hh"
 #include "trace/entry.hh"
 
@@ -31,16 +33,21 @@ namespace
 
 using namespace xfd;
 using core::CellFrontier;
-using core::CrashCells;
+using core::CellRun;
+using core::PersistState;
+using core::ShadowPM;
 using trace::Op;
 using trace::TraceEntry;
+
+const Addr poolBase = defaultPoolBase;
+const AddrRange poolRange{poolBase, poolBase + 64 * 1024};
 
 /** The per-cell std::map model, verbatim in its semantics. */
 struct RefCells
 {
     struct Cell
     {
-        CrashCells::St state = CrashCells::St::Modified;
+        PersistState state = PersistState::Modified;
         /** Write seqs applied since the last guaranteed persist. */
         std::vector<std::uint32_t> tail;
     };
@@ -54,25 +61,27 @@ struct RefCells
     std::vector<std::uint64_t> pending;
     std::vector<AddrRange> commitVars;
 
-    std::uint64_t cellIndex(Addr a) const { return a / gran; }
+    /** Cells are indexed from the pool base, like the shadow's. */
+    std::uint64_t cellIndex(Addr a) const { return (a - poolBase) / gran; }
+    /** An empty extent covers no cell, wherever it starts. */
     std::uint64_t
     cellCount(Addr a, std::size_t n) const
     {
-        return (a + n - 1) / gran - a / gran + 1;
+        return n ? cellIndex(a + n - 1) - cellIndex(a) + 1 : 0;
     }
 
-    CrashCells::St
+    PersistState
     state(std::uint64_t idx) const
     {
         auto it = cells.find(idx);
-        return it == cells.end() ? CrashCells::St::Untracked
+        return it == cells.end() ? PersistState::Unmodified
                                  : it->second.state;
     }
 
     void
     apply(const TraceEntry &e, std::vector<std::uint64_t> &persisted)
     {
-        using St = CrashCells::St;
+        using St = PersistState;
         if (e.isWrite()) {
             if (e.has(trace::flagImageOnly) || e.size == 0)
                 return;
@@ -81,7 +90,7 @@ struct RefCells
             std::uint64_t n = cellCount(e.addr, e.size);
             for (std::uint64_t c = 0; c < n; c++) {
                 auto &cell = cells[first + c];
-                cell.state = nt ? St::Pending : St::Modified;
+                cell.state = nt ? St::WritebackPending : St::Modified;
                 cell.tail.push_back(e.seq);
                 open.insert(first + c);
                 if (nt)
@@ -94,13 +103,14 @@ struct RefCells
                 auto it = cells.find(first + c);
                 if (it == cells.end() || it->second.state != St::Modified)
                     continue;
-                it->second.state = St::Pending;
+                it->second.state = St::WritebackPending;
                 pending.push_back(first + c);
             }
         } else if (e.isFence()) {
             for (std::uint64_t idx : pending) {
                 auto it = cells.find(idx);
-                if (it == cells.end() || it->second.state != St::Pending)
+                if (it == cells.end() ||
+                    it->second.state != St::WritebackPending)
                     continue;
                 it->second.state = St::Persisted;
                 persisted.push_back(idx);
@@ -188,8 +198,71 @@ struct RefCells
     }
 };
 
-const Addr poolBase = defaultPoolBase;
-const AddrRange poolRange{poolBase, poolBase + 64 * 1024};
+/** Feed @p e to the shadow the way the driver's cursor does. */
+void
+applyTo(ShadowPM &m, const TraceEntry &e)
+{
+    switch (e.op) {
+      case Op::Write:
+      case Op::NtWrite:
+        if (!e.has(trace::flagImageOnly))
+            m.preWrite(e.addr, e.size, e.seq, e.op == Op::NtWrite);
+        break;
+      case Op::Clwb:
+      case Op::ClflushOpt:
+      case Op::Clflush:
+        m.preFlush(e.addr, e.seq);
+        break;
+      case Op::Sfence:
+      case Op::Mfence:
+        m.preFence();
+        break;
+      case Op::Alloc:
+        m.preAlloc(e.addr, e.size, e.seq);
+        break;
+      case Op::Free:
+        m.preFree(e.addr, e.size);
+        break;
+      case Op::CommitVar:
+        m.registerCommitVar(e.addr, e.size);
+        break;
+      default:
+        break;
+    }
+}
+
+/** Decided-cell runs as the cell list they cover, in order. */
+std::vector<std::uint64_t>
+cellsOf(const std::vector<CellRun> &runs)
+{
+    std::vector<std::uint64_t> cells;
+    for (const CellRun &r : runs) {
+        for (std::uint64_t c = r.first; c < r.end; c++)
+            cells.push_back(c);
+    }
+    return cells;
+}
+
+core::DetectorConfig
+withGranularity(unsigned gran)
+{
+    core::DetectorConfig cfg;
+    cfg.granularity = gran;
+    return cfg;
+}
+
+/** A shadow with tails on, reporting decided cells into @p decided. */
+struct Model
+{
+    Model(unsigned gran, std::vector<CellRun> &decided)
+        : cfg(withGranularity(gran)), shadow(poolRange, cfg, true)
+    {
+        shadow.reportDecided(&decided);
+    }
+
+    core::DetectorConfig cfg;
+    ShadowPM shadow;
+};
 
 /**
  * Feed @p trace to both models, comparing after every entry. States
@@ -200,36 +273,45 @@ expectModelsAgree(const std::vector<TraceEntry> &trace, unsigned gran,
                   const std::vector<AddrRange> &watch)
 {
     SCOPED_TRACE(testing::Message() << "gran " << gran);
-    CrashCells model(poolRange, gran);
+    std::vector<CellRun> decided;
+    Model m(gran, decided);
+    const ShadowPM &model = m.shadow;
     RefCells ref(gran);
-    std::vector<std::uint64_t> got, want;
+    std::vector<std::uint64_t> want;
     for (const TraceEntry &e : trace) {
         SCOPED_TRACE(testing::Message()
                      << "entry " << e.seq << " " << trace::opName(e.op)
                      << " @" << std::hex << e.addr << std::dec << "+"
                      << e.size);
-        got.clear();
+        decided.clear();
         want.clear();
-        model.apply(e, got);
+        applyTo(m.shadow, e);
         ref.apply(e, want);
-        ASSERT_EQ(got, want) << "persisted-cell report";
+        ASSERT_EQ(cellsOf(decided), want) << "decided-cell report";
 
-        ASSERT_EQ(model.open().size(), ref.open.size());
-        auto it = model.open().begin();
-        for (std::uint64_t idx : ref.open) {
-            ASSERT_EQ(it->first, idx) << "open cell";
-            ASSERT_EQ(it->second, ref.cells.at(idx).tail) << "tail";
-            ++it;
+        // Open runs, expanded to cells, are exactly the open cells.
+        auto it = ref.open.begin();
+        for (const auto &[first, run] : model.openRuns()) {
+            ASSERT_LT(first, run.end) << "empty run";
+            for (std::uint64_t idx = first; idx < run.end; idx++) {
+                ASSERT_NE(it, ref.open.end()) << "extra open cell";
+                ASSERT_EQ(idx, *it) << "open cell";
+                ASSERT_EQ(run.tail, ref.cells.at(idx).tail) << "tail";
+                ++it;
+            }
         }
+        ASSERT_EQ(it, ref.open.end()) << "missing open cell";
         for (const AddrRange &w : watch) {
             for (Addr a = poolBase + w.begin; a < poolBase + w.end;
                  a += gran) {
-                ASSERT_EQ(model.state(model.cellIndex(a)),
+                ASSERT_EQ(model.persistStateOf(a),
                           ref.state(ref.cellIndex(a)))
                     << "state of cell @" << std::hex << a;
             }
         }
-        ASSERT_EQ(model.commitVars(), ref.commitVars);
+        ASSERT_EQ(model.commitVarCount(), ref.commitVars.size());
+        for (const AddrRange &cv : ref.commitVars)
+            ASSERT_TRUE(model.overlapsCommitVar(cv));
 
         CellFrontier f = model.frontier();
         CellFrontier rf = ref.frontier(trace);
@@ -278,16 +360,18 @@ TEST(CrashCells, WriteFlushFenceRetiresInOrder)
     for (unsigned gran : {1u, 2u, 8u})
         expectModelsAgree(t, gran, lowWatch);
 
-    CrashCells m(poolRange, 1);
-    std::vector<std::uint64_t> persisted;
+    std::vector<CellRun> decided;
+    Model m(1, decided);
     for (std::size_t i = 0; i < 5; i++)
-        m.apply(t[i], persisted);
+        applyTo(m.shadow, t[i]);
     // Cell 2 stays in flight with both writes that reached it.
-    ASSERT_EQ(m.open().size(), 1u);
-    EXPECT_EQ(m.open().begin()->first, m.cellIndex(poolBase + 2));
-    EXPECT_EQ(m.open().begin()->second,
+    const auto &open = m.shadow.openRuns();
+    ASSERT_EQ(open.size(), 1u);
+    EXPECT_EQ(open.begin()->first, m.shadow.cellIndex(poolBase + 2));
+    EXPECT_EQ(open.begin()->second.end, open.begin()->first + 1);
+    EXPECT_EQ(open.begin()->second.tail,
               (std::vector<std::uint32_t>{0, 3}));
-    EXPECT_EQ(persisted.size(), 11u);
+    EXPECT_EQ(cellsOf(decided).size(), 11u);
 }
 
 TEST(CrashCells, FreeRetiresOpenCellsAndAllocatedCellsPersistEmpty)
@@ -318,34 +402,57 @@ TEST(CrashCells, ImageOnlyAndElidedWrites)
     for (unsigned gran : {1u, 2u, 8u})
         expectModelsAgree(t, gran, lowWatch);
 
-    CrashCells m(poolRange, 1);
-    std::vector<std::uint64_t> persisted;
+    std::vector<CellRun> decided;
+    Model m(1, decided);
     for (const auto &e : t)
-        m.apply(e, persisted);
+        applyTo(m.shadow, e);
     // Image-only data never joins a frontier; an elided write does.
-    EXPECT_EQ(m.frontier().seqs, std::vector<std::uint32_t>{1});
-    EXPECT_EQ(m.commitVars().size(), 1u);
+    EXPECT_EQ(m.shadow.frontier().seqs, std::vector<std::uint32_t>{1});
+    EXPECT_EQ(m.shadow.commitVarCount(), 1u);
 }
 
 TEST(CrashCells, ExtentsClampToTheRange)
 {
-    CrashCells m(poolRange, 1);
-    std::vector<std::uint64_t> persisted;
-    m.apply(entry(Op::Write, 0, 2, {1, 2}), persisted);
+    std::vector<CellRun> decided;
+    Model m(1, decided);
+    applyTo(m.shadow, entry(Op::Write, 0, 2, {1, 2}));
     // A hostile extent far past the pool end stops at the range.
     TraceEntry wild = entry(Op::Free, 0, 0);
     wild.size = 0xffffffffu;
-    m.apply(wild, persisted);
-    EXPECT_TRUE(m.open().empty());
-    EXPECT_EQ(persisted.size(), 2u);
-    m.apply(entry(Op::Alloc, 64 * 1024, 64), persisted);
-    EXPECT_EQ(m.state(m.cellIndex(poolBase + 64 * 1024)),
-              CrashCells::St::Untracked);
+    applyTo(m.shadow, wild);
+    EXPECT_TRUE(m.shadow.openRuns().empty());
+    EXPECT_EQ(cellsOf(decided).size(), 2u);
+    applyTo(m.shadow, entry(Op::Alloc, 64 * 1024, 64));
+    EXPECT_EQ(m.shadow.persistStateOf(poolBase + 64 * 1024),
+              PersistState::Unmodified);
+    // An extent that wraps the address space is clamped, not looped.
+    applyTo(m.shadow, entry(Op::Alloc, 64, 0));
+    TraceEntry wrap = entry(Op::Write, 60, 0, {});
+    wrap.addr = ~Addr{0} - 3;
+    wrap.size = 64;
+    applyTo(m.shadow, wrap);
+    EXPECT_TRUE(m.shadow.openRuns().empty());
+}
+
+TEST(CrashCells, EadrWritesAreDecidedOnArrival)
+{
+    // Flush-free persistency: a write opens no tail, so no frontier
+    // ever forms, and its cells are decided at once.
+    core::DetectorConfig cfg;
+    cfg.pmModel = "eadr";
+    std::vector<CellRun> decided;
+    ShadowPM m(poolRange, cfg, true);
+    m.reportDecided(&decided);
+    applyTo(m, entry(Op::Write, 8, 8, std::vector<std::uint8_t>(8, 1)));
+    EXPECT_TRUE(m.openRuns().empty());
+    EXPECT_TRUE(m.frontier().seqs.empty());
+    EXPECT_EQ(decided, (std::vector<CellRun>{{8, 16}}));
+    EXPECT_EQ(m.persistStateOf(poolBase + 8), PersistState::Persisted);
 }
 
 /**
  * A random trace over two hot windows: one around the 4 KiB mark
- * (a table-chunk boundary at granularity 1) and one around 32 KiB
+ * (a table-page boundary at granularity 1) and one around 32 KiB
  * (the boundary at granularity 8).
  */
 std::vector<TraceEntry>

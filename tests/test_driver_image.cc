@@ -6,16 +6,22 @@
  * including those not persisted"). Verified against an independent
  * byte-level reconstruction for every failure point of a real
  * workload run. Under --crash-image the image must instead equal the
- * crash-state oracle's all-zero candidate, byte for byte.
+ * crash-state oracle's all-zero candidate, byte for byte. Anchor
+ * provenance comes from the same cell model: a finding's frontier
+ * holds the writes still in flight at its point, the racing one
+ * included (the registry-wide sweep is in test_bugsuite.cc).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <string>
 #include <vector>
 
 #include "core/driver.hh"
 #include "core/failure_planner.hh"
+#include "harness.hh"
 #include "oracle/oracle.hh"
 #include "workloads/workload.hh"
 
@@ -223,82 +229,165 @@ TEST(DriverImage, CrashImageIsTheOracleAllZeroCandidate)
     // image the independent oracle materializes for its all-zero
     // candidate: allocator zero-fill durable at once, a store after a
     // flush keeping its cell in flight, freed cells pinned.
+    struct Input
+    {
+        const char *name;
+        const char *backend;
+        const char *pmModel;
+    };
+    // Under the flush-free model (eadr) every write is durable on
+    // arrival, so the all-zero candidate is the whole image.
+    std::vector<Input> inputs;
     for (const char *name :
          {"ctree", "hashmap_tx", "hashmap_atomic", "ringlog"}) {
         for (const char *backend : {"delta", "full"}) {
-            SCOPED_TRACE(std::string(name) + " " + backend);
-            workloads::WorkloadConfig wcfg;
-            wcfg.initOps = 4;
-            wcfg.testOps = 6;
-            wcfg.postOps = 2;
-            auto w = workloads::makeWorkload(name, wcfg);
-
-            pm::PmPool pool(1 << 22);
-            pm::PmImage initial = pool.snapshot();
-            core::DetectorConfig dcfg;
-            dcfg.backend = backend;
-            dcfg.crashImageMode = true;
-
-            struct Capture : core::CampaignHooks
-            {
-                trace::TraceBuffer pre;
-                std::vector<std::uint32_t> fps;
-                void
-                onPreTraceReady(const trace::TraceBuffer &b) override
-                {
-                    pre = b;
-                }
-                void
-                onFailurePoint(std::uint32_t fp,
-                               const core::BugSink &) override
-                {
-                    fps.push_back(fp);
-                }
-            } cap;
-            core::CampaignObserver obs;
-            obs.hooks = &cap;
-            std::vector<std::uint64_t> driver_hashes;
-            core::Driver driver(pool, dcfg);
-            driver.setObserver(&obs);
-            driver.run([&](PmRuntime &rt) { w->pre(rt); },
-                       [&](PmRuntime &rt) {
-                           driver_hashes.push_back(poolHash(rt.pool()));
-                           w->post(rt);
-                       });
-            ASSERT_EQ(driver_hashes.size(), cap.fps.size());
-            ASSERT_FALSE(cap.fps.empty());
-
-            // One all-zero mask per width: runFailurePoint skips the
-            // ones whose width is not the point's frontier size.
-            std::vector<trace::SubsetMask> zeros;
-            for (std::size_t k = 0; k <= 1024; k++)
-                zeros.emplace_back(k);
-            oracle::OracleConfig ocfg;
-            ocfg.exhaustive = false;
-            ocfg.sampleCount = 1;
-            std::vector<std::uint64_t> oracle_hashes;
-            oracle::CrashStateOracle orc(cap.pre, initial, ocfg);
-            for (std::size_t i = 0; i < cap.fps.size(); i++) {
-                oracle_hashes.clear();
-                auto res = orc.runFailurePoint(
-                    cap.fps[i],
-                    [&](PmRuntime &rt) {
-                        oracle_hashes.push_back(poolHash(rt.pool()));
-                        w->post(rt);
-                    },
-                    &zeros);
-                ASSERT_EQ(oracle_hashes.size(), res.candidates.size());
-                std::size_t c = 0;
-                while (c < res.candidates.size() &&
-                       !res.candidates[c].mask.none())
-                    c++;
-                ASSERT_LT(c, res.candidates.size())
-                    << "fp " << cap.fps[i] << ": no all-zero candidate";
-                EXPECT_EQ(driver_hashes[i], oracle_hashes[c])
-                    << "fp " << cap.fps[i] << " (point " << i << ")";
-            }
+            for (const char *pm_model : {"clwb", "eadr"})
+                inputs.push_back({name, backend, pm_model});
         }
     }
+    for (const auto &[name, backend, pm_model] : inputs) {
+        SCOPED_TRACE(std::string(name) + " " + backend + " " +
+                     pm_model);
+        workloads::WorkloadConfig wcfg;
+        wcfg.initOps = 4;
+        wcfg.testOps = 6;
+        wcfg.postOps = 2;
+        auto w = workloads::makeWorkload(name, wcfg);
+
+        pm::PmPool pool(1 << 22);
+        pm::PmImage initial = pool.snapshot();
+        core::DetectorConfig dcfg;
+        dcfg.backend = backend;
+        dcfg.pmModel = pm_model;
+        dcfg.crashImageMode = true;
+
+        struct Capture : core::CampaignHooks
+        {
+            trace::TraceBuffer pre;
+            std::vector<std::uint32_t> fps;
+            void
+            onPreTraceReady(const trace::TraceBuffer &b) override
+            {
+                pre = b;
+            }
+            void
+            onFailurePoint(std::uint32_t fp,
+                           const core::BugSink &) override
+            {
+                fps.push_back(fp);
+            }
+        } cap;
+        core::CampaignObserver obs;
+        obs.hooks = &cap;
+        std::vector<std::uint64_t> driver_hashes;
+        core::Driver driver(pool, dcfg);
+        driver.setObserver(&obs);
+        driver.run([&](PmRuntime &rt) { w->pre(rt); },
+                   [&](PmRuntime &rt) {
+                       driver_hashes.push_back(poolHash(rt.pool()));
+                       w->post(rt);
+                   });
+        ASSERT_EQ(driver_hashes.size(), cap.fps.size());
+        ASSERT_FALSE(cap.fps.empty());
+
+        // One all-zero mask per width: runFailurePoint skips the
+        // ones whose width is not the point's frontier size.
+        std::vector<trace::SubsetMask> zeros;
+        for (std::size_t k = 0; k <= 1024; k++)
+            zeros.emplace_back(k);
+        oracle::OracleConfig ocfg;
+        ocfg.exhaustive = false;
+        ocfg.sampleCount = 1;
+        ocfg.detector.pmModel = pm_model;
+        std::vector<std::uint64_t> oracle_hashes;
+        oracle::CrashStateOracle orc(cap.pre, initial, ocfg);
+        for (std::size_t i = 0; i < cap.fps.size(); i++) {
+            oracle_hashes.clear();
+            auto res = orc.runFailurePoint(
+                cap.fps[i],
+                [&](PmRuntime &rt) {
+                    oracle_hashes.push_back(poolHash(rt.pool()));
+                    w->post(rt);
+                },
+                &zeros);
+            ASSERT_EQ(oracle_hashes.size(), res.candidates.size());
+            std::size_t c = 0;
+            while (c < res.candidates.size() &&
+                   !res.candidates[c].mask.none())
+                c++;
+            ASSERT_LT(c, res.candidates.size())
+                << "fp " << cap.fps[i] << ": no all-zero candidate";
+            EXPECT_EQ(driver_hashes[i], oracle_hashes[c])
+                << "fp " << cap.fps[i] << " (point " << i << ")";
+        }
+    }
+}
+
+/** Two words on one cache line, and a seal on the next. */
+struct SealRoot
+{
+    std::int64_t a;
+    std::int64_t b;
+    std::uint8_t pad[48];
+    std::int64_t seal;
+};
+
+TEST(AnchorProvenance, StoreAfterItsLinesFlushStaysInTheFrontier)
+{
+    // `b` lands on a's line after the line's writeback was issued, so
+    // the fence persists `a` but not `b`. Recovery trusts `b` once
+    // `seal` is set: a race on `b` whose frontier must name b's write
+    // (a line-granular frontier drops it with the line).
+    auto root = [](PmRuntime &rt) {
+        return static_cast<SealRoot *>(rt.pool().toHost(rt.pool().base()));
+    };
+    xfdtest::PointFindings cap;
+    core::CampaignObserver obs;
+    obs.hooks = &cap;
+    pm::PmPool pool(1 << 20);
+    core::Driver driver(pool, {});
+    driver.setObserver(&obs);
+    auto res = driver.run(
+        [&](PmRuntime &rt) {
+            SealRoot *r = root(rt);
+            trace::RoiScope roi(rt);
+            rt.store(r->a, std::int64_t{1});
+            rt.clwb(&r->a, 8);
+            rt.store(r->b, std::int64_t{2});
+            rt.sfence();
+            rt.store(r->seal, std::int64_t{1});
+            rt.persistBarrier(&r->seal, 8);
+        },
+        [&](PmRuntime &rt) {
+            SealRoot *r = root(rt);
+            trace::RoiScope roi(rt);
+            if (rt.load(r->seal) == 1)
+                (void)rt.load(r->b);
+        });
+
+    Addr b_addr = pool.base() + offsetof(SealRoot, b);
+    std::uint32_t b_seq = 0;
+    while (b_seq < cap.pre.size() &&
+           !(cap.pre[b_seq].isWrite() && cap.pre[b_seq].addr == b_addr))
+        b_seq++;
+    ASSERT_LT(b_seq, cap.pre.size());
+    bool saw = false;
+    for (const auto &[fp, bugs] : cap.points) {
+        for (const auto &b : bugs) {
+            if (b.type != core::BugType::CrossFailureRace ||
+                b.addr != b_addr)
+                continue;
+            saw = true;
+            EXPECT_NE(std::find(b.frontierSeqs.begin(), b.frontierSeqs.end(),
+                                b_seq),
+                      b.frontierSeqs.end())
+                << "fp " << fp << ": race on b (seq " << b_seq
+                << ") outside its frontier";
+            EXPECT_TRUE(xfdtest::frontierHoldsWriter(cap.pre, b))
+                << "fp " << fp;
+        }
+    }
+    EXPECT_TRUE(saw) << res.summary();
 }
 
 } // namespace

@@ -15,6 +15,8 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "common/logging.hh"
 #include "core/campaign_json.hh"
@@ -407,23 +409,22 @@ TEST(ConfigFlags, TableRowsAreWellFormedAndUnique)
 TEST(ConfigFlags, ApplySetsTheMappedField)
 {
     core::DetectorConfig cfg;
-    core::applyDetectorFlag(*core::findDetectorFlag("--no-delta"), cfg,
-                            nullptr);
+    auto apply = [&](const char *flag, const char *value) {
+        const auto *d = core::findDetectorFlag(flag);
+        ASSERT_NE(d, nullptr) << flag;
+        EXPECT_EQ(core::applyDetectorFlag(*d, cfg, value), "") << flag;
+    };
+    apply("--no-delta", nullptr);
     EXPECT_EQ(cfg.backend, "full");
-    core::applyDetectorFlag(*core::findDetectorFlag("--backend"), cfg,
-                            "batched");
+    apply("--backend", "batched");
     EXPECT_TRUE(cfg.batchingOn());
-    core::applyDetectorFlag(*core::findDetectorFlag("--delta-page"),
-                            cfg, "256");
+    apply("--delta-page", "256");
     EXPECT_EQ(cfg.deltaPageSize, 256u);
-    core::applyDetectorFlag(
-        *core::findDetectorFlag("--delta-checkpoint"), cfg, "7");
+    apply("--delta-checkpoint", "7");
     EXPECT_EQ(cfg.deltaCheckpointInterval, 7u);
-    core::applyDetectorFlag(*core::findDetectorFlag("--granularity"),
-                            cfg, "4");
+    apply("--granularity", "4");
     EXPECT_EQ(cfg.granularity, 4u);
-    core::applyDetectorFlag(*core::findDetectorFlag("--strict-persist"),
-                            cfg, nullptr);
+    apply("--strict-persist", nullptr);
     EXPECT_TRUE(cfg.strictPersistCheck);
 
     // --mutate is a string flag with an implied value: bare use means
@@ -431,17 +432,59 @@ TEST(ConfigFlags, ApplySetsTheMappedField)
     const auto *mut = core::findDetectorFlag("--mutate");
     ASSERT_NE(mut, nullptr);
     EXPECT_FALSE(mut->takesValue());
-    core::applyDetectorFlag(*mut, cfg, nullptr);
+    apply("--mutate", nullptr);
     EXPECT_EQ(cfg.mutateOps, "all");
-    core::applyDetectorFlag(*mut, cfg, "quick");
+    apply("--mutate", "quick");
     EXPECT_EQ(cfg.mutateOps, "quick");
-    core::applyDetectorFlag(*core::findDetectorFlag("--mutation-seed"),
-                            cfg, "9");
+    apply("--mutation-seed", "9");
     EXPECT_EQ(cfg.mutationSeed, 9u);
 
     // Untouched fields keep their defaults.
     EXPECT_TRUE(cfg.elideEmptyFailurePoints);
     EXPECT_EQ(cfg.maxFailurePoints, 0u);
+}
+
+TEST(ConfigFlags, BadValuesAreRejectedAndLeaveTheConfig)
+{
+    const core::DetectorConfig defaults;
+    const std::pair<const char *, const char *> bad[] = {
+        {"--granularity", "3"},     {"--granularity", "abc"},
+        {"--granularity", "16"},    {"--granularity", "0"},
+        {"--granularity", "-1"},    {"--granularity", "4294967297"},
+        {"--delta-page", "100"},    {"--delta-page", "32"},
+        {"--delta-page", ""},       {"--max-failpoints", "abc"},
+        {"--max-failpoints", "5x"}, {"--max-failpoints", " 5"},
+        {"--max-failpoints", "+5"}, {"--mutation-seed", "1e3"},
+        {"--backend", "fast"},      {"--pm-model", "cxl"},
+        {"--crash-states", "some"}, {"--crash-states", "sample:"},
+    };
+    for (const auto &[flag, value] : bad) {
+        SCOPED_TRACE(std::string(flag) + " " + value);
+        core::DetectorConfig cfg;
+        std::string err = core::applyDetectorFlag(
+            *core::findDetectorFlag(flag), cfg, value);
+        EXPECT_NE(err.find(flag), std::string::npos) << err;
+        EXPECT_EQ(cfg.granularity, defaults.granularity);
+        EXPECT_EQ(cfg.deltaPageSize, defaults.deltaPageSize);
+        EXPECT_EQ(cfg.maxFailurePoints, defaults.maxFailurePoints);
+        EXPECT_EQ(cfg.backend, defaults.backend);
+        EXPECT_EQ(cfg.pmModel, defaults.pmModel);
+        EXPECT_EQ(cfg.crashStates, defaults.crashStates);
+    }
+    core::DetectorConfig cfg;
+    EXPECT_NE(core::applyDetectorFlag(*core::findDetectorFlag("--granularity"),
+                                      cfg, nullptr),
+              "");
+    for (const char *g : {"1", "2", "8"}) {
+        EXPECT_EQ(core::applyDetectorFlag(
+                      *core::findDetectorFlag("--granularity"), cfg, g),
+                  "");
+    }
+    EXPECT_EQ(cfg.granularity, 8u);
+    EXPECT_EQ(core::applyDetectorFlag(
+                  *core::findDetectorFlag("--max-failpoints"), cfg, "12"),
+              "");
+    EXPECT_EQ(cfg.maxFailurePoints, 12u);
 }
 
 TEST(MutationExport, JsonObjectGolden)

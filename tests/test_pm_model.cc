@@ -119,7 +119,7 @@ TEST(PmModelConfig, FlagAppliesValidatedValue)
     const core::ConfigFlagDesc *d = core::findDetectorFlag("--pm-model");
     ASSERT_NE(d, nullptr);
     DetectorConfig cfg;
-    core::applyDetectorFlag(*d, cfg, "eadr");
+    EXPECT_EQ(core::applyDetectorFlag(*d, cfg, "eadr"), "");
     EXPECT_EQ(cfg.pmModel, "eadr");
     EXPECT_EQ(cfg.pmModelEnum(), PersistencyModel::Eadr);
     EXPECT_TRUE(cfg.eadrOn());

@@ -230,7 +230,11 @@ main(int argc, char **argv)
             const char *value = attached;
             if (!value && d->takesValue())
                 value = need_value(i);
-            core::applyDetectorFlag(*d, dcfg, value);
+            std::string err = core::applyDetectorFlag(*d, dcfg, value);
+            if (!err.empty()) {
+                std::fprintf(stderr, "%s\n", err.c_str());
+                return 2;
+            }
         }
     }
 
