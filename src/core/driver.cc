@@ -470,32 +470,29 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
     // This point's write frontier: the in-flight (not durably
     // persisted) write seqs as of fp, ascending — the causal
     // candidates for anything the post-failure stage trips over, and
-    // the bit order of every candidate mask. A point that may run a
-    // non-anchor candidate needs it up front; an anchor-only point
-    // builds it only if the anchor run has findings to annotate.
-    std::optional<CellFrontier> cf;
-    if (cur.cs)
-        cf = frontierOf(cur.shadow, stats);
+    // the bit order of every candidate mask.
+    CellFrontier cf = frontierOf(cur.shadow, stats);
 
     // The point's own candidate: the paper's footnote-3 image (every
     // frontier write persisted), or under --crash-image none of them.
-    trace::SubsetMask none(cf ? cf->seqs.size() : 0);
-    runCandidate(cur, exec_pool, pre, post, fp, cf,
-                 cfg.crashImageMode ? &none : nullptr, local, stats,
+    trace::SubsetMask own(cf.seqs.size());
+    if (!cfg.crashImageMode)
+        own.setAll();
+    runCandidate(cur, exec_pool, pre, post, fp, cf, own, local, stats,
                  wobs);
 
     // Partial candidates merge into the same per-point sink, each
     // annotated with its own persisted mask, before the hook fires.
     if (csCtx && cur.cs) {
         std::vector<trace::SubsetMask> masks =
-            planCrashStates(cur, pre, fp, *cf, stats);
+            planCrashStates(cur, pre, fp, cf, stats);
         if (!masks.empty()) {
             obs::SpanScope span(tl,
                                 tl ? strprintf("crash-states@fp#%u", fp)
                                    : std::string(),
                                 "crash-states", wobs.track);
             for (const auto &mask : masks) {
-                runCandidate(cur, exec_pool, pre, post, fp, cf, &mask,
+                runCandidate(cur, exec_pool, pre, post, fp, cf, mask,
                              local, stats, wobs);
                 if (wobs.live)
                     wobs.live->count("crash_candidates");
@@ -551,8 +548,8 @@ Driver::restoreAnchor(PreCursor &cur, pm::PmPool &exec_pool,
 void
 Driver::runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
                      const trace::TraceBuffer &pre, const ProgramFn &post,
-                     std::uint32_t fp, std::optional<CellFrontier> &cf,
-                     const trace::SubsetMask *mask, BugSink &sink,
+                     std::uint32_t fp, const CellFrontier &cf,
+                     const trace::SubsetMask &mask, BugSink &sink,
                      CampaignStats &stats, const WorkerObs &wobs)
 {
     // The commit-variable timestamps assume recovery observes the
@@ -561,9 +558,9 @@ Driver::runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
     // commit-variable write, recovery may act on an older committed
     // epoch, so commit-window (condition (3)) verdicts are not sound.
     bool suppress_semantic = cfg.crashImageMode;
-    if (mask && !mask->all()) {
+    if (!mask.all()) {
         auto t0 = std::chrono::steady_clock::now();
-        restoreCandidate(cur, exec_pool, pre, fp, *cf, *mask, stats);
+        restoreCandidate(cur, exec_pool, pre, fp, cf, mask, stats);
         double restore_s = secondsSince(t0);
         stats.backendSeconds += restore_s;
         stats.phases.note(obs::Phase::Restore, restore_s);
@@ -571,10 +568,10 @@ Driver::runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
             wobs.live->count("restore_us",
                              static_cast<std::uint64_t>(restore_s * 1e6));
         }
-        for (std::size_t b = 0; b < mask->size() && !suppress_semantic;
+        for (std::size_t b = 0; b < mask.size() && !suppress_semantic;
              b++) {
-            const auto &e = pre[cf->seqs[b]];
-            suppress_semantic = !mask->test(b) &&
+            const auto &e = pre[cf.seqs[b]];
+            suppress_semantic = !mask.test(b) &&
                                 cur.shadow.overlapsCommitVar(
                                     {e.addr, e.addr + e.size});
         }
@@ -596,23 +593,14 @@ Driver::runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
         wobs.live->count("classify_us",
                          static_cast<std::uint64_t>(classify_s * 1e6));
     }
-    if (cand.empty())
-        return;
 
     // Provenance: the point's frontier, plus which of its writes this
     // candidate image contained.
-    if (!cf)
-        cf = frontierOf(cur.shadow, stats);
-    trace::SubsetMask persisted(cf->seqs.size());
-    if (mask)
-        persisted = *mask;
-    else
-        persisted.setAll();
     cand.annotate([&](BugReport &b) {
-        b.frontierSeqs = cf->seqs;
-        b.persistedMask = persisted;
+        b.frontierSeqs = cf.seqs;
+        b.persistedMask = mask;
     });
-    recordFindings(wobs, fp, cf->seqs, persisted, cand);
+    recordFindings(wobs, fp, cf.seqs, mask, cand);
     sink.merge(cand);
 }
 

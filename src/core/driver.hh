@@ -32,7 +32,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -335,19 +334,17 @@ class Driver
 
     /**
      * Execute one candidate crash image of failure point @p fp: the
-     * persisted subset @p mask of frontier @p cf, or with a null
-     * @p mask the anchor (every frontier write persisted), which runs
-     * on the image the exec pool already holds; any other mask
-     * materializes over the durable image first. Runs recovery,
-     * classifies its trace, annotates the findings with (cf.seqs,
-     * mask) and merges them into @p sink. An anchor-only point passes
-     * @p cf empty; it is built only if the run found something.
+     * persisted subset @p mask of frontier @p cf. The all-ones mask
+     * runs on the anchor image the exec pool already holds; any
+     * other mask materializes over the durable image first. Runs
+     * recovery, classifies its trace, annotates the findings with
+     * (cf.seqs, mask) and merges them into @p sink.
      */
     void runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
                       const trace::TraceBuffer &pre,
                       const ProgramFn &post, std::uint32_t fp,
-                      std::optional<CellFrontier> &cf,
-                      const trace::SubsetMask *mask, BugSink &sink,
+                      const CellFrontier &cf,
+                      const trace::SubsetMask &mask, BugSink &sink,
                       CampaignStats &stats, const WorkerObs &wobs);
 
     /**

@@ -105,12 +105,9 @@ ShadowPM::preWrite(Addr a, std::size_t n, std::uint32_t seq,
         }
         idx += run;
     }
-    if (tails) {
-        if (eadr)
-            noteDecided(first, end);
-        else
-            openTails(first, end, seq);
-    }
+    // Under eADR the write is durable on arrival: no tail opens.
+    if (tails && !eadr)
+        openTails(first, end, seq);
     // A write that overlaps a commit variable is a commit write Cx:
     // it versions the consistency of the variable's address set.
     for (auto &cv : commitVars) {

@@ -256,10 +256,11 @@ class ShadowPM
     /**
      * Append to @p sink the cells whose content each later
      * pre-failure call decides, in decision order: retired by a
-     * fence, open cells pinned by a free, and under eADR every
-     * written cell. The caller copies their bytes into its durable
-     * image (the working image minus the open cells). Null stops
-     * reporting.
+     * fence, or open cells pinned by a free. The caller copies their
+     * bytes into its durable image (the working image minus the open
+     * cells). Under eADR no cell ever opens, so nothing is reported:
+     * every candidate is the anchor and the durable image goes
+     * unread. Null stops reporting.
      */
     void reportDecided(std::vector<CellRun> *sink) { decided = sink; }
 
@@ -292,6 +293,16 @@ class ShadowPM
 
     /** Number of registered commit variables. */
     std::size_t commitVarCount() const { return commitVars.size(); }
+
+    /** Introspection for tests: the commit variables, as registered. */
+    std::vector<AddrRange>
+    commitVarRanges() const
+    {
+        std::vector<AddrRange> r;
+        for (const auto &cv : commitVars)
+            r.push_back(cv.var);
+        return r;
+    }
 
     /** Statistics: post-read checks actually performed / elided. */
     std::size_t checksPerformed() const { return nChecks; }

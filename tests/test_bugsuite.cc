@@ -3,8 +3,8 @@
  * Table 5 validation: every registered synthetic bug must be detected
  * with its expected finding class, and no case may trip the detector
  * when its flag is off (covered by the workload no-false-positive
- * tests). Parameterized over the whole registry. Also sweeps the
- * anchor-tier cases' per-point provenance.
+ * tests). Parameterized over the whole registry. Each anchor-tier
+ * case's per-point provenance is checked on the same run.
  */
 
 #include <gtest/gtest.h>
@@ -30,14 +30,56 @@ class BugSuiteTest : public ::testing::TestWithParam<BugCase>
 {
 };
 
+/**
+ * Check an anchor-tier run's per-point provenance: a frontier names
+ * program writes only (never allocator zero-fill, which is durable
+ * at once), and a race on a written cell has its writer in flight.
+ */
+void
+expectAnchorProvenance(const xfdtest::PointFindings &cap)
+{
+    std::size_t image_only = 0;
+    std::size_t writer_missing = 0;
+    std::string first;
+    for (const auto &[fp, bugs] : cap.points) {
+        for (const auto &b : bugs) {
+            bool names_image_only = std::any_of(
+                b.frontierSeqs.begin(), b.frontierSeqs.end(),
+                [&](std::uint32_t s) {
+                    return cap.pre[s].has(trace::flagImageOnly);
+                });
+            // A read of allocated-but-never-written memory carries a
+            // note and has no program writer.
+            bool lacks_writer = b.type == core::BugType::CrossFailureRace &&
+                                b.note.empty() &&
+                                !xfdtest::frontierHoldsWriter(cap.pre, b);
+            image_only += names_image_only;
+            writer_missing += lacks_writer;
+            if ((names_image_only || lacks_writer) && first.empty())
+                first = "fp " + std::to_string(fp) + ": " + b.str();
+        }
+    }
+    EXPECT_EQ(image_only, 0u)
+        << "findings whose frontier names an image-only write; first: "
+        << first;
+    EXPECT_EQ(writer_missing, 0u)
+        << "races whose writer is not in flight; first: " << first;
+}
+
 TEST_P(BugSuiteTest, DetectedWithExpectedClass)
 {
     const BugCase &c = GetParam();
-    auto res = runBugCase(c);
+    bool anchor_tier = c.crashStates.empty();
+    xfdtest::PointFindings cap;
+    core::CampaignObserver obs;
+    obs.hooks = &cap;
+    auto res = runBugCase(c, {}, anchor_tier ? &obs : nullptr);
     EXPECT_TRUE(detected(c, res))
         << c.id << " (" << c.description << ") expected "
         << bugsuite::expectedName(c.expected) << "\n"
         << res.summary();
+    if (anchor_tier)
+        expectAnchorProvenance(cap);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -97,50 +139,6 @@ TEST(BugSuiteRegistry, HasAllFourNewBugs)
             new_bugs++;
     }
     EXPECT_EQ(new_bugs, 4u);
-}
-
-TEST(BugSuiteProvenance, AnchorFrontiersNameInFlightWritesOnly)
-{
-    // Over every anchor-tier case: a frontier names program writes
-    // only (never allocator zero-fill, which is durable at once), and
-    // a race on a written cell has its writer in flight.
-    for (const auto &c : allBugCases()) {
-        if (!c.crashStates.empty())
-            continue;
-        SCOPED_TRACE(c.id.empty() ? c.workload : c.id);
-        xfdtest::PointFindings cap;
-        core::CampaignObserver obs;
-        obs.hooks = &cap;
-        runBugCase(c, {}, &obs);
-        std::size_t image_only = 0;
-        std::size_t writer_missing = 0;
-        std::string first;
-        for (const auto &[fp, bugs] : cap.points) {
-            for (const auto &b : bugs) {
-                bool names_image_only = std::any_of(
-                    b.frontierSeqs.begin(), b.frontierSeqs.end(),
-                    [&](std::uint32_t s) {
-                        return cap.pre[s].has(trace::flagImageOnly);
-                    });
-                // A read of allocated-but-never-written memory carries
-                // a note and has no program writer.
-                bool lacks_writer =
-                    b.type == core::BugType::CrossFailureRace &&
-                    b.note.empty() &&
-                    !xfdtest::frontierHoldsWriter(cap.pre, b);
-                image_only += names_image_only;
-                writer_missing += lacks_writer;
-                if ((names_image_only || lacks_writer) && first.empty())
-                    first = "fp " + std::to_string(fp) + ": " + b.str();
-            }
-        }
-        EXPECT_EQ(image_only, 0u)
-            << "findings whose frontier names an image-only write; "
-               "first: "
-            << first;
-        EXPECT_EQ(writer_missing, 0u)
-            << "races whose writer is not in flight; first: " << first;
-    }
 }
 
 } // namespace

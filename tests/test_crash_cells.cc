@@ -63,7 +63,15 @@ struct RefCells
 
     /** Cells are indexed from the pool base, like the shadow's. */
     std::uint64_t cellIndex(Addr a) const { return (a - poolBase) / gran; }
-    /** An empty extent covers no cell, wherever it starts. */
+    /**
+     * An empty extent covers no cell, wherever it starts. This is the
+     * shadow FSM's rule, and here the reference departs from the
+     * per-cell model it was copied from and from the oracle's
+     * cellCount (oracle/oracle.cc): both count one cell for an empty
+     * Alloc or Free that starts off a cell boundary. No real trace
+     * carries one, since palloc rejects zero-size allocations; the
+     * random traces below do.
+     */
     std::uint64_t
     cellCount(Addr a, std::size_t n) const
     {
@@ -309,9 +317,13 @@ expectModelsAgree(const std::vector<TraceEntry> &trace, unsigned gran,
                     << "state of cell @" << std::hex << a;
             }
         }
-        ASSERT_EQ(model.commitVarCount(), ref.commitVars.size());
+        ASSERT_EQ(model.commitVarRanges(), ref.commitVars);
+        // The candidate executor's dropped-commit-write test.
+        AddrRange extent{e.addr, e.addr + e.size};
+        bool overlaps = false;
         for (const AddrRange &cv : ref.commitVars)
-            ASSERT_TRUE(model.overlapsCommitVar(cv));
+            overlaps = overlaps || cv.overlaps(extent);
+        ASSERT_EQ(model.overlapsCommitVar(extent), overlaps);
 
         CellFrontier f = model.frontier();
         CellFrontier rf = ref.frontier(trace);
@@ -434,19 +446,20 @@ TEST(CrashCells, ExtentsClampToTheRange)
     EXPECT_TRUE(m.shadow.openRuns().empty());
 }
 
-TEST(CrashCells, EadrWritesAreDecidedOnArrival)
+TEST(CrashCells, EadrWritesOpenNoTail)
 {
-    // Flush-free persistency: a write opens no tail, so no frontier
-    // ever forms, and its cells are decided at once.
+    // Flush-free persistency: a write is durable on arrival, so no
+    // frontier ever forms and no cell is ever reported decided.
     core::DetectorConfig cfg;
     cfg.pmModel = "eadr";
     std::vector<CellRun> decided;
     ShadowPM m(poolRange, cfg, true);
     m.reportDecided(&decided);
     applyTo(m, entry(Op::Write, 8, 8, std::vector<std::uint8_t>(8, 1)));
+    applyTo(m, entry(Op::Sfence, 0, 0));
     EXPECT_TRUE(m.openRuns().empty());
     EXPECT_TRUE(m.frontier().seqs.empty());
-    EXPECT_EQ(decided, (std::vector<CellRun>{{8, 16}}));
+    EXPECT_TRUE(decided.empty());
     EXPECT_EQ(m.persistStateOf(poolBase + 8), PersistState::Persisted);
 }
 
