@@ -9,10 +9,8 @@
 #include <latch>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 
 #include "common/logging.hh"
-#include "lint/frontier.hh"
 #include "trace/buffer.hh"
 #include "trace/candidates.hh"
 #include "trace/iter.hh"
@@ -65,62 +63,6 @@ frontierOf(const ShadowPM &shadow, CampaignStats &stats)
 
 } // namespace
 
-/**
- * A cursor's non-anchor candidate state: the cells the shadow decided
- * while advancing, the lint frontier state that keys candidate
- * groups, and the groups this cursor has already rendered.
- */
-struct Driver::PreCursor::CsState
-{
-    explicit CsState(const DetectorConfig &cfg)
-        : lint(cfg.granularity, cfg.eadrOn())
-    {
-    }
-
-    /** Cells the entry being advanced over decided (scratch). */
-    std::vector<CellRun> decided;
-    /**
-     * Lint frontier state advanced to lintCursor — the equivalence
-     * signature feeding the candidate pruning key and the sampler
-     * stream (the same identity --backend=batched folds points by).
-     */
-    lint::FrontierState lint;
-    std::uint32_t lintCursor = 0;
-
-    /** One candidate equivalence group: sampler stream + global id. */
-    struct Group
-    {
-        std::uint64_t stream = 0;
-        std::uint32_t id = 0;
-    };
-    /** Ordering-point location + signature id (per cursor). */
-    struct GroupKey
-    {
-        const char *file;
-        unsigned line;
-        const char *func;
-        std::uint32_t sig;
-
-        bool operator==(const GroupKey &) const = default;
-    };
-    struct GroupKeyHash
-    {
-        std::size_t
-        operator()(const GroupKey &k) const
-        {
-            std::size_t h = std::hash<const void *>()(k.file);
-            h = h * 31 + std::hash<const void *>()(k.func);
-            return h * 31 + (std::size_t{k.line} << 32 | k.sig);
-        }
-    };
-    /**
-     * Rendered groups. Equal pointers name equal strings, so a key
-     * never maps to two groups; equal strings behind distinct
-     * pointers just render twice and intern to the same id.
-     */
-    std::unordered_map<GroupKey, Group, GroupKeyHash> groups;
-};
-
 Driver::PreCursor::PreCursor(AddrRange range,
                              const DetectorConfig &cfg,
                              const pm::CowImage &initial,
@@ -129,28 +71,22 @@ Driver::PreCursor::PreCursor(AddrRange range,
 {
     if (explore && (cfg.crashStatesOn() || cfg.crashImageMode)) {
         durable = initial;
-        cs = std::make_unique<CsState>(cfg);
-        shadow.reportDecided(&cs->decided);
+        shadow.reportDecided(&decided);
     }
 }
 
-Driver::PreCursor::~PreCursor() = default;
-
 /**
- * Campaign-global crash-state context: parsed --crash-states knobs
- * plus the equivalence-class pruning set all workers share.
+ * Campaign-global crash-state context: parsed --crash-states knobs,
+ * the plan's per-group sampler streams, and the equivalence-class
+ * pruning set all workers share.
  */
 struct Driver::CrashStateCtx
 {
     bool exhaustive = false;
     std::size_t sampleCount = 0;
+    /** Per group id (PointGroups::streams): the sampler stream. */
+    std::vector<std::uint64_t> streams;
     std::mutex lock;
-    /**
-     * Group string (location '|' signature) -> campaign-global id,
-     * dense in first-seen order. Ids are only compared for equality,
-     * so the order in which workers first see groups does not matter.
-     */
-    std::unordered_map<std::string, std::uint32_t> groupIds;
     /**
      * The pruning set, keyed on (group id, mask): per group id, each
      * mask's representative — the failure point whose run of that
@@ -264,7 +200,6 @@ Driver::advance(PreCursor &cur, const trace::TraceBuffer &pre,
     using trace::Op;
 
     ShadowPM &shadow = cur.shadow;
-    PreCursor::CsState *cs = cur.cs.get();
     for (std::uint32_t &i = cur.cursor; i < to; i++) {
         const auto &e = pre[i];
         bool detectable = e.has(trace::flagInRoi) &&
@@ -277,7 +212,7 @@ Driver::advance(PreCursor &cur, const trace::TraceBuffer &pre,
             if (!e.has(trace::flagImageOnly)) {
                 shadow.preWrite(e.addr, e.size, e.seq,
                                 e.op == Op::NtWrite);
-            } else if (cs) {
+            } else if (!cur.durable.empty()) {
                 // Allocator zero-fill and friends: image data with no
                 // persistence semantics. Both images take it at once,
                 // so it is never part of any frontier.
@@ -347,15 +282,15 @@ Driver::advance(PreCursor &cur, const trace::TraceBuffer &pre,
           default:
             break;
         }
-        if (cs && !cs->decided.empty()) {
+        if (!cur.decided.empty()) {
             // The oracle's persistCellBytes: a retired or freed cell's
             // content is decided, so the durable image takes its bytes
             // and candidates build on them.
-            for (const CellRun &r : cs->decided) {
+            for (const CellRun &r : cur.decided) {
                 cur.durable.copyFrom(cur.image, shadow.cellAddr(r.first),
                                      (r.end - r.first) * cfg.granularity);
             }
-            cs->decided.clear();
+            cur.decided.clear();
         }
     }
 }
@@ -430,8 +365,8 @@ void
 Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
                            const trace::TraceBuffer &pre,
                            const ProgramFn &post, std::uint32_t fp,
-                           BugSink &sink, CampaignStats &stats,
-                           const WorkerObs &wobs)
+                           std::uint32_t group, BugSink &sink,
+                           CampaignStats &stats, const WorkerObs &wobs)
 {
     obs::Timeline *tl = wobs.timeline;
     obs::SpanScope fp_span(tl, tl ? strprintf("fp#%u", fp)
@@ -483,9 +418,9 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
 
     // Partial candidates merge into the same per-point sink, each
     // annotated with its own persisted mask, before the hook fires.
-    if (csCtx && cur.cs) {
+    if (csCtx) {
         std::vector<trace::SubsetMask> masks =
-            planCrashStates(cur, pre, fp, cf, stats);
+            planCrashStates(pre, fp, group, cf, stats);
         if (!masks.empty()) {
             obs::SpanScope span(tl,
                                 tl ? strprintf("crash-states@fp#%u", fp)
@@ -750,59 +685,33 @@ Driver::recordFindings(const WorkerObs &wobs, std::uint32_t fp,
 }
 
 std::vector<trace::SubsetMask>
-Driver::planCrashStates(PreCursor &cur, const trace::TraceBuffer &pre,
-                        std::uint32_t fp, const CellFrontier &cf,
+Driver::planCrashStates(const trace::TraceBuffer &pre, std::uint32_t fp,
+                        std::uint32_t group, const CellFrontier &cf,
                         CampaignStats &stats)
 {
     std::vector<trace::SubsetMask> keep;
     if (cf.seqs.empty())
         return keep;
-    // Planning (group key, enumeration, prune lookups) bills to the
-    // plan phase, noted once per enumerated candidate so phase counts
-    // stay serial == parallel.
+    // Planning (enumeration, prune lookups) bills to the plan phase,
+    // noted once per enumerated candidate so phase counts stay
+    // serial == parallel.
     auto tp = std::chrono::steady_clock::now();
-    PreCursor::CsState &cs = *cur.cs;
     std::vector<trace::FrontierEvent> events;
     events.reserve(cf.seqs.size());
     for (std::uint32_t s : cf.seqs)
         events.push_back(trace::FrontierEvent{s, pre[s].addr, pre[s].size});
     trace::CandidateSet cset(std::move(events), cf.chains);
 
-    // Candidate equivalence class: ordering-point source location +
-    // lint frontier signature — the identity --backend=batched folds
-    // failure points by. It keys both the sampler stream (equivalent
-    // points sample identical mask sequences, keeping full, delta and
-    // batched schedules fingerprint-identical) and the campaign-global
-    // pruning set. Its string renders and hashes once per (location,
-    // signature) per cursor and interns to a campaign-global id.
-    for (; cs.lintCursor < fp; cs.lintCursor++)
-        cs.lint.apply(pre[cs.lintCursor]);
-    lint::FrontierSignature sig = cs.lint.signature();
-    const trace::SrcLoc &loc = pre[fp].loc;
-    auto [git, fresh_group] =
-        cs.groups.try_emplace({loc.file, loc.line, loc.func, sig.id()});
-    PreCursor::CsState::Group &group = git->second;
-    if (fresh_group) {
-        std::string str = loc.str() + '|' + sig.str();
-        group.stream = 1469598103934665603ull; // FNV-1a 64
-        for (char ch : str)
-            group.stream = (group.stream ^ static_cast<unsigned char>(ch)) *
-                           1099511628211ull;
-        std::lock_guard<std::mutex> lock(csCtx->lock);
-        auto [it, fresh] = csCtx->groupIds.try_emplace(
-            std::move(str),
-            static_cast<std::uint32_t>(csCtx->groupIds.size()));
-        if (fresh)
-            csCtx->seen.emplace_back();
-        group.id = it->second;
-    }
-
+    // The point's equivalence group (PointGroups, fixed at plan time)
+    // keys both the sampler stream — equivalent points sample
+    // identical mask sequences, keeping full, delta and batched
+    // schedules fingerprint-identical — and the pruning set.
     trace::CandidateSet::EnumerateOptions eopt;
     eopt.exhaustive = csCtx->exhaustive;
     eopt.frontierLimit = cfg.oracleFrontierLimit;
     eopt.sampleCount = csCtx->sampleCount;
     eopt.seed = cfg.crashStatesSeed;
-    eopt.stream = group.stream;
+    eopt.stream = csCtx->streams[group];
     auto en = cset.enumerate(eopt);
     std::size_t enumerated = en.masks.size() - 1;
     stats.crashStatesEnumerated += enumerated;
@@ -816,7 +725,7 @@ Driver::planCrashStates(PreCursor &cur, const trace::TraceBuffer &pre,
         bool fresh;
         {
             std::lock_guard<std::mutex> lock(csCtx->lock);
-            auto it = csCtx->seen[group.id].try_emplace(mask, fp);
+            auto it = csCtx->seen[group].try_emplace(mask, fp);
             rep = it.first->second;
             fresh = it.second;
         }
@@ -922,39 +831,52 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
         result.stats.phases.note(obs::Phase::Plan, secondsSince(t0));
     }
 
-    // Step 2b (--backend=batched): group planned points by frontier
-    // signature — an earlier kept point at the same ordering-point
-    // source location exposed an identical frontier signature, so the
-    // post-failure stage can only rediscover the representative's
-    // findings. Each group is one scheduling unit; only its
-    // representative executes. The oracle differential campaign
-    // re-checks every folded point against its representative.
+    // Step 2b: group the planned points by candidate equivalence —
+    // same ordering-point location, same lint frontier signature —
+    // once, before any point runs. Under --backend=batched each group
+    // is one scheduling unit and only its representative executes
+    // (the post-failure stage could only rediscover its findings; the
+    // oracle differential campaign re-checks every folded point).
+    // --crash-states samples and prunes per group.
     std::uint32_t total_units =
         static_cast<std::uint32_t>(plan.points.size());
+    PointGroups groups;
+    if (groupsFailurePoints(cfg) && !plan.points.empty()) {
+        obs::SpanScope span(tl, "group-failure-points", "phase", 0);
+        auto t0 = std::chrono::steady_clock::now();
+        groups = groupFailurePoints(pre_trace, plan.points, cfg);
+        result.stats.phases.note(obs::Phase::LintPrune,
+                                 secondsSince(t0));
+    }
     struct WorkItem
     {
         std::uint32_t fp;
         std::uint32_t weight;
+        std::uint32_t group;
     };
     std::vector<WorkItem> schedule;
-    if (cfg.batchingOn() && !plan.points.empty()) {
-        obs::SpanScope span(tl, "plan-batches", "phase", 0);
-        auto t0 = std::chrono::steady_clock::now();
-        BatchPlan batches = planBatches(pre_trace, plan.points,
-                                        cfg.granularity, cfg.eadrOn());
+    if (cfg.batchingOn()) {
+        const BatchPlan &batches = groups.batches;
         result.stats.lintPrunedPoints = batches.foldedPoints();
         result.stats.batchGroups = batches.groups.size();
         schedule.reserve(batches.groups.size());
-        for (const auto &g : batches.groups) {
+        for (std::uint32_t g = 0; g < batches.groups.size(); g++) {
             schedule.push_back(
-                {g.rep, static_cast<std::uint32_t>(g.weight())});
+                {batches.groups[g].rep,
+                 static_cast<std::uint32_t>(batches.groups[g].weight()),
+                 g});
         }
-        result.stats.phases.note(obs::Phase::LintPrune,
-                                 secondsSince(t0));
     } else {
         schedule.reserve(plan.points.size());
-        for (std::uint32_t fp : plan.points)
-            schedule.push_back({fp, 1});
+        for (std::size_t i = 0; i < plan.points.size(); i++) {
+            schedule.push_back(
+                {plan.points[i], 1,
+                 groups.groupOf.empty() ? 0 : groups.groupOf[i]});
+        }
+    }
+    if (csCtx) {
+        cs_ctx.streams = std::move(groups.streams);
+        cs_ctx.seen.resize(cs_ctx.streams.size());
     }
     result.stats.failurePoints = schedule.size();
     result.stats.orderingCandidates = plan.candidates;
@@ -1066,8 +988,8 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
             if (i >= schedule.size())
                 break;
             handleFailurePoint(cursors[t], *exec_pool, pre_trace, post,
-                               schedule[i].fp, item_sinks[i], stats[t],
-                               wobs);
+                               schedule[i].fp, schedule[i].group,
+                               item_sinks[i], stats[t], wobs);
             bool progress = observer && observer->wantsProgress();
             if (progress || live) {
                 std::size_t before = seen.size();

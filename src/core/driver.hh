@@ -240,7 +240,9 @@ class Driver
          */
         PreCursor(AddrRange range, const DetectorConfig &cfg,
                   const pm::CowImage &initial, bool explore);
-        ~PreCursor();
+        /** The shadow reports into decided, so the cursor stays put. */
+        PreCursor(const PreCursor &) = delete;
+        PreCursor &operator=(const PreCursor &) = delete;
 
         ShadowPM shadow;
         /** All updates applied (the paper's footnote-3 image). */
@@ -248,9 +250,14 @@ class Driver
         /**
          * The working image minus the shadow's open cells: the
          * all-zero candidate, and the base every other candidate
-         * builds on. Maintained only when cs is set.
+         * builds on. Empty in anchor-only campaigns.
          */
         pm::CowImage durable;
+        /**
+         * Cells the entry being advanced over decided (scratch): the
+         * shadow reports them while durable is maintained.
+         */
+        std::vector<CellRun> decided;
         /** Pre-trace entries applied so far. */
         std::uint32_t cursor = 0;
         /** TX_ADD ranges of the open transaction (perf bugs). */
@@ -278,15 +285,6 @@ class Driver
          */
         std::set<std::uint32_t> candidatePages;
         /** @} */
-
-        /**
-         * Non-anchor candidate state: the cells the shadow decided
-         * (copied into the durable image) and the lint frontier
-         * state that keys candidate groups. Null in anchor-only
-         * campaigns.
-         */
-        struct CsState;
-        std::unique_ptr<CsState> cs;
     };
 
     /**
@@ -313,16 +311,17 @@ class Driver
     };
 
     /**
-     * Handle failure point @p fp end to end on @p exec_pool: advance
-     * the cursors, restore the anchor image, then run the point's own
-     * candidate (all-ones mask, or all-zero under --crash-image) and
-     * the partial masks --crash-states keeps.
+     * Handle failure point @p fp of equivalence group @p group end to
+     * end on @p exec_pool: advance the cursors, restore the anchor
+     * image, then run the point's own candidate (all-ones mask, or
+     * all-zero under --crash-image) and the partial masks
+     * --crash-states keeps.
      */
     void handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
                             const trace::TraceBuffer &pre,
                             const ProgramFn &post, std::uint32_t fp,
-                            BugSink &sink, CampaignStats &stats,
-                            const WorkerObs &wobs);
+                            std::uint32_t group, BugSink &sink,
+                            CampaignStats &stats, const WorkerObs &wobs);
 
     /**
      * Restore @p exec_pool to the working (footnote-3) image as of
@@ -388,15 +387,16 @@ class Driver
     /**
      * Plan partial crash-state candidates at failure point @p fp
      * (--crash-states=sample:<n>|exhaustive): enumerate the legal
-     * persisted subsets of frontier @p cf from the cursor's shadow
-     * and equivalence-prune them against the campaign-global
-     * seen set. Executes nothing; accounts enumeration and pruning
-     * in @p stats and bills its time to the plan phase.
+     * persisted subsets of frontier @p cf on equivalence group
+     * @p group's sampler stream and prune them against the group's
+     * campaign-global seen set. Executes nothing; accounts
+     * enumeration and pruning in @p stats and bills its time to the
+     * plan phase.
      * @return the masks to execute, in enumeration order.
      */
     std::vector<trace::SubsetMask>
-    planCrashStates(PreCursor &cur, const trace::TraceBuffer &pre,
-                    std::uint32_t fp, const CellFrontier &cf,
+    planCrashStates(const trace::TraceBuffer &pre, std::uint32_t fp,
+                    std::uint32_t group, const CellFrontier &cf,
                     CampaignStats &stats);
 
     /**
@@ -434,9 +434,10 @@ class Driver
 
     /**
      * Campaign-global crash-state exploration context (parsed mode
-     * knobs + the equivalence-class pruning set shared by every
-     * worker). Set by runParallel() while a --crash-states campaign
-     * is in flight, cleared before it returns; null otherwise.
+     * knobs, per-group sampler streams and the equivalence-class
+     * pruning set shared by every worker). Set by runParallel() while
+     * a --crash-states campaign is in flight, cleared before it
+     * returns; null otherwise.
      */
     struct CrashStateCtx;
     CrashStateCtx *csCtx = nullptr;

@@ -1,8 +1,5 @@
 #include "core/failure_planner.hh"
 
-#include <algorithm>
-#include <map>
-
 #include "lint/lint.hh"
 #include "trace/iter.hh"
 
@@ -66,46 +63,69 @@ planFailurePoints(const trace::TraceBuffer &pre, const DetectorConfig &cfg)
     return plan;
 }
 
+namespace
+{
+
+/**
+ * The batched schedule of @p v's groups: group g's representative is
+ * kept[g], and every other point of the group folds into it. The
+ * grouping identity is exactly the lint pass's prunability relation;
+ * the equivalence is load-bearing — test_lint_e2e proves kept-only
+ * campaigns keep byte-identical findings, which is what lets a
+ * representative's run stand in for its members.
+ */
+BatchPlan
+batchesOf(const std::vector<std::uint32_t> &points,
+          const lint::PruneVerdicts &v)
+{
+    BatchPlan plan;
+    plan.groups.reserve(v.kept.size());
+    for (std::uint32_t rep : v.kept)
+        plan.groups.push_back(BatchGroup{rep, {}});
+    for (std::size_t i = 0; i < points.size(); i++) {
+        BatchGroup &g = plan.groups[v.group[i]];
+        if (points[i] != g.rep)
+            g.folded.push_back(points[i]);
+    }
+    return plan;
+}
+
+} // namespace
+
 BatchPlan
 planBatches(const trace::TraceBuffer &pre,
             const std::vector<std::uint32_t> &points,
             unsigned granularity, bool flushFree)
 {
-    // The grouping identity is exactly the lint pass's prunability
-    // relation: each kept point seeds a group, each pruned point
-    // folds into its kept representative's group. The equivalence is
-    // load-bearing — test_lint_e2e proves kept-only campaigns keep
-    // byte-identical findings, which is what lets a representative's
-    // run stand in for its members.
-    lint::PruneVerdicts v =
-        lint::computePruneVerdicts(pre, points, granularity, flushFree);
+    return batchesOf(points, lint::computePruneVerdicts(
+                                 pre, points, granularity, flushFree));
+}
 
-    BatchPlan plan;
-    std::map<std::uint32_t, std::size_t> group_of;
-    plan.groups.reserve(v.kept.size());
-    for (std::uint32_t rep : v.kept) {
-        group_of[rep] = plan.groups.size();
-        plan.groups.push_back(BatchGroup{rep, {}});
+bool
+groupsFailurePoints(const DetectorConfig &cfg)
+{
+    return cfg.batchingOn() || (cfg.crashStatesOn() && !cfg.eadrOn());
+}
+
+PointGroups
+groupFailurePoints(const trace::TraceBuffer &pre,
+                   const std::vector<std::uint32_t> &points,
+                   const DetectorConfig &cfg)
+{
+    bool sample = cfg.crashStatesOn() && !cfg.eadrOn();
+    lint::PruneVerdicts v = lint::computePruneVerdicts(
+        pre, points, cfg.granularity, cfg.eadrOn(), sample);
+    PointGroups g;
+    g.batches = batchesOf(points, v);
+    g.groupOf = std::move(v.group);
+    g.streams.reserve(v.keys.size());
+    for (const std::string &key : v.keys) {
+        std::uint64_t h = 1469598103934665603ull; // FNV-1a 64
+        for (char ch : key)
+            h = (h ^ static_cast<unsigned char>(ch)) * 1099511628211ull;
+        g.streams.push_back(h);
     }
-    for (const auto &p : v.pruned) {
-        auto it = group_of.find(p.keptRep);
-        if (it == group_of.end()) {
-            // A pruned point always names a kept representative; be
-            // defensive and promote it rather than lose coverage.
-            group_of[p.fp] = plan.groups.size();
-            plan.groups.push_back(BatchGroup{p.fp, {}});
-            continue;
-        }
-        plan.groups[it->second].folded.push_back(p.fp);
-    }
-    // kept is in plan order (ascending); keep the schedule sorted by
-    // representative so each worker's pulls stay monotonic and the
-    // final merge order matches the serial campaign's.
-    std::sort(plan.groups.begin(), plan.groups.end(),
-              [](const BatchGroup &a, const BatchGroup &b) {
-                  return a.rep < b.rep;
-              });
-    return plan;
+    return g;
 }
 
 } // namespace xfd::core

@@ -98,7 +98,47 @@ struct BatchPlan
  */
 BatchPlan planBatches(const trace::TraceBuffer &pre,
                       const std::vector<std::uint32_t> &points,
-                      unsigned granularity, bool flushFree = false);
+                      unsigned granularity, bool flushFree);
+
+/**
+ * A campaign's candidate equivalence, decided once before any point
+ * runs: two planned points are equivalent when their ordering points
+ * share a source location (file, line, function) and the lint
+ * frontier signature before them is equal. The batched backend folds
+ * each group into its representative; --crash-states samples and
+ * prunes per group.
+ */
+struct PointGroups
+{
+    /** Per planned point: its group id, dense in first-seen order. */
+    std::vector<std::uint32_t> groupOf;
+    /**
+     * The batched schedule, indexed by group id; a representative is
+     * its group's first point, so the schedule is ascending.
+     */
+    BatchPlan batches;
+    /**
+     * Per group id, the crash-state sampler stream: FNV-1a 64 of
+     * SrcLoc::str() + '|' + the signature's str(). Filled only for
+     * --crash-states under clwb (under eADR every frontier is empty).
+     */
+    std::vector<std::uint64_t> streams;
+};
+
+/**
+ * Whether a campaign under @p cfg needs its points grouped: it runs
+ * the batched backend, or --crash-states under clwb.
+ */
+bool groupsFailurePoints(const DetectorConfig &cfg);
+
+/**
+ * Group @p points (ascending, from planFailurePoints) under @p cfg's
+ * granularity and persistency model: the one source of the groups
+ * the detector and the differential oracle use.
+ */
+PointGroups groupFailurePoints(const trace::TraceBuffer &pre,
+                               const std::vector<std::uint32_t> &points,
+                               const DetectorConfig &cfg);
 
 } // namespace xfd::core
 

@@ -192,6 +192,10 @@ CommitVarInferenceResult inferCommitVars(const trace::TraceBuffer &pre,
  * (findings deduplicate by source location, and recovery-failure
  * reports carry the failure point's location, which is shared within
  * the group).
+ *
+ * The same relation is the detector's candidate equivalence: points
+ * of one group share a batch representative, a crash-state sampler
+ * stream and a crash-state pruning set (core::groupFailurePoints).
  */
 struct PruneVerdicts
 {
@@ -202,10 +206,17 @@ struct PruneVerdicts
         std::uint32_t keptRep = 0;
     };
 
-    /** Points to run, in plan order (subset of the input). */
+    /** Points to run, in plan order: one per group, by group id. */
     std::vector<std::uint32_t> kept;
     /** Points proven statically redundant. */
     std::vector<Pruned> pruned;
+    /** Per input point, its group id: kept[group[i]] stands for it. */
+    std::vector<std::uint32_t> group;
+    /**
+     * Per group id, when requested: SrcLoc::str() + '|' + the
+     * signature's str().
+     */
+    std::vector<std::string> keys;
 
     double
     pruneRatio() const
@@ -249,14 +260,17 @@ LintReport runLint(const trace::TraceBuffer &pre, const LintConfig &cfg,
 
 /**
  * Compute only the prunability verdicts for @p points (ascending seq
- * order, as produced by core::planFailurePoints) at @p granularity.
- * @p flushFree selects the eADR frontier semantics and must match the
- * campaign's persistency model.
+ * order, as produced by core::planFailurePoints) at @p granularity:
+ * one frontier walk that keys each point on (file, line, function,
+ * signature). @p flushFree selects the eADR frontier semantics and
+ * must match the campaign's persistency model. @p renderKeys fills
+ * PruneVerdicts::keys, rendering one signature string per group;
+ * without it the walk renders none.
  */
 PruneVerdicts computePruneVerdicts(const trace::TraceBuffer &pre,
                                    const std::vector<std::uint32_t> &points,
-                                   unsigned granularity,
-                                   bool flushFree = false);
+                                   unsigned granularity, bool flushFree,
+                                   bool renderKeys = false);
 
 /** Multi-line human-readable report (the lint scoreboard). */
 std::string renderText(const LintReport &rep);

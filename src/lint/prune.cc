@@ -28,33 +28,36 @@ namespace xfd::lint
 PruneVerdicts
 computePruneVerdicts(const trace::TraceBuffer &pre,
                      const std::vector<std::uint32_t> &points,
-                     unsigned granularity, bool flushFree)
+                     unsigned granularity, bool flushFree, bool renderKeys)
 {
     PruneVerdicts v;
     if (points.empty())
         return v;
 
     FrontierState st(granularity, flushFree);
-    // Ordering-point location -> interned signature id -> kept
-    // representative.
+    // Ordering-point location -> interned signature id -> group id.
     std::map<std::string, std::unordered_map<std::uint32_t, std::uint32_t>>
         seen;
+    v.group.reserve(points.size());
 
     std::size_t next = 0;
     for (const auto &e : pre) {
         if (next < points.size() && e.seq == points[next]) {
             // The failure preempts this entry, so the signature is
             // the state *before* it applies.
-            std::string group =
-                strprintf("%s:%u", e.loc.file, e.loc.line);
-            auto [it, fresh] =
-                seen[group].try_emplace(st.signature().id(), e.seq);
+            std::string where = e.loc.str();
+            FrontierSignature sig = st.signature();
+            auto [it, fresh] = seen[where].try_emplace(
+                sig.id(), static_cast<std::uint32_t>(v.kept.size()));
             if (fresh) {
                 v.kept.push_back(e.seq);
+                if (renderKeys)
+                    v.keys.push_back(where + '|' + sig.str());
             } else {
                 v.pruned.push_back(
-                    PruneVerdicts::Pruned{e.seq, it->second});
+                    PruneVerdicts::Pruned{e.seq, v.kept[it->second]});
             }
+            v.group.push_back(it->second);
             next++;
         }
         st.apply(e);

@@ -7,8 +7,7 @@
 #include <mutex>
 
 #include "common/logging.hh"
-#include "lint/frontier.hh"
-#include "lint/lint.hh"
+#include "core/failure_planner.hh"
 #include "obs/json.hh"
 #include "trace/serialize.hh"
 
@@ -240,17 +239,14 @@ runDifferentialCampaign(pm::PmPool &pool, const core::ProgramFn &pre,
     // including, under --backend=batched, the points the detector
     // folded into representatives: the oracle runs those for real and
     // their anchor classes must match what the detector reported at
-    // the kept representative.
+    // the kept representative. The groups come from the detector's
+    // own grouping function under the same config; the oracle checks
+    // their soundness by running every member, never re-derives them.
     core::FailurePlan plan = core::planFailurePoints(preTrace, dcfg);
     rep.failurePoints = plan.points.size();
-
-    std::map<std::uint32_t, std::uint32_t> prunedRep;
-    if (dcfg.batchingOn() && !plan.points.empty()) {
-        lint::PruneVerdicts v = lint::computePruneVerdicts(
-            preTrace, plan.points, dcfg.granularity);
-        for (const auto &p : v.pruned)
-            prunedRep[p.fp] = p.keptRep;
-    }
+    core::PointGroups groups;
+    if (core::groupsFailurePoints(dcfg))
+        groups = core::groupFailurePoints(preTrace, plan.points, dcfg);
 
     OracleConfig ocfg;
     ocfg.exhaustive = cfg.exhaustive;
@@ -274,11 +270,6 @@ runDifferentialCampaign(pm::PmPool &pool, const core::ProgramFn &pre,
     }
     CrashStateOracle oracle(preTrace, initial, ocfg);
 
-    // Mirror of the detector's candidate equivalence-class identity
-    // (ordering-point location + lint frontier signature): keys the
-    // sampler stream and resolves its pruning records.
-    lint::FrontierState lintState(dcfg.granularity, dcfg.eadrOn());
-    std::uint32_t lintCursor = 0;
     // Oracle verdicts by (point, mask hex), kept only for re-checking
     // the detector's equivalence-pruned candidates.
     std::map<std::uint32_t,
@@ -289,36 +280,28 @@ runDifferentialCampaign(pm::PmPool &pool, const core::ProgramFn &pre,
 
     bool wrotePreTrace = false;
     auto toracle = std::chrono::steady_clock::now();
-    for (std::uint32_t fp : plan.points) {
+    for (std::size_t i = 0; i < plan.points.size(); i++) {
+        std::uint32_t fp = plan.points[i];
         FpAgreement a;
         a.fp = fp;
-        auto pruned = prunedRep.find(fp);
-        std::uint32_t detectorFp =
-            pruned == prunedRep.end() ? fp : pruned->second;
-        if (pruned != prunedRep.end()) {
-            a.prunedRecheck = true;
-            rep.prunedRechecked++;
+        std::uint32_t detectorFp = fp;
+        if (dcfg.batchingOn()) {
+            detectorFp = groups.batches.groups[groups.groupOf[i]].rep;
+            if (detectorFp != fp) {
+                a.prunedRecheck = true;
+                rep.prunedRechecked++;
+            }
         }
 
-        // Reproduce the detector's sampler stream for this point (the
-        // FNV-1a hash of its equivalence class) and hand the oracle
-        // the masks the detector's findings were first exposed on, so
-        // a verdict exists at every one of them even if enumeration
-        // drifts.
-        std::uint64_t stream = 0;
+        // Run the point on the detector's sampler stream for its
+        // equivalence group, and hand the oracle the masks the
+        // detector's findings were first exposed on, so a verdict
+        // exists at every one of them even if enumeration drifts.
         const std::uint64_t *streamPtr = nullptr;
         std::vector<trace::SubsetMask> detMasks;
         const std::vector<trace::SubsetMask> *extraMasks = nullptr;
         if (csOn) {
-            for (; lintCursor < fp; lintCursor++)
-                lintState.apply(preTrace[lintCursor]);
-            std::string group = preTrace[fp].loc.str() + '|' +
-                                lintState.signature().str();
-            stream = 1469598103934665603ull; // FNV-1a 64
-            for (char ch : group)
-                stream = (stream ^ static_cast<unsigned char>(ch)) *
-                         1099511628211ull;
-            streamPtr = &stream;
+            streamPtr = &groups.streams[groups.groupOf[i]];
             auto mit = detectorByFpMask.find(detectorFp);
             if (mit != detectorByFpMask.end()) {
                 for (const auto &[m, classes] : mit->second)

@@ -20,9 +20,10 @@
  *    marks the report unclean.
  *  - Under --crash-states the detector explores partial candidates
  *    itself. The harness then mirrors the detector's enumeration
- *    knobs and per-point sampler stream (the equivalence-class hash
- *    of DESIGN.md §14), so the oracle materializes the same masks,
- *    and checks two more properties: every detector finding first
+ *    knobs and runs each point on its group's sampler stream, taken
+ *    from the detector's own grouping (core::groupFailurePoints,
+ *    DESIGN.md §14), so the oracle materializes the same masks, and
+ *    checks two more properties: every detector finding first
  *    exposed on a partial image must be reproduced by the oracle's
  *    candidate at the same mask, and every candidate the detector
  *    pruned as equivalent must get the same oracle verdict as the

@@ -176,7 +176,7 @@ struct BatchPlanTest : ::testing::Test
     planned(unsigned granularity = 1)
     {
         FailurePlan p = planFailurePoints(buf, DetectorConfig{});
-        return planBatches(buf, p.points, granularity);
+        return planBatches(buf, p.points, granularity, false);
     }
 
     pm::PmPool pool;
@@ -193,24 +193,29 @@ TEST_F(BatchPlanTest, EveryPointInExactlyOneGroup)
         rt.persistBarrier(pool.at<int>(0), 4);
     }
     rt.roiEnd();
-    FailurePlan p = planFailurePoints(buf, DetectorConfig{});
-    ASSERT_EQ(p.points.size(), 4u);
-    BatchPlan bp = planBatches(buf, p.points, 1);
-    EXPECT_EQ(bp.totalPoints(), p.points.size());
+    for (const char *model : {"clwb", "eadr"}) {
+        SCOPED_TRACE(model);
+        DetectorConfig cfg;
+        cfg.pmModel = model;
+        FailurePlan p = planFailurePoints(buf, cfg);
+        ASSERT_EQ(p.points.size(), 4u);
+        BatchPlan bp = planBatches(buf, p.points, 1, cfg.eadrOn());
+        EXPECT_EQ(bp.totalPoints(), p.points.size());
 
-    std::vector<std::uint32_t> covered;
-    for (const auto &g : bp.groups) {
-        covered.push_back(g.rep);
-        EXPECT_EQ(g.weight(), 1 + g.folded.size());
-        std::uint32_t prev = g.rep;
-        for (std::uint32_t f : g.folded) {
-            EXPECT_GT(f, prev); // ascending, excludes rep
-            prev = f;
-            covered.push_back(f);
+        std::vector<std::uint32_t> covered;
+        for (const auto &g : bp.groups) {
+            covered.push_back(g.rep);
+            EXPECT_EQ(g.weight(), 1 + g.folded.size());
+            std::uint32_t prev = g.rep;
+            for (std::uint32_t f : g.folded) {
+                EXPECT_GT(f, prev); // ascending, excludes rep
+                prev = f;
+                covered.push_back(f);
+            }
         }
+        std::sort(covered.begin(), covered.end());
+        EXPECT_EQ(covered, p.points); // exactly once, nothing extra
     }
-    std::sort(covered.begin(), covered.end());
-    EXPECT_EQ(covered, p.points); // exactly once, nothing extra
 }
 
 TEST_F(BatchPlanTest, IdenticalIterationsFoldToOneGroup)
@@ -244,7 +249,7 @@ TEST_F(BatchPlanTest, DistinctFrontiersStaySeparate)
 
 TEST_F(BatchPlanTest, EmptyPointListPlansNothing)
 {
-    BatchPlan bp = planBatches(buf, {}, 1);
+    BatchPlan bp = planBatches(buf, {}, 1, false);
     EXPECT_TRUE(bp.groups.empty());
     EXPECT_EQ(bp.totalPoints(), 0u);
 }

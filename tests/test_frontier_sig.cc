@@ -10,9 +10,13 @@
  * reference and checks it at every planned point of every workload's
  * pre-trace (both persistency models, granularity 1 and 8) and of
  * seeded random traces; the FrontierSigFuzz cases replay one seed via
- * XFD_FUZZ_SEED. Golden campaign counts recorded before the rework pin
- * the end-to-end effect, and the page-set scans in pm/ are checked
- * against byte-wise references.
+ * XFD_FUZZ_SEED. A second reference keeps the driver's former
+ * per-cursor group derivation (a frontier walk per cursor, the group
+ * string and its FNV-1a 64 sampler stream); the plan's groups,
+ * representatives and streams (core::groupFailurePoints) must match
+ * it on every workload and registry entry. Golden campaign counts
+ * recorded before the rework pin the end-to-end effect, and the
+ * page-set scans in pm/ are checked against byte-wise references.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "bugsuite/registry.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "core/failure_planner.hh"
@@ -32,6 +37,7 @@
 #include "lint/lint.hh"
 #include "pm/cow.hh"
 #include "pm/pool.hh"
+#include "pmlib/objpool.hh"
 #include "trace/runtime.hh"
 #include "workloads/workload.hh"
 
@@ -352,22 +358,141 @@ smallConfig(const std::string &name)
     return wcfg;
 }
 
-/** The pre-failure trace a campaign captures for @p name. */
+/** The pre-failure trace a campaign captures from @p program. */
 TraceBuffer
-preTrace(const std::string &name, bool elideSameValue)
+capturePre(const core::ProgramFn &program, bool elideSameValue)
 {
-    auto w = workloads::makeWorkload(name, smallConfig(name));
     pm::PmPool pool(xfdtest::defaultPoolBytes);
     TraceBuffer pre;
     trace::PmRuntime rt(pool, pre, trace::Stage::PreFailure);
     rt.setBatching(true);
     rt.setSameValueElision(elideSameValue);
     try {
-        w->pre(rt);
+        program(rt);
     } catch (const trace::StageComplete &) {
     }
     rt.setBatching(false);
     return pre;
+}
+
+/** The pre-failure trace a campaign captures for @p name. */
+TraceBuffer
+preTrace(const std::string &name, bool elideSameValue)
+{
+    auto w = workloads::makeWorkload(name, smallConfig(name));
+    return capturePre([&](trace::PmRuntime &rt) { w->pre(rt); },
+                      elideSameValue);
+}
+
+/** The pre-failure trace of a registered case at its own size. */
+TraceBuffer
+bugCaseTrace(const bugsuite::BugCase &c)
+{
+    if (c.workload == "pool_create") {
+        return capturePre(
+            [](trace::PmRuntime &rt) {
+                trace::RoiScope roi(rt);
+                pmlib::ObjPool::create(rt, "bug4", 64);
+            },
+            false);
+    }
+    workloads::WorkloadConfig wcfg;
+    wcfg.initOps = c.initOps;
+    wcfg.testOps = c.testOps;
+    wcfg.postOps = c.postOps;
+    wcfg.roiFromStart = c.roiFromStart;
+    if (c.workload == "memcached")
+        wcfg.memcachedCapacity = 8;
+    if (!c.id.empty())
+        wcfg.bugs.enable(c.id);
+    auto w = workloads::makeWorkload(c.workload, std::move(wcfg));
+    return capturePre([&](trace::PmRuntime &rt) { w->pre(rt); }, false);
+}
+
+/**
+ * The per-cursor group derivation the driver used before groups were
+ * fixed at plan time: a lint::FrontierState advanced to each planned
+ * point, the group string SrcLoc::str() + '|' + signature().str(), one
+ * group per distinct string in first-seen order, and the string's
+ * FNV-1a 64 hash as the group's sampler stream.
+ */
+struct RefGroups
+{
+    std::vector<std::uint32_t> groupOf;
+    std::vector<std::uint32_t> reps;
+    std::vector<std::uint64_t> streams;
+};
+
+RefGroups
+refCursorGroups(const TraceBuffer &pre,
+                const std::vector<std::uint32_t> &points, unsigned gran,
+                bool flushFree)
+{
+    RefGroups r;
+    lint::FrontierState st(gran, flushFree);
+    std::map<std::string, std::uint32_t> ids;
+    std::uint32_t cursor = 0;
+    for (std::uint32_t fp : points) {
+        for (; cursor < fp; cursor++)
+            st.apply(pre[cursor]);
+        std::string key = pre[fp].loc.str() + '|' + st.signature().str();
+        auto [it, fresh] = ids.try_emplace(
+            key, static_cast<std::uint32_t>(r.reps.size()));
+        if (fresh) {
+            r.reps.push_back(fp);
+            std::uint64_t h = 1469598103934665603ull;
+            for (char ch : key)
+                h = (h ^ static_cast<unsigned char>(ch)) * 1099511628211ull;
+            r.streams.push_back(h);
+        }
+        r.groupOf.push_back(it->second);
+    }
+    return r;
+}
+
+/**
+ * The plan's groups under @p dcfg with --crash-states on against the
+ * per-cursor reference: the same partition and representatives,
+ * planBatches' schedule the same groups, and under clwb the same
+ * sampler streams. Under eADR the plan renders no stream.
+ */
+void
+expectGroupsMatchCursorReference(const TraceBuffer &pre,
+                                 const std::vector<std::uint32_t> &points,
+                                 core::DetectorConfig dcfg,
+                                 const std::string &what)
+{
+    SCOPED_TRACE(strprintf("%s gran=%u %s", what.c_str(),
+                           dcfg.granularity, dcfg.pmModel.c_str()));
+    RefGroups want =
+        refCursorGroups(pre, points, dcfg.granularity, dcfg.eadrOn());
+    std::vector<core::BatchGroup> members(want.reps.size());
+    for (std::size_t g = 0; g < want.reps.size(); g++)
+        members[g].rep = want.reps[g];
+    for (std::size_t i = 0; i < points.size(); i++) {
+        core::BatchGroup &g = members[want.groupOf[i]];
+        if (points[i] != g.rep)
+            g.folded.push_back(points[i]);
+    }
+    auto expectSchedule = [&](const core::BatchPlan &bp) {
+        ASSERT_EQ(bp.groups.size(), members.size());
+        for (std::size_t g = 0; g < members.size(); g++) {
+            EXPECT_EQ(bp.groups[g].rep, members[g].rep) << "group " << g;
+            EXPECT_EQ(bp.groups[g].folded, members[g].folded)
+                << "group " << g;
+        }
+    };
+
+    dcfg.crashStates = "sample:8";
+    core::PointGroups got = core::groupFailurePoints(pre, points, dcfg);
+    EXPECT_EQ(got.groupOf, want.groupOf);
+    expectSchedule(got.batches);
+    if (dcfg.eadrOn())
+        EXPECT_TRUE(got.streams.empty());
+    else
+        EXPECT_EQ(got.streams, want.streams);
+    expectSchedule(core::planBatches(pre, points, dcfg.granularity,
+                                     dcfg.eadrOn()));
 }
 
 TEST(FrontierSig, MatchesReferenceOnEveryWorkload)
@@ -375,6 +500,7 @@ TEST(FrontierSig, MatchesReferenceOnEveryWorkload)
     for (const std::string &name : workloads::workloadNames()) {
         for (bool elide : {false, true}) {
             TraceBuffer pre = preTrace(name, elide);
+            std::string what = name + (elide ? " elided" : "");
             for (const char *model : {"clwb", "eadr"}) {
                 core::DetectorConfig dcfg;
                 dcfg.pmModel = model;
@@ -382,11 +508,33 @@ TEST(FrontierSig, MatchesReferenceOnEveryWorkload)
                     core::planFailurePoints(pre, dcfg).points;
                 ASSERT_FALSE(points.empty()) << name;
                 for (unsigned gran : {1u, 8u}) {
-                    expectMatchesReference(
-                        pre, points, gran, dcfg.eadrOn(),
-                        name + (elide ? " elided" : ""));
+                    expectMatchesReference(pre, points, gran,
+                                           dcfg.eadrOn(), what);
+                    dcfg.granularity = gran;
+                    expectGroupsMatchCursorReference(pre, points, dcfg,
+                                                     what);
                 }
+                // Batched planning alone renders no signature string.
+                dcfg.backend = "batched";
+                core::PointGroups batched =
+                    core::groupFailurePoints(pre, points, dcfg);
+                EXPECT_EQ(batched.batches.totalPoints(), points.size());
+                EXPECT_TRUE(batched.streams.empty()) << what;
             }
+        }
+    }
+}
+
+TEST(FrontierSig, PlanGroupsMatchCursorReferenceOnEveryRegistryEntry)
+{
+    for (const bugsuite::BugCase &c : bugsuite::allBugCases()) {
+        std::string what = c.id.empty() ? c.workload : c.id;
+        TraceBuffer pre = bugCaseTrace(c);
+        for (const char *model : {"clwb", "eadr"}) {
+            core::DetectorConfig dcfg;
+            dcfg.pmModel = model;
+            expectGroupsMatchCursorReference(
+                pre, core::planFailurePoints(pre, dcfg).points, dcfg, what);
         }
     }
 }

@@ -357,13 +357,20 @@ TEST(LintPrune, IdenticalIterationsPrune)
     ASSERT_EQ(points.size(), 4u);
 
     lint::PruneVerdicts v =
-        lint::computePruneVerdicts(buf, points, 1);
+        lint::computePruneVerdicts(buf, points, 1, false);
     ASSERT_EQ(v.kept.size(), 1u);
     EXPECT_EQ(v.kept.front(), points.front());
     ASSERT_EQ(v.pruned.size(), 3u);
     for (const auto &p : v.pruned)
         EXPECT_EQ(p.keptRep, points.front());
     EXPECT_DOUBLE_EQ(v.pruneRatio(), 0.75);
+    // One group: every point carries its id, and no key is rendered
+    // unless asked for.
+    EXPECT_EQ(v.group, std::vector<std::uint32_t>(4, 0));
+    EXPECT_TRUE(v.keys.empty());
+    v = lint::computePruneVerdicts(buf, points, 1, false, true);
+    ASSERT_EQ(v.keys.size(), 1u);
+    EXPECT_EQ(v.keys[0].rfind(buf[points[0]].loc.str() + '|', 0), 0u);
 }
 
 TEST(LintPrune, DistinctWriterLinesAreKept)
@@ -375,7 +382,7 @@ TEST(LintPrune, DistinctWriterLinesAreKept)
         buf.append(mk(Op::Sfence, 0, 0, 21));
     }
     lint::PruneVerdicts v =
-        lint::computePruneVerdicts(buf, fenceSeqs(buf), 1);
+        lint::computePruneVerdicts(buf, fenceSeqs(buf), 1, false);
     EXPECT_EQ(v.kept.size(), 2u);
     EXPECT_EQ(v.pruned.size(), 0u);
 }
@@ -394,7 +401,7 @@ TEST(LintPrune, OrderingPointLocationsFormSeparateGroups)
     buf.append(mk(Op::Sfence, 0, 0, 99));
 
     lint::PruneVerdicts v =
-        lint::computePruneVerdicts(buf, fenceSeqs(buf), 1);
+        lint::computePruneVerdicts(buf, fenceSeqs(buf), 1, false);
     EXPECT_EQ(v.kept.size(), 2u);
     EXPECT_EQ(v.pruned.size(), 0u);
 }
@@ -416,7 +423,7 @@ TEST(LintPrune, AllocationRegionsDisambiguateAliasingStores)
     buf.append(mk(Op::Sfence, 0, 0, 12));
 
     lint::PruneVerdicts v =
-        lint::computePruneVerdicts(buf, fenceSeqs(buf), 1);
+        lint::computePruneVerdicts(buf, fenceSeqs(buf), 1, false);
     EXPECT_EQ(v.kept.size(), 2u);
     EXPECT_EQ(v.pruned.size(), 0u);
 
@@ -426,7 +433,7 @@ TEST(LintPrune, AllocationRegionsDisambiguateAliasingStores)
     buf.append(mk(Op::Write, base + 128, 8, 10));
     buf.append(mk(Op::Clwb, base + 128, 64, 11));
     buf.append(mk(Op::Sfence, 0, 0, 12));
-    v = lint::computePruneVerdicts(buf, fenceSeqs(buf), 1);
+    v = lint::computePruneVerdicts(buf, fenceSeqs(buf), 1, false);
     EXPECT_EQ(v.kept.size(), 2u);
     ASSERT_EQ(v.pruned.size(), 1u);
     EXPECT_EQ(v.pruned.front().keptRep, fenceSeqs(buf).front());

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -432,6 +433,50 @@ TEST(PhaseProfiler, ScopedTimerCountsAreThreadCountInvariant)
     auto serial = runPhased(1, serial_obs);
     auto par = runPhased(4, par_obs);
     EXPECT_EQ(serial.stats.phases.count, par.stats.phases.count);
+}
+
+TEST(PhaseProfiler, GroupingPassIsBilledOnce)
+{
+    // Candidate equivalence is decided once per campaign, before any
+    // worker starts, whenever the campaign folds or samples by group:
+    // one lint_prune note, whatever the thread count.
+    struct Case
+    {
+        const char *backend;
+        const char *crashStates;
+        const char *model;
+        std::uint64_t notes;
+    };
+    const Case cases[] = {
+        {"delta", "anchor", "clwb", 0},   {"batched", "anchor", "clwb", 1},
+        {"delta", "sample:8", "clwb", 1}, {"delta", "sample:8", "eadr", 0},
+        {"batched", "sample:8", "eadr", 1},
+    };
+    workloads::WorkloadConfig cfg;
+    cfg.initOps = 5;
+    cfg.testOps = 5;
+    cfg.postOps = 2;
+    for (const Case &c : cases) {
+        std::array<std::uint64_t, obs::phaseCount> counts{};
+        for (unsigned threads : {1u, 4u}) {
+            SCOPED_TRACE(strprintf("%s %s %s threads=%u", c.backend,
+                                   c.crashStates, c.model, threads));
+            xfdtest::RunOptions opt;
+            opt.threads = threads;
+            opt.detector.backend = c.backend;
+            opt.detector.crashStates = c.crashStates;
+            opt.detector.pmModel = c.model;
+            auto res = xfdtest::runWorkload("hashmap_tx", cfg, opt);
+            const obs::PhaseTotals &ph = res.stats.phases;
+            EXPECT_EQ(ph.count[static_cast<std::size_t>(
+                          obs::Phase::LintPrune)],
+                      c.notes);
+            if (threads == 1)
+                counts = ph.count;
+            else
+                EXPECT_EQ(ph.count, counts);
+        }
+    }
 }
 
 TEST(PhaseProfiler, ExportedStatsAndJsonMirrorTheTotals)

@@ -10,7 +10,10 @@
  *  - every workload stays finding-free under eADR, with crash-state
  *    oracle agreement 1.0 — the oracle mirrors the model's semantics;
  *  - the full bug suite keeps per-failure-point oracle agreement
- *    under eADR, whatever each case now produces;
+ *    under eADR, whatever each case now produces (two cases keep a
+ *    known batched fold gap, pinned below);
+ *  - under --backend=batched the oracle re-checks every point the
+ *    detector folded;
  *  - pure flush-ordering defects (the wal.* mis-ordered-writeback
  *    family) vanish under eADR, while semantic, validation and
  *    batch-atomicity defects persist — the model changes durability,
@@ -23,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -62,6 +66,36 @@ diffWorkload(const std::string &name, workloads::WorkloadConfig wcfg,
     return oracle::runDifferentialCampaign(
         pool, [w](PmRuntime &rt) { w->pre(rt); },
         [w](PmRuntime &rt) { w->post(rt); }, cfg);
+}
+
+/** Run one differential campaign over a registered case at its size. */
+oracle::DiffReport
+diffBugCase(const bugsuite::BugCase &c, const oracle::DiffConfig &cfg)
+{
+    if (c.workload == "pool_create") {
+        pm::PmPool pool(xfdtest::defaultPoolBytes);
+        return oracle::runDifferentialCampaign(
+            pool,
+            [](PmRuntime &rt) {
+                trace::RoiScope roi(rt);
+                pmlib::ObjPool::create(rt, "bug4", 64);
+            },
+            [](PmRuntime &rt) {
+                trace::RoiScope roi(rt);
+                pmlib::ObjPool::open(rt, "bug4");
+            },
+            cfg);
+    }
+    workloads::WorkloadConfig wcfg;
+    wcfg.initOps = c.initOps;
+    wcfg.testOps = c.testOps;
+    wcfg.postOps = c.postOps;
+    wcfg.roiFromStart = c.roiFromStart;
+    if (c.workload == "memcached")
+        wcfg.memcachedCapacity = 8;
+    if (!c.id.empty())
+        wcfg.bugs.enable(c.id);
+    return diffWorkload(c.workload, std::move(wcfg), cfg);
 }
 
 /** Small-scale config: exhaustive oracle tier stays fast. */
@@ -129,18 +163,75 @@ TEST(PmModelConfig, FlagAppliesValidatedValue)
 // eADR conformance: workloads and bug suite
 // ------------------------------------------------------------------
 
+/**
+ * The oracle agrees at every point, and under --backend=batched it
+ * re-checks every point the detector folded into a representative.
+ */
+void
+expectOracleAgreement(const oracle::DiffReport &rep)
+{
+    EXPECT_TRUE(rep.clean()) << rep.summary();
+    EXPECT_DOUBLE_EQ(rep.agreementRate(), 1.0) << rep.summary();
+    EXPECT_EQ(rep.prunedRechecked, rep.detector.stats.lintPrunedPoints)
+        << rep.summary();
+}
+
 TEST(PmModelEadr, AllWorkloadsCleanWithOracleAgreement)
 {
-    for (const std::string &name : workloads::workloadNames()) {
-        SCOPED_TRACE(name);
-        oracle::DiffConfig cfg;
-        cfg.detector = modelConfig("eadr");
-        oracle::DiffReport rep =
-            diffWorkload(name, smallConfig(name), cfg);
-        EXPECT_TRUE(rep.clean()) << rep.summary();
-        EXPECT_DOUBLE_EQ(rep.agreementRate(), 1.0) << rep.summary();
-        EXPECT_GT(rep.failurePoints, 0u);
-        EXPECT_TRUE(xfdtest::hasNoFindings(rep.detector));
+    for (const char *backend : {"delta", "batched"}) {
+        for (const std::string &name : workloads::workloadNames()) {
+            SCOPED_TRACE(name + " " + backend);
+            oracle::DiffConfig cfg;
+            cfg.detector = modelConfig("eadr");
+            cfg.detector.backend = backend;
+            oracle::DiffReport rep =
+                diffWorkload(name, smallConfig(name), cfg);
+            expectOracleAgreement(rep);
+            EXPECT_GT(rep.failurePoints, 0u);
+            EXPECT_TRUE(xfdtest::hasNoFindings(rep.detector));
+        }
+    }
+}
+
+/**
+ * Registry cases where a batched fold is known to drop one finding
+ * class at some member: the representative's recovery follows a null
+ * persistent pointer ("wild PM access at 0", a recovery failure) that
+ * the member's recovery never reaches. The frontier signature does
+ * not see the pointer values recovery follows. The member's findings
+ * are a subset of the representative's, so no finding is lost, but the
+ * oracle's per-point comparison is exact. ctree.race.link_no_add
+ * shows the same gap under clwb.
+ */
+const std::set<std::string> foldRecoveryFailureGap = {
+    "ctree.race.link_no_add",
+    "hashmap_tx.race.rebuild_bucketsptr_no_add",
+};
+
+/**
+ * The known fold gap and nothing else: every disagreement is a folded
+ * point whose representative's classes are the member's plus a
+ * recovery failure the member does not have.
+ */
+void
+expectOnlyFoldRecoveryFailureGap(const oracle::DiffReport &rep)
+{
+    EXPECT_EQ(rep.prunedRechecked, rep.detector.stats.lintPrunedPoints)
+        << rep.summary();
+    EXPECT_EQ(rep.extrasUnexplained, 0u) << rep.summary();
+    EXPECT_EQ(rep.partialDisagreements, 0u) << rep.summary();
+    EXPECT_EQ(rep.crashPrunedDisagreements, 0u) << rep.summary();
+    EXPECT_GT(rep.disagreements, 0u)
+        << "the fold gap closed: drop the case from the list";
+    for (const oracle::FpAgreement &a : rep.perFp) {
+        if (a.agree)
+            continue;
+        SCOPED_TRACE(a.fp);
+        std::set<BugType> rep_classes = a.oracleClasses;
+        rep_classes.insert(BugType::RecoveryFailure);
+        EXPECT_TRUE(a.prunedRecheck);
+        EXPECT_EQ(a.oracleClasses.count(BugType::RecoveryFailure), 0u);
+        EXPECT_EQ(a.detectorClasses, rep_classes);
     }
 }
 
@@ -148,39 +239,20 @@ TEST(PmModelEadr, FullBugsuiteKeepsOracleAgreement)
 {
     // Whatever each planted defect produces under the flush-free
     // model (many vanish, see below), detector and oracle must agree
-    // on it at every failure point.
-    for (const bugsuite::BugCase &c : bugsuite::allBugCases()) {
-        SCOPED_TRACE(c.id.empty() ? c.workload : c.id);
-        oracle::DiffConfig cfg;
-        cfg.detector = modelConfig("eadr");
-        oracle::DiffReport rep;
-        if (c.workload == "pool_create") {
-            pm::PmPool pool(xfdtest::defaultPoolBytes);
-            rep = oracle::runDifferentialCampaign(
-                pool,
-                [](PmRuntime &rt) {
-                    trace::RoiScope roi(rt);
-                    pmlib::ObjPool::create(rt, "bug4", 64);
-                },
-                [](PmRuntime &rt) {
-                    trace::RoiScope roi(rt);
-                    pmlib::ObjPool::open(rt, "bug4");
-                },
-                cfg);
-        } else {
-            workloads::WorkloadConfig wcfg;
-            wcfg.initOps = c.initOps;
-            wcfg.testOps = c.testOps;
-            wcfg.postOps = c.postOps;
-            wcfg.roiFromStart = c.roiFromStart;
-            if (c.workload == "memcached")
-                wcfg.memcachedCapacity = 8;
-            if (!c.id.empty())
-                wcfg.bugs.enable(c.id);
-            rep = diffWorkload(c.workload, std::move(wcfg), cfg);
+    // on it at every failure point, under either backend.
+    for (const std::string backend : {"delta", "batched"}) {
+        for (const bugsuite::BugCase &c : bugsuite::allBugCases()) {
+            SCOPED_TRACE((c.id.empty() ? c.workload : c.id) + " " +
+                         backend);
+            oracle::DiffConfig cfg;
+            cfg.detector = modelConfig("eadr");
+            cfg.detector.backend = backend;
+            oracle::DiffReport rep = diffBugCase(c, cfg);
+            if (backend == "batched" && foldRecoveryFailureGap.count(c.id))
+                expectOnlyFoldRecoveryFailureGap(rep);
+            else
+                expectOracleAgreement(rep);
         }
-        EXPECT_TRUE(rep.clean()) << rep.summary();
-        EXPECT_DOUBLE_EQ(rep.agreementRate(), 1.0) << rep.summary();
     }
 }
 
