@@ -106,25 +106,19 @@ printTables()
     std::printf("\n=== Figure 12a addendum: phase attribution "
                 "(ms per campaign) ===\n");
     rule();
-    std::printf("%-16s %9s %7s %9s %9s %9s %7s\n", "workload",
-                "capture", "plan", "restore", "recexec", "classify",
-                "attrib");
+    std::printf("%-16s %9s %7s %9s %9s %9s\n", "workload", "capture",
+                "plan", "restore", "recexec", "classify");
     rule();
     for (const auto &row : rows) {
-        std::printf("%-16s %9.3f %7.3f %9.3f %9.3f %9.3f %6.1f%%\n",
+        std::printf("%-16s %9.3f %7.3f %9.3f %9.3f %9.3f\n",
                     row.name.c_str(),
                     row.t.phaseSeconds(obs::Phase::TraceCapture) * 1e3,
                     row.t.phaseSeconds(obs::Phase::Plan) * 1e3,
                     row.t.phaseSeconds(obs::Phase::Restore) * 1e3,
                     row.t.phaseSeconds(obs::Phase::RecoveryExec) * 1e3,
-                    row.t.phaseSeconds(obs::Phase::Classify) * 1e3,
-                    row.t.backendAttribution() * 100);
+                    row.t.phaseSeconds(obs::Phase::Classify) * 1e3);
     }
     rule();
-    std::printf("attrib = share of the backend(ms) column the "
-                "restore+classify phases account\nfor; the profiler "
-                "wraps exactly the intervals that feed that counter, "
-                "so this\nshould sit at ~100%%.\n");
 
     std::printf("\n=== Figure 12a addendum: --crash-states=sample:16 "
                 "exploration cost ===\n");

@@ -48,7 +48,6 @@ printTable()
         pm::DeltaRestoreStats restore;
         std::uint64_t fullCopyBaseline; // bytes a full-copy run moves
         std::array<double, obs::phaseCount> phaseSeconds;
-        double attribution; // backend share restore+classify explain
     };
     std::vector<std::pair<std::string, std::vector<Point>>> series;
 
@@ -63,9 +62,9 @@ printTable()
     for (const char *w : kMicro) {
         rule();
         std::printf("%s\n", w);
-        std::printf("  %-8s %10s %12s %14s %14s %10s %8s\n", "#txns",
+        std::printf("  %-8s %10s %12s %14s %14s %10s\n", "#txns",
                     "time(ms)", "#failpoints", "ms/failpoint",
-                    "restored(KB)", "of full", "attrib");
+                    "restored(KB)", "of full");
         std::vector<Point> points;
         core::DetectorConfig cs_dcfg;
         cs_dcfg.crashStates = "sample:16";
@@ -87,15 +86,14 @@ printTable()
                                     s.restore.bytesCopied()) /
                                     static_cast<double>(baseline)
                               : 0;
-            std::printf(
-                "  %-8u %10.2f %12zu %14.3f %14.1f %9.1f%% %7.1f%%\n",
-                txns, ms, fp, per,
-                static_cast<double>(s.restore.bytesCopied()) / 1024.0,
-                frac * 100.0, t.backendAttribution() * 100.0);
+            std::printf("  %-8u %10.2f %12zu %14.3f %14.1f %9.1f%%\n",
+                        txns, ms, fp, per,
+                        static_cast<double>(s.restore.bytesCopied()) /
+                            1024.0,
+                        frac * 100.0);
             points.push_back({txns, ms, fp, cst.crashStatesExplored,
                               cst.crashStatesPruned, s.restore,
-                              baseline, t.meanPhaseSeconds,
-                              t.backendAttribution()});
+                              baseline, t.meanPhaseSeconds});
         }
         series.emplace_back(w, std::move(points));
     }
@@ -135,7 +133,6 @@ printTable()
                     }
                 }
                 w.endObject();
-                w.field("backend_attribution", p.attribution);
                 w.key("restore").beginObject();
                 w.field("full_copies", p.restore.fullCopies);
                 w.field("delta_restores", p.restore.deltaRestores);

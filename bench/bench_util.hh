@@ -47,19 +47,6 @@ struct Timing
     {
         return meanPhaseSeconds[static_cast<std::size_t>(p)];
     }
-
-    /**
-     * Fraction of the backend component the profiler attributes to
-     * restore + classify (1 when there is no backend time at all).
-     */
-    double
-    backendAttribution() const
-    {
-        double attributed = phaseSeconds(obs::Phase::Restore) +
-                            phaseSeconds(obs::Phase::Classify);
-        double denom = std::max(meanBackendSeconds, attributed);
-        return denom > 0 ? attributed / denom : 1.0;
-    }
 };
 
 /** Run a detection campaign @p reps times and average the timings. */
@@ -79,9 +66,9 @@ timeCampaign(const std::string &workload,
                        .run();
         const core::CampaignStats &st = res.statistics();
         t.meanTotalSeconds += st.totalSeconds();
-        t.meanPreSeconds += st.preSeconds;
-        t.meanPostSeconds += st.postSeconds;
-        t.meanBackendSeconds += st.backendSeconds;
+        t.meanPreSeconds += st.preSeconds();
+        t.meanPostSeconds += st.postSeconds();
+        t.meanBackendSeconds += st.backendSeconds();
         for (std::size_t p = 0; p < obs::phaseCount; p++)
             t.meanPhaseSeconds[p] += res.phases().seconds[p];
         t.last = std::move(res);
@@ -97,8 +84,7 @@ timeCampaign(const std::string &workload,
 
 /**
  * Emit the per-phase breakdown of @p t into the open JSON object:
- * a "phases_ms" object (zero-time phases omitted) and the
- * "backend_attribution" fraction.
+ * a "phases_ms" object (zero-time phases omitted).
  */
 inline void
 writePhaseBreakdownJson(obs::JsonWriter &w, const Timing &t)
@@ -111,7 +97,6 @@ writePhaseBreakdownJson(obs::JsonWriter &w, const Timing &t)
         }
     }
     w.endObject();
-    w.field("backend_attribution", t.backendAttribution());
 }
 
 /** Time only the pre-failure stage in a baseline mode. */

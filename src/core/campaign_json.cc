@@ -83,6 +83,9 @@ writeStatsJson(const CampaignResult &res, const DetectorConfig *cfg,
     w.field("elided_points", static_cast<std::uint64_t>(s.elidedPoints));
     w.field("lint_pruned_points",
             static_cast<std::uint64_t>(s.lintPrunedPoints));
+    w.field("batch_groups", static_cast<std::uint64_t>(s.batchGroups));
+    w.field("same_value_elided",
+            static_cast<std::uint64_t>(s.sameValueElided));
     w.field("post_executions",
             static_cast<std::uint64_t>(s.postExecutions));
     w.field("pre_trace_entries",
@@ -94,9 +97,9 @@ writeStatsJson(const CampaignResult &res, const DetectorConfig *cfg,
     w.field("checks_skipped",
             static_cast<std::uint64_t>(s.checksSkipped));
     w.field("threads", s.threads);
-    w.field("pre_seconds", s.preSeconds);
-    w.field("post_seconds", s.postSeconds);
-    w.field("backend_seconds", s.backendSeconds);
+    w.field("pre_seconds", s.preSeconds());
+    w.field("post_seconds", s.postSeconds());
+    w.field("backend_seconds", s.backendSeconds());
     w.field("total_seconds", s.totalSeconds());
     if (s.crashStatesEnumerated || s.crashStatesExplored ||
         s.crashStatesPruned) {
@@ -113,8 +116,6 @@ writeStatsJson(const CampaignResult &res, const DetectorConfig *cfg,
     }
     w.key("phases");
     obs::writePhaseJson(s.phases, w);
-    w.field("backend_attribution",
-            s.phases.attributionOf(s.backendSeconds));
     w.endObject();
 
     // Exec-pool restore volume (delta-image engine accounting).
@@ -126,6 +127,7 @@ writeStatsJson(const CampaignResult &res, const DetectorConfig *cfg,
     w.field("bytes_restored", s.restore.bytesRestored);
     w.field("bytes_full_copy", s.restore.bytesFullCopy);
     w.field("bytes_copied", s.restore.bytesCopied());
+    w.field("sync_restores", s.restore.syncRestores);
     w.endObject();
 
     w.key("bugs").beginObject();

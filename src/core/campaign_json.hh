@@ -6,8 +6,11 @@
  * Two documents:
  *
  *  - stats JSON  ("xfd-stats-v1"): the campaign timing/volume
- *    breakdown (identical values to summary()), bug counts by type,
- *    and the full stats registry when an observer collected one;
+ *    breakdown (identical values to summary()), restore volume, bug
+ *    counts by type — the one copy of every CampaignStats number —
+ *    plus, when an observer collected one, the stats registry with
+ *    what has no structured home (shadow-FSM edges, per-op trace
+ *    volumes, the post-execution latency histogram);
  *  - report JSON ("xfd-report-v1"): the deduplicated findings with
  *    source locations — diff-friendly, so serial and parallel
  *    campaigns over the same program export byte-identical reports.

@@ -238,13 +238,13 @@ struct DetectorConfig
      *    oracleFrontierLimit, sampling above it.
      *
      * Findings only reachable on a partial image carry partial-image
-     * provenance (persistedMask with cleared bits) and surface as
-     * campaign.crashstates.* stats. Structurally identical candidates
-     * across failure points (same ordering-point location, same lint
-     * frontier signature, same mask) execute once. Incompatible with
-     * crashImageMode (which pins one alternative materialization);
-     * under the eADR model frontiers are empty, so the mode
-     * degenerates to the anchor.
+     * provenance (persistedMask with cleared bits) and surface under
+     * campaign.crash_states in the stats document. Structurally
+     * identical candidates across failure points (same ordering-point
+     * location, same lint frontier signature, same mask) execute
+     * once. Incompatible with crashImageMode (which pins one
+     * alternative materialization); under the eADR model frontiers
+     * are empty, so the mode degenerates to the anchor.
      */
     std::string crashStates;
 

@@ -51,14 +51,74 @@ validateRestore(const pm::CowImage &src, const pm::PmPool &exec_pool,
     }
 }
 
-/** The shadow's frontier, its build billed to the plan phase. */
+/**
+ * The shadow's frontier, its build billed to the plan phase as an
+ * uncounted interval.
+ */
 CellFrontier
 frontierOf(const ShadowPM &shadow, CampaignStats &stats)
 {
-    auto tp = std::chrono::steady_clock::now();
-    CellFrontier cf = shadow.frontier();
-    stats.phases.note(obs::Phase::Plan, secondsSince(tp), 0);
-    return cf;
+    obs::ScopedPhase timer(&stats.phases, obs::Phase::Plan);
+    timer.setCount(0);
+    return shadow.frontier();
+}
+
+/**
+ * Register what the stats document has no structured section for:
+ * shadow-FSM edge counts (from the deterministic full-trace replay,
+ * so serial and parallel campaigns register identical values), per-op
+ * trace volumes, and the post-execution latency histogram.
+ */
+void
+exportRegistry(obs::StatsRegistry &reg,
+               const std::array<std::uint64_t, trace::opCount> &pre_ops,
+               const std::array<std::uint64_t, trace::opCount> &post_ops,
+               const ShadowFsmCounters &fsm,
+               const std::vector<double> &post_latency)
+{
+    auto set = [&](const std::string &name, const char *desc,
+                   std::uint64_t v) {
+        reg.scalar(name, desc).set(static_cast<double>(v));
+    };
+    // Shadow-PM persistency-FSM edge traversals (Fig. 6).
+    for (std::size_t f = 0; f < ShadowFsmCounters::numStates; f++) {
+        for (std::size_t t = 0; t < ShadowFsmCounters::numStates; t++) {
+            if (!fsm.edge[f][t])
+                continue;
+            set(strprintf("shadow_fsm.edge.%s_to_%s",
+                          persistStateName(static_cast<PersistState>(f)),
+                          persistStateName(static_cast<PersistState>(t))),
+                "shadow-PM state transitions over the pre-trace",
+                fsm.edge[f][t]);
+        }
+    }
+    set("shadow_fsm.redundant_flushes",
+        "flushes of lines with no modified data", fsm.redundantFlushes);
+    set("shadow_fsm.fences", "fences replayed", fsm.fences);
+    set("shadow_fsm.ordering_fences",
+        "fences that persisted at least one pending line",
+        fsm.orderingFences);
+
+    // Per-op trace volumes.
+    for (std::size_t i = 0; i < trace::opCount; i++) {
+        const char *op = trace::opName(static_cast<trace::Op>(i));
+        if (pre_ops[i]) {
+            set(strprintf("trace.pre.%s", op),
+                "pre-failure trace entries of this op", pre_ops[i]);
+        }
+        if (post_ops[i]) {
+            set(strprintf("trace.post.%s", op),
+                "post-failure trace entries of this op (all "
+                "executions)",
+                post_ops[i]);
+        }
+    }
+
+    obs::Histogram &h = reg.histogram(
+        "campaign.post_exec_latency_us",
+        "post-failure stage latency per failure point (us)");
+    for (double sec : post_latency)
+        h.sample(sec * 1e6);
 }
 
 } // namespace
@@ -124,7 +184,7 @@ CampaignResult::summary() const
         "time: pre %.3fs, post %.3fs, backend %.3fs\n",
         bugs.size(), stats.failurePoints, stats.orderingCandidates,
         stats.elidedPoints, batched.c_str(), stats.postExecutions,
-        stats.preSeconds, stats.postSeconds, stats.backendSeconds);
+        stats.preSeconds(), stats.postSeconds(), stats.backendSeconds());
     if (stats.crashStatesExplored || stats.crashStatesPruned) {
         s += strprintf(
             "crash states: %zu partial candidate(s) explored "
@@ -172,6 +232,49 @@ CampaignResult::fingerprint() const
         out += '\n';
     }
     return out;
+}
+
+std::optional<BugReport>
+runRecovery(pm::PmPool &pool, const ProgramFn &post,
+            trace::TraceBuffer &out,
+            std::array<std::uint64_t, trace::opCount> *ops)
+{
+    // Callers reuse one buffer per cursor: it keeps its capacity, so
+    // a trace does not regrow from empty.
+    out.clear();
+    trace::PmRuntime rt(pool, out, trace::Stage::PostFailure);
+    rt.setEntryCap(1u << 20);
+    // Ring-buffered emission; no same-value elision post-failure
+    // (recovery rewriting identical bytes still re-establishes
+    // consistency, so every post write must be traced).
+    rt.setBatching(true);
+    std::optional<BugReport> failure;
+    try {
+        post(rt);
+    } catch (const trace::StageComplete &) {
+    } catch (const trace::PostFailureAbort &abort) {
+        failure.emplace();
+        failure->reader = abort.loc;
+        failure->note = abort.reason;
+    } catch (const pm::BadPmAccess &bad) {
+        // The post-failure stage dereferenced a corrupted persistent
+        // pointer — the emulated equivalent of the resumption
+        // segfault in the paper's Figure 1.
+        failure.emplace();
+        failure->addr = bad.addr;
+        failure->size = static_cast<std::uint32_t>(bad.size);
+        failure->note =
+            strprintf("post-failure crash: wild PM access at %#llx",
+                      static_cast<unsigned long long>(bad.addr));
+    }
+    if (failure)
+        failure->type = BugType::RecoveryFailure;
+    rt.setBatching(false); // flush the ring before reading counts
+    if (ops) {
+        for (std::size_t i = 0; i < trace::opCount; i++)
+            (*ops)[i] += rt.opCounts()[i];
+    }
+    return failure;
 }
 
 Driver::Driver(pm::PmPool &p, DetectorConfig c) : pool(p), cfg(c)
@@ -368,39 +471,31 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
                            std::uint32_t group, BugSink &sink,
                            CampaignStats &stats, const WorkerObs &wobs)
 {
-    obs::Timeline *tl = wobs.timeline;
+    obs::Timeline *tl = wobs.sinks.timeline;
+    int track = wobs.sinks.track;
     obs::SpanScope fp_span(tl, tl ? strprintf("fp#%u", fp)
                                   : std::string(),
-                           "fp", wobs.track);
+                           "fp", track);
 
     // Findings collect in a local sink first: the per-failure-point
     // hook must see a finding's recurrence at later points (the
     // worker sink dedups across points).
     BugSink local;
 
-    auto tb0 = std::chrono::steady_clock::now();
     {
-        obs::SpanScope span(tl, "reconstruct", "backend", wobs.track);
+        obs::ScopedPhase timer(&stats.phases, obs::Phase::Restore,
+                               wobs.sinks, "reconstruct", "backend");
         // Performance bugs are collected by the dedicated full-trace
         // advance, not here (workers would double-report them).
         {
-            obs::SpanScope s2(tl, "advance", "backend", wobs.track);
+            obs::SpanScope s2(tl, "advance", "backend", track);
             advance(cur, pre, fp, nullptr);
         }
-        obs::SpanScope s3(tl, "restore-pool", "backend", wobs.track);
+        obs::SpanScope s3(tl, "restore-pool", "backend", track);
         restoreAnchor(cur, exec_pool, fp, stats);
     }
-    // The phase entry reuses the exact interval that feeds
-    // backendSeconds, so restore + classify attribute the backend
-    // identically in a serial campaign.
-    double restore_s = secondsSince(tb0);
-    stats.backendSeconds += restore_s;
-    stats.phases.note(obs::Phase::Restore, restore_s);
-    if (wobs.live) {
-        wobs.live->count("failure_points");
-        wobs.live->count("restore_us",
-                         static_cast<std::uint64_t>(restore_s * 1e6));
-    }
+    if (wobs.sinks.live)
+        wobs.sinks.live->count("failure_points");
 
     // This point's write frontier: the in-flight (not durably
     // persisted) write seqs as of fp, ascending — the causal
@@ -425,12 +520,12 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
             obs::SpanScope span(tl,
                                 tl ? strprintf("crash-states@fp#%u", fp)
                                    : std::string(),
-                                "crash-states", wobs.track);
+                                "crash-states", track);
             for (const auto &mask : masks) {
                 runCandidate(cur, exec_pool, pre, post, fp, cf, mask,
                              local, stats, wobs);
-                if (wobs.live)
-                    wobs.live->count("crash_candidates");
+                if (wobs.sinks.live)
+                    wobs.sinks.live->count("crash_candidates");
             }
         }
     }
@@ -494,14 +589,10 @@ Driver::runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
     // epoch, so commit-window (condition (3)) verdicts are not sound.
     bool suppress_semantic = cfg.crashImageMode;
     if (!mask.all()) {
-        auto t0 = std::chrono::steady_clock::now();
-        restoreCandidate(cur, exec_pool, pre, fp, cf, mask, stats);
-        double restore_s = secondsSince(t0);
-        stats.backendSeconds += restore_s;
-        stats.phases.note(obs::Phase::Restore, restore_s);
-        if (wobs.live) {
-            wobs.live->count("restore_us",
-                             static_cast<std::uint64_t>(restore_s * 1e6));
+        {
+            obs::ScopedPhase timer(&stats.phases, obs::Phase::Restore,
+                                   {nullptr, 0, wobs.sinks.live});
+            restoreCandidate(cur, exec_pool, pre, fp, cf, mask, stats);
         }
         for (std::size_t b = 0; b < mask.size() && !suppress_semantic;
              b++) {
@@ -513,20 +604,28 @@ Driver::runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
     }
 
     BugSink cand;
-    runPost(cur, exec_pool, pre, post, fp, cand, stats, wobs);
-
-    auto t1 = std::chrono::steady_clock::now();
     {
-        obs::SpanScope span(wobs.timeline, "replay", "backend",
-                            wobs.track);
-        replayPost(cur, pre, cur.postTrace, fp, cand, suppress_semantic);
+        // The interval covers the runtime's construction (its emit
+        // ring).
+        obs::ScopedPhase timer(&stats.phases, obs::Phase::RecoveryExec,
+                               wobs.sinks, "post-exec", "post");
+        std::optional<BugReport> failure =
+            runRecovery(exec_pool, post, cur.postTrace, wobs.postOps);
+        double post_s = timer.stop();
+        if (failure) {
+            failure->writer = pre[fp].loc;
+            failure->failurePoint = fp;
+            cand.report(std::move(*failure));
+        }
+        if (wobs.postLatency)
+            wobs.postLatency->push_back(post_s);
+        stats.postExecutions++;
+        stats.postTraceEntries += cur.postTrace.size();
     }
-    double classify_s = secondsSince(t1);
-    stats.backendSeconds += classify_s;
-    stats.phases.note(obs::Phase::Classify, classify_s);
-    if (wobs.live) {
-        wobs.live->count("classify_us",
-                         static_cast<std::uint64_t>(classify_s * 1e6));
+    {
+        obs::ScopedPhase timer(&stats.phases, obs::Phase::Classify,
+                               wobs.sinks, "replay", "backend");
+        replayPost(cur, pre, cur.postTrace, fp, cand, suppress_semantic);
     }
 
     // Provenance: the point's frontier, plus which of its writes this
@@ -597,72 +696,11 @@ Driver::restoreCandidate(PreCursor &cur, pm::PmPool &exec_pool,
 }
 
 void
-Driver::runPost(PreCursor &cur, pm::PmPool &exec_pool,
-                const trace::TraceBuffer &pre, const ProgramFn &post,
-                std::uint32_t fp, BugSink &sink, CampaignStats &stats,
-                const WorkerObs &wobs)
-{
-    obs::SpanScope span(wobs.timeline, "post-exec", "post", wobs.track);
-    // One buffer per cursor, cleared per execution: it keeps its
-    // capacity, so a trace does not regrow from empty.
-    cur.postTrace.clear();
-    // The interval covers the runtime's construction (its emit ring).
-    auto t0 = std::chrono::steady_clock::now();
-    trace::PmRuntime rt(exec_pool, cur.postTrace,
-                        trace::Stage::PostFailure);
-    rt.setEntryCap(1u << 20);
-    // Ring-buffered emission; no same-value elision post-failure
-    // (recovery rewriting identical bytes still re-establishes
-    // consistency, so every post write must be traced).
-    rt.setBatching(true);
-    try {
-        post(rt);
-    } catch (const trace::StageComplete &) {
-    } catch (const trace::PostFailureAbort &abort) {
-        BugReport r;
-        r.type = BugType::RecoveryFailure;
-        r.reader = abort.loc;
-        r.writer = pre[fp].loc;
-        r.failurePoint = fp;
-        r.note = abort.reason;
-        sink.report(std::move(r));
-    } catch (const pm::BadPmAccess &bad) {
-        // The post-failure stage dereferenced a corrupted persistent
-        // pointer — the emulated equivalent of the resumption
-        // segfault in the paper's Figure 1.
-        BugReport r;
-        r.type = BugType::RecoveryFailure;
-        r.addr = bad.addr;
-        r.size = static_cast<std::uint32_t>(bad.size);
-        r.writer = pre[fp].loc;
-        r.failurePoint = fp;
-        r.note = strprintf("post-failure crash: wild PM access at %#llx",
-                           static_cast<unsigned long long>(bad.addr));
-        sink.report(std::move(r));
-    }
-    rt.setBatching(false); // flush the ring before reading counts
-    double post_s = secondsSince(t0);
-    stats.postSeconds += post_s;
-    stats.phases.note(obs::Phase::RecoveryExec, post_s);
-    if (wobs.postLatency)
-        wobs.postLatency->push_back(post_s);
-    if (wobs.postOps) {
-        const auto &ops = rt.opCounts();
-        for (std::size_t i = 0; i < ops.size(); i++)
-            (*wobs.postOps)[i] += ops[i];
-    }
-    if (wobs.live)
-        wobs.live->sample("post_exec_latency_us", post_s * 1e6);
-    stats.postExecutions++;
-    stats.postTraceEntries += cur.postTrace.size();
-}
-
-void
 Driver::recordFindings(const WorkerObs &wobs, std::uint32_t fp,
                        const std::vector<std::uint32_t> &frontier,
                        const trace::SubsetMask &mask, const BugSink &sink)
 {
-    obs::Timeline *tl = wobs.timeline;
+    obs::Timeline *tl = wobs.sinks.timeline;
     if (!tl)
         return;
     for (const auto &b : sink.bugs()) {
@@ -680,7 +718,7 @@ Driver::recordFindings(const WorkerObs &wobs, std::uint32_t fp,
         args.emplace_back("frontier", std::move(seqs));
         args.emplace_back("persisted_mask", mask.toHex());
         tl->recordInstant(strprintf("finding@fp#%u", fp), "finding",
-                          wobs.track, tl->nowUs(), std::move(args));
+                          wobs.sinks.track, tl->nowUs(), std::move(args));
     }
 }
 
@@ -693,9 +731,9 @@ Driver::planCrashStates(const trace::TraceBuffer &pre, std::uint32_t fp,
     if (cf.seqs.empty())
         return keep;
     // Planning (enumeration, prune lookups) bills to the plan phase,
-    // noted once per enumerated candidate so phase counts stay
+    // counted once per enumerated candidate so phase counts stay
     // serial == parallel.
-    auto tp = std::chrono::steady_clock::now();
+    obs::ScopedPhase timer(&stats.phases, obs::Phase::Plan);
     std::vector<trace::FrontierEvent> events;
     events.reserve(cf.seqs.size());
     for (std::uint32_t s : cf.seqs)
@@ -715,6 +753,7 @@ Driver::planCrashStates(const trace::TraceBuffer &pre, std::uint32_t fp,
     auto en = cset.enumerate(eopt);
     std::size_t enumerated = en.masks.size() - 1;
     stats.crashStatesEnumerated += enumerated;
+    timer.setCount(enumerated);
 
     // Structurally identical candidates execute once per campaign:
     // recovery is a function of the crash image, which (group, mask)
@@ -737,7 +776,6 @@ Driver::planCrashStates(const trace::TraceBuffer &pre, std::uint32_t fp,
             stats.crashPruned.push_back({fp, rep, mask.toHex()});
         }
     }
-    stats.phases.note(obs::Phase::Plan, secondsSince(tp), enumerated);
     return keep;
 }
 
@@ -793,31 +831,30 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
     // pointer copies.
     pm::CowImage initial(pool);
 
+    // Campaign-level intervals span the main track (0).
+    obs::PhaseTotals &phases = result.stats.phases;
+
     // Step 1: pre-failure stage, traced.
     trace::TraceBuffer pre_trace;
     std::array<std::uint64_t, trace::opCount> pre_ops{};
     {
-        obs::SpanScope span(tl, "pre-failure", "phase", 0);
         trace::PmRuntime rt(pool, pre_trace, trace::Stage::PreFailure);
         rt.setBatching(true);
         rt.setSameValueElision(cfg.elideSameValueWrites);
-        auto t0 = std::chrono::steady_clock::now();
+        obs::ScopedPhase timer(&phases, obs::Phase::TraceCapture,
+                               {tl, 0, live}, "pre-failure");
         try {
             pre(rt);
         } catch (const trace::StageComplete &) {
         }
         rt.setBatching(false); // flush the ring before reading counts
-        result.stats.preSeconds = secondsSince(t0);
-        result.stats.phases.note(obs::Phase::TraceCapture,
-                                 result.stats.preSeconds);
+        timer.stop();
         pre_ops = rt.opCounts();
         result.stats.sameValueElided = rt.sameValueElided();
     }
     result.stats.preTraceEntries = pre_trace.size();
-    if (live) {
+    if (live)
         live->count("pre_trace_entries", pre_trace.size());
-        live->gauge("pre_seconds", result.stats.preSeconds);
-    }
 
     if (observer)
         observer->notifyPreTrace(pre_trace);
@@ -825,10 +862,9 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
     // Step 2: plan failure points before each ordering point.
     FailurePlan plan;
     {
-        obs::SpanScope span(tl, "plan-failure-points", "phase", 0);
-        auto t0 = std::chrono::steady_clock::now();
+        obs::ScopedPhase timer(&phases, obs::Phase::Plan, {tl},
+                               "plan-failure-points");
         plan = planFailurePoints(pre_trace, cfg);
-        result.stats.phases.note(obs::Phase::Plan, secondsSince(t0));
     }
 
     // Step 2b: group the planned points by candidate equivalence —
@@ -842,11 +878,9 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
         static_cast<std::uint32_t>(plan.points.size());
     PointGroups groups;
     if (groupsFailurePoints(cfg) && !plan.points.empty()) {
-        obs::SpanScope span(tl, "group-failure-points", "phase", 0);
-        auto t0 = std::chrono::steady_clock::now();
+        obs::ScopedPhase timer(&phases, obs::Phase::LintPrune, {tl},
+                               "group-failure-points");
         groups = groupFailurePoints(pre_trace, plan.points, cfg);
-        result.stats.phases.note(obs::Phase::LintPrune,
-                                 secondsSince(t0));
     }
     struct WorkItem
     {
@@ -895,8 +929,8 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
     pm::ImageDeltaStore delta_store;
     std::set<std::uint32_t> base_sync_pages;
     if (cfg.deltaImagesOn()) {
-        obs::SpanScope span(tl, "index-write-log", "phase", 0);
-        auto t0 = std::chrono::steady_clock::now();
+        obs::ScopedPhase timer(&phases, obs::Phase::Plan, {tl},
+                               "index-write-log");
         delta_store = trace::buildDeltaStore(
             pre_trace, cfg.deltaPageSize, pool.range());
         deltaStore = &delta_store;
@@ -906,7 +940,6 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
         initial.collectNonZeroPages(cfg.deltaPageSize,
                                     base_sync_pages);
         chunkSyncPages = &base_sync_pages;
-        result.stats.phases.note(obs::Phase::Plan, secondsSince(t0));
     }
 
     std::uint32_t trace_end =
@@ -967,8 +1000,8 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
         }
         if (deltaStore)
             exec_pool->enableDirtyTracking(cfg.deltaPageSize);
-        WorkerObs wobs{tl, tracks[t], &post_latency[t], &post_ops[t],
-                       live};
+        WorkerObs wobs{{tl, tracks[t], live}, &post_latency[t],
+                       &post_ops[t]};
         // All workers start pulling together — otherwise the first
         // spawned thread can drain a short queue before its peers
         // finish setting up their pool replicas.
@@ -1030,7 +1063,6 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
     if (observer && observer->wantsProgress())
         observer->notifyProgress({0, total_units, 0});
 
-    auto tpar0 = std::chrono::steady_clock::now();
     if (threads == 1) {
         worker(0);
     } else {
@@ -1040,7 +1072,6 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
         for (auto &th : pool_threads)
             th.join();
     }
-    double wall = secondsSince(tpar0);
 
     // Merge findings in item order: deterministic and identical to
     // the serial campaign regardless of which worker won which item.
@@ -1057,27 +1088,18 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
         result.stats.crashStatesPruned += stats[t].crashStatesPruned;
         for (auto &p : stats[t].crashPruned)
             result.stats.crashPruned.push_back(std::move(p));
-        if (threads == 1) {
-            result.stats.postSeconds += stats[t].postSeconds;
-            result.stats.backendSeconds += stats[t].backendSeconds;
-        }
         result.stats.checksPerformed +=
             cursors[t].shadow.checksPerformed();
         result.stats.checksSkipped +=
             cursors[t].shadow.checksSkipped();
         result.stats.restore.merge(stats[t].restore);
         // Phase counts are serial/parallel-invariant; with workers the
-        // summed seconds are CPU time, like the per-worker stats above.
-        result.stats.phases.merge(stats[t].phases);
+        // summed seconds are CPU time.
+        phases.merge(stats[t].phases);
     }
     deltaStore = nullptr;
     chunkSyncPages = nullptr;
     csCtx = nullptr;
-    if (threads > 1) {
-        // Per-thread CPU times overlap; report the wall time split
-        // proportionally like the serial breakdown would be.
-        result.stats.postSeconds = wall;
-    }
 
     // Performance bugs come from one full pre-trace replay, and the
     // pool is left holding the final pre-failure contents. The FSM
@@ -1086,13 +1108,13 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
     // campaigns register identical values.
     ShadowFsmCounters fsm;
     {
-        obs::SpanScope span(tl, "perf-scan", "phase", 0);
         PreCursor full(pool.range(), cfg, initial, false);
-        auto tb = std::chrono::steady_clock::now();
-        advance(full, pre_trace, trace_end, &merged);
-        double scan_s = secondsSince(tb);
-        result.stats.backendSeconds += scan_s;
-        result.stats.phases.note(obs::Phase::Classify, scan_s);
+        {
+            // Not a per-point classify: no live feed.
+            obs::ScopedPhase timer(&phases, obs::Phase::Classify, {tl},
+                                   "perf-scan");
+            advance(full, pre_trace, trace_end, &merged);
+        }
         full.image.copyTo(pool);
         fsm = full.shadow.fsmCounters();
     }
@@ -1109,229 +1131,10 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
                                post_latency[t].begin(),
                                post_latency[t].end());
         }
-        fillObserverStats(result, pre_ops, post_ops_total, fsm,
-                          latency_all);
+        exportRegistry(observer->stats, pre_ops, post_ops_total, fsm,
+                       latency_all);
     }
     return result;
-}
-
-void
-Driver::fillObserverStats(
-    const CampaignResult &res,
-    const std::array<std::uint64_t, trace::opCount> &pre_ops,
-    const std::array<std::uint64_t, trace::opCount> &post_ops,
-    const ShadowFsmCounters &fsm,
-    const std::vector<double> &post_latency)
-{
-    using obs::Scalar;
-
-    obs::StatsRegistry &reg = observer->stats;
-    const CampaignStats &s = res.stats;
-
-    auto set = [&](const std::string &name, const std::string &desc,
-                   double v) {
-        reg.scalar(name, desc).set(v);
-    };
-
-    set("campaign.failure_points",
-        "failure points planned (after elision)",
-        static_cast<double>(s.failurePoints));
-    set("campaign.ordering_candidates",
-        "ordering points considered for failure injection",
-        static_cast<double>(s.orderingCandidates));
-    set("campaign.elided_points",
-        "failure points skipped by trace elision",
-        static_cast<double>(s.elidedPoints));
-    set("campaign.lint.pruned_points",
-        "failure points folded into batch representatives",
-        static_cast<double>(s.lintPrunedPoints));
-    set("campaign.batch.groups",
-        "signature groups scheduled (--backend=batched)",
-        static_cast<double>(s.batchGroups));
-    set("campaign.batch.folded_points",
-        "failure points covered by a group representative's run",
-        static_cast<double>(s.lintPrunedPoints));
-    set("campaign.trace.same_value_elided",
-        "same-value stores elided at emit time (--elide-same-value)",
-        static_cast<double>(s.sameValueElided));
-    set("campaign.post_executions",
-        "post-failure stage executions",
-        static_cast<double>(s.postExecutions));
-    set("campaign.crashstates.enumerated",
-        "partial crash-state candidates enumerated (--crash-states)",
-        static_cast<double>(s.crashStatesEnumerated));
-    set("campaign.crashstates.explored",
-        "partial crash-state candidates executed",
-        static_cast<double>(s.crashStatesExplored));
-    set("campaign.crashstates.pruned",
-        "candidates skipped by equivalence-class pruning",
-        static_cast<double>(s.crashStatesPruned));
-    set("campaign.crashstates.partial_findings",
-        "findings first exposed on a partial crash image",
-        static_cast<double>(cfg.crashStatesOn()
-                                ? res.partialImageFindings()
-                                : 0));
-    {
-        Scalar &cs_en =
-            reg.scalar("campaign.crashstates.enumerated", "");
-        Scalar &cs_pr = reg.scalar("campaign.crashstates.pruned", "");
-        reg.formula("campaign.crashstates.prune_ratio",
-                    "fraction of enumerated candidates pruned as "
-                    "equivalent",
-                    [&cs_en, &cs_pr] {
-                        return cs_en.value()
-                                   ? cs_pr.value() / cs_en.value()
-                                   : 0.0;
-                    });
-    }
-    set("campaign.pre_trace_entries", "pre-failure trace entries",
-        static_cast<double>(s.preTraceEntries));
-    set("campaign.post_trace_entries",
-        "post-failure trace entries (all executions)",
-        static_cast<double>(s.postTraceEntries));
-    set("campaign.checks_performed",
-        "post-failure read checks performed",
-        static_cast<double>(s.checksPerformed));
-    set("campaign.checks_skipped",
-        "post-failure read checks skipped (first-read opt)",
-        static_cast<double>(s.checksSkipped));
-    set("campaign.threads", "worker threads used",
-        static_cast<double>(s.threads));
-    set("campaign.bugs", "distinct findings",
-        static_cast<double>(res.bugs.size()));
-    set("campaign.pre_seconds", "pre-failure stage wall seconds",
-        s.preSeconds);
-    set("campaign.post_seconds", "post-failure stage wall seconds",
-        s.postSeconds);
-    set("campaign.backend_seconds",
-        "image reconstruction + replay wall seconds",
-        s.backendSeconds);
-
-    Scalar &pre_s = reg.scalar("campaign.pre_seconds", "");
-    Scalar &post_s = reg.scalar("campaign.post_seconds", "");
-    Scalar &back_s = reg.scalar("campaign.backend_seconds", "");
-    reg.formula("campaign.total_seconds",
-                "pre + post + backend wall seconds",
-                [&pre_s, &post_s, &back_s] {
-                    return pre_s.value() + post_s.value() +
-                           back_s.value();
-                });
-    Scalar &cand = reg.scalar("campaign.ordering_candidates", "");
-    Scalar &elided = reg.scalar("campaign.elided_points", "");
-    reg.formula("campaign.elision_ratio",
-                "fraction of candidate points elided",
-                [&cand, &elided] {
-                    return cand.value() ? elided.value() / cand.value()
-                                        : 0.0;
-                });
-    Scalar &fps = reg.scalar("campaign.failure_points", "");
-    Scalar &pruned = reg.scalar("campaign.lint.pruned_points", "");
-    reg.formula("campaign.lint.prune_ratio",
-                "fraction of planned points folded by "
-                "--backend=batched",
-                [&fps, &pruned] {
-                    double planned = fps.value() + pruned.value();
-                    return planned ? pruned.value() / planned : 0.0;
-                });
-
-    // Delta-image engine restore volume. The baseline is what the
-    // full-copy engine would have moved: one pool-sized copy per
-    // restore.
-    set("campaign.pool_bytes", "exec-pool capacity in bytes",
-        static_cast<double>(s.poolBytes));
-    set("campaign.delta.full_copies",
-        "full-image restores (chunk starts, checkpoint cadence)",
-        static_cast<double>(s.restore.fullCopies));
-    set("campaign.delta.delta_restores",
-        "page-granular partial restores",
-        static_cast<double>(s.restore.deltaRestores));
-    set("campaign.delta.pages_restored",
-        "pages copied by partial restores",
-        static_cast<double>(s.restore.pagesRestored));
-    set("campaign.delta.bytes_restored",
-        "bytes copied by partial restores",
-        static_cast<double>(s.restore.bytesRestored));
-    set("campaign.delta.bytes_full_copy",
-        "bytes copied by full-image restores",
-        static_cast<double>(s.restore.bytesFullCopy));
-    set("campaign.delta.sync_restores",
-        "from-scratch resyncs done page-granular instead of O(pool)",
-        static_cast<double>(s.restore.syncRestores));
-    Scalar &pool_b = reg.scalar("campaign.pool_bytes", "");
-    Scalar &full_c = reg.scalar("campaign.delta.full_copies", "");
-    Scalar &delta_r = reg.scalar("campaign.delta.delta_restores", "");
-    Scalar &bytes_r = reg.scalar("campaign.delta.bytes_restored", "");
-    Scalar &bytes_f = reg.scalar("campaign.delta.bytes_full_copy", "");
-    reg.formula("campaign.delta.bytes_elided",
-                "restore bytes saved vs full-copy baseline",
-                [&pool_b, &full_c, &delta_r, &bytes_r, &bytes_f] {
-                    double baseline = (full_c.value() +
-                                       delta_r.value()) *
-                                      pool_b.value();
-                    return baseline -
-                           (bytes_r.value() + bytes_f.value());
-                });
-    reg.formula("campaign.delta.restore_ratio",
-                "restore bytes moved / full-copy baseline",
-                [&pool_b, &full_c, &delta_r, &bytes_r, &bytes_f] {
-                    double baseline = (full_c.value() +
-                                       delta_r.value()) *
-                                      pool_b.value();
-                    return baseline ? (bytes_r.value() +
-                                       bytes_f.value()) /
-                                          baseline
-                                    : 0.0;
-                });
-
-    // Shadow-PM persistency-FSM edge traversals (Fig. 6), from the
-    // deterministic full-trace replay.
-    for (std::size_t f = 0; f < ShadowFsmCounters::numStates; f++) {
-        for (std::size_t t = 0; t < ShadowFsmCounters::numStates; t++) {
-            std::uint64_t n = fsm.edge[f][t];
-            if (!n)
-                continue;
-            auto from = static_cast<PersistState>(f);
-            auto to = static_cast<PersistState>(t);
-            set(strprintf("shadow_fsm.edge.%s_to_%s",
-                          persistStateName(from), persistStateName(to)),
-                "shadow-PM state transitions over the pre-trace",
-                static_cast<double>(n));
-        }
-    }
-    set("shadow_fsm.redundant_flushes",
-        "flushes of lines with no modified data",
-        static_cast<double>(fsm.redundantFlushes));
-    set("shadow_fsm.fences", "fences replayed",
-        static_cast<double>(fsm.fences));
-    set("shadow_fsm.ordering_fences",
-        "fences that persisted at least one pending line",
-        static_cast<double>(fsm.orderingFences));
-
-    // Per-op trace volumes.
-    for (std::size_t i = 0; i < trace::opCount; i++) {
-        auto op = static_cast<trace::Op>(i);
-        if (pre_ops[i]) {
-            set(strprintf("trace.pre.%s", trace::opName(op)),
-                "pre-failure trace entries of this op",
-                static_cast<double>(pre_ops[i]));
-        }
-        if (post_ops[i]) {
-            set(strprintf("trace.post.%s", trace::opName(op)),
-                "post-failure trace entries of this op (all "
-                "executions)",
-                static_cast<double>(post_ops[i]));
-        }
-    }
-
-    // Post-failure execution latency distribution, in microseconds.
-    obs::Histogram &h = reg.histogram(
-        "campaign.post_exec_latency_us",
-        "post-failure stage latency per failure point (us)");
-    for (double sec : post_latency)
-        h.sample(sec * 1e6);
-
-    // Per-phase attribution of the campaign loop.
-    obs::exportPhaseStats(reg, s.phases, s.backendSeconds);
 }
 
 } // namespace xfd::core

@@ -32,6 +32,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -98,9 +99,6 @@ struct CampaignStats
     /** @} */
     std::size_t preTraceEntries = 0;
     std::size_t postTraceEntries = 0;
-    double preSeconds = 0;
-    double postSeconds = 0;
-    double backendSeconds = 0;
     std::size_t checksPerformed = 0;
     std::size_t checksSkipped = 0;
     /** Worker threads used (1 = serial). */
@@ -110,17 +108,40 @@ struct CampaignStats
     /** Pool capacity in bytes (baseline for restore-volume ratios). */
     std::size_t poolBytes = 0;
     /**
-     * Per-phase wall-time attribution of the campaign loop. The
-     * restore/classify entries reuse the exact measured intervals
-     * that feed backendSeconds, so in a serial campaign
-     * phases.backendAttributed() == backendSeconds identically;
-     * phase *counts* are serial/parallel-invariant.
+     * Per-phase time attribution of the campaign: the one record of
+     * every timed interval (obs::ScopedPhase). Phase *counts* are
+     * serial/parallel-invariant; with workers the seconds are
+     * CPU-seconds summed over them, and so are the sums below.
      */
     obs::PhaseTotals phases;
 
-    double totalSeconds() const
+    /** Pre-failure stage seconds (trace_capture). */
+    double
+    preSeconds() const
     {
-        return preSeconds + postSeconds + backendSeconds;
+        return phases.secondsOf(obs::Phase::TraceCapture);
+    }
+
+    /** Post-failure stage seconds, all executions (recovery_exec). */
+    double
+    postSeconds() const
+    {
+        return phases.secondsOf(obs::Phase::RecoveryExec);
+    }
+
+    /** Image reconstruction + checking seconds (restore + classify). */
+    double
+    backendSeconds() const
+    {
+        return phases.secondsOf(obs::Phase::Restore) +
+               phases.secondsOf(obs::Phase::Classify);
+    }
+
+    /** The paper's Fig. 12 split summed: pre + post + backend. */
+    double
+    totalSeconds() const
+    {
+        return preSeconds() + postSeconds() + backendSeconds();
     }
 };
 
@@ -179,6 +200,21 @@ struct CampaignResult
     /** Filled by the driver; read through config(). */
     DetectorConfig runConfig;
 };
+
+/**
+ * Run the post-failure stage @p post once on @p pool, tracing into
+ * @p out (cleared first) under the 2^20-entry runaway cap, and add
+ * the execution's per-op entry counts to @p ops when non-null. The
+ * one recovery executor of the detector and the crash-state oracle.
+ * @return the RecoveryFailure finding when recovery aborted
+ *         (PostFailureAbort) or touched PM outside the pool
+ *         (pm::BadPmAccess), without writer or failure point;
+ *         nothing when the stage completed.
+ */
+std::optional<BugReport>
+runRecovery(pm::PmPool &pool, const ProgramFn &post,
+            trace::TraceBuffer &out,
+            std::array<std::uint64_t, trace::opCount> *ops = nullptr);
 
 /** Orchestrates detection campaigns over a PM pool. */
 class Driver
@@ -298,16 +334,16 @@ class Driver
     /** Per-worker observability context threaded through the chunk. */
     struct WorkerObs
     {
-        /** Null when no observer is attached (spans disabled). */
-        obs::Timeline *timeline = nullptr;
-        /** Timeline track of this worker (0 = main). */
-        int track = 0;
-        /** Post-failure-stage seconds, one entry per failure point. */
+        /**
+         * This worker's timeline track (timeline null when no
+         * observer is attached) and live registry (null unless live
+         * output is on).
+         */
+        obs::PhaseSinks sinks;
+        /** Post-failure-stage seconds, one entry per execution. */
         std::vector<double> *postLatency = nullptr;
         /** Per-op post-trace entry counts, accumulated per point. */
         std::array<std::uint64_t, trace::opCount> *postOps = nullptr;
-        /** Live telemetry registry; null unless live output is on. */
-        obs::LiveMetrics *live = nullptr;
     };
 
     /**
@@ -336,8 +372,9 @@ class Driver
      * persisted subset @p mask of frontier @p cf. The all-ones mask
      * runs on the anchor image the exec pool already holds; any
      * other mask materializes over the durable image first. Runs
-     * recovery, classifies its trace, annotates the findings with
-     * (cf.seqs, mask) and merges them into @p sink.
+     * recovery into cur.postTrace (a recovery abort or wild PM access
+     * is a finding), classifies the trace, annotates the findings
+     * with (cf.seqs, mask) and merges them into @p sink.
      */
     void runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
                       const trace::TraceBuffer &pre,
@@ -355,16 +392,6 @@ class Driver
                           std::uint32_t fp, const CellFrontier &cf,
                           const trace::SubsetMask &mask,
                           CampaignStats &stats);
-
-    /**
-     * Run the post-failure stage once on @p exec_pool under tracing
-     * into cur.postTrace, reporting a recovery abort or wild PM
-     * access into @p sink, and account the execution.
-     */
-    void runPost(PreCursor &cur, pm::PmPool &exec_pool,
-                 const trace::TraceBuffer &pre, const ProgramFn &post,
-                 std::uint32_t fp, BugSink &sink, CampaignStats &stats,
-                 const WorkerObs &wobs);
 
     /**
      * One Chrome-trace finding instant per finding in @p sink, with
@@ -398,20 +425,6 @@ class Driver
     planCrashStates(const trace::TraceBuffer &pre, std::uint32_t fp,
                     std::uint32_t group, const CellFrontier &cf,
                     CampaignStats &stats);
-
-    /**
-     * Aggregate campaign counters into the observer's registry:
-     * timing/volume scalars, shadow-FSM edge counts (from the
-     * deterministic full-trace replay, so serial and parallel
-     * campaigns register identical values), per-op trace volumes,
-     * elision savings, and the post-execution latency histogram.
-     */
-    void fillObserverStats(
-        const CampaignResult &res,
-        const std::array<std::uint64_t, trace::opCount> &pre_ops,
-        const std::array<std::uint64_t, trace::opCount> &post_ops,
-        const ShadowFsmCounters &fsm,
-        const std::vector<double> &post_latency);
 
     pm::PmPool &pool;
     DetectorConfig cfg;

@@ -5,8 +5,10 @@
  * A CampaignObserver owns the observability channels of one
  * detection campaign:
  *
- *  - stats:    the gem5-style registry Driver/ShadowPM/PmRuntime
- *              counters are aggregated into at campaign end,
+ *  - stats:    the gem5-style registry the driver fills at campaign
+ *              end with what the stats document has no structured
+ *              section for (shadow-FSM edges, per-op trace volumes,
+ *              the post-execution latency histogram),
  *  - timeline: per-phase and per-failure-point spans (exportable as
  *              JSONL or Chrome trace_event),
  *  - live:     the per-second sliding-window registry behind

@@ -353,42 +353,4 @@ FixReport::renderFixFor(const std::string &findingId) const
     return s;
 }
 
-void
-exportFixStats(const FixReport &r, obs::StatsRegistry &reg)
-{
-    auto scalar = [&reg](const std::string &name, const char *desc,
-                         double v) -> obs::Scalar & {
-        obs::Scalar &s = reg.scalar(name, desc);
-        s.set(v);
-        return s;
-    };
-
-    obs::Scalar &plans =
-        scalar("campaign.fix.plans", "repair plans synthesized",
-               static_cast<double>(r.outcomes.size()));
-    obs::Scalar &verified =
-        scalar("campaign.fix.verified",
-               "plans whose re-run removed the target cleanly",
-               static_cast<double>(r.verified));
-    scalar("campaign.fix.incomplete",
-           "plans advisory, unchecked, or with a surviving target",
-           static_cast<double>(r.incomplete));
-    scalar("campaign.fix.regressed",
-           "plans that introduced findings or oracle disagreement",
-           static_cast<double>(r.regressed));
-    scalar("campaign.fix.unplanned",
-           "findings the synthesizer produced no plan for",
-           static_cast<double>(r.unplanned.size()));
-    scalar("campaign.fix.baseline_findings",
-           "findings of the broken baseline campaign",
-           static_cast<double>(r.baseline.bugs.size()));
-
-    reg.formula("campaign.fix.verified_ratio", "verified / plans",
-                [&plans, &verified] {
-                    return plans.value()
-                               ? verified.value() / plans.value()
-                               : 1.0;
-                });
-}
-
 } // namespace xfd::fix

@@ -256,9 +256,6 @@ synthesizePlans(const core::CampaignResult &baseline,
 /** Run the campaign: baseline + lint, synthesize, machine-check. */
 FixReport runFixCampaign(const FixConfig &cfg);
 
-/** Mirror @p r into campaign.fix.* stats of @p reg. */
-void exportFixStats(const FixReport &r, obs::StatsRegistry &reg);
-
 } // namespace xfd::fix
 
 #endif // XFD_FIX_FIX_HH

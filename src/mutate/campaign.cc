@@ -252,63 +252,4 @@ MutationReport::writeJson(obs::JsonWriter &w) const
     w.endObject();
 }
 
-void
-exportMutationStats(const MutationReport &r, obs::StatsRegistry &reg)
-{
-    auto scalar = [&reg](const std::string &name, const char *desc,
-                         double v) -> obs::Scalar & {
-        obs::Scalar &s = reg.scalar(name, desc);
-        s.set(v);
-        return s;
-    };
-
-    scalar("campaign.mutation.enumerated", "mutants the planner found",
-           static_cast<double>(r.enumerated));
-    obs::Scalar &mutants =
-        scalar("campaign.mutation.mutants", "mutant campaigns run",
-               static_cast<double>(r.aggregate.mutants));
-    obs::Scalar &detected =
-        scalar("campaign.mutation.detected",
-               "mutants with a matching finding",
-               static_cast<double>(r.aggregate.detected));
-    obs::Scalar &tp =
-        scalar("campaign.mutation.true_positives",
-               "findings matching planted ground truth",
-               static_cast<double>(r.aggregate.truePositives));
-    obs::Scalar &fp =
-        scalar("campaign.mutation.false_positives",
-               "findings matching no planted bug (incl. baseline)",
-               static_cast<double>(r.aggregate.falsePositives));
-    scalar("campaign.mutation.baseline_findings",
-           "findings of the unmutated baseline run",
-           static_cast<double>(r.baselineFindings));
-
-    reg.formula("campaign.mutation.recall", "detected / mutants",
-                [&mutants, &detected] {
-                    return mutants.value()
-                               ? detected.value() / mutants.value()
-                               : 1.0;
-                });
-    reg.formula("campaign.mutation.precision", "TP / (TP + FP)",
-                [&tp, &fp] {
-                    double denom = tp.value() + fp.value();
-                    return denom ? tp.value() / denom : 1.0;
-                });
-
-    for (std::size_t op = 0; op < mutationOpCount; op++) {
-        const OpScore &sc = r.perOp[op];
-        if (sc.mutants == 0)
-            continue;
-        std::string prefix = std::string("campaign.mutation.") +
-                             mutationOpName(static_cast<MutationOp>(op));
-        scalar(prefix + ".mutants", "mutant campaigns run",
-               static_cast<double>(sc.mutants));
-        scalar(prefix + ".detected", "mutants with a matching finding",
-               static_cast<double>(sc.detected));
-        scalar(prefix + ".recall", "detected / mutants", sc.recall());
-        scalar(prefix + ".precision", "TP / (TP + FP)",
-               sc.precision());
-    }
-}
-
 } // namespace xfd::mutate

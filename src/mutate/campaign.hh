@@ -19,8 +19,8 @@
  *    miscounted as a detection.
  *
  * Scores come per operator and aggregated, as a human-readable
- * scoreboard, as a "mutation" object in the xfd-stats-v1 document,
- * and as campaign.mutation.* stats in an observer's registry.
+ * scoreboard and as a "mutation" object in the xfd-stats-v1
+ * document.
  */
 
 #ifndef XFD_MUTATE_CAMPAIGN_HH
@@ -156,9 +156,6 @@ struct MutationReport
 /** Run the campaign: baseline first, then one detection campaign per
     planned mutant, then score. */
 MutationReport runMutationCampaign(const MutationConfig &cfg);
-
-/** Mirror @p r into campaign.mutation.* stats of @p reg. */
-void exportMutationStats(const MutationReport &r, obs::StatsRegistry &reg);
 
 } // namespace xfd::mutate
 

@@ -1,9 +1,37 @@
 #include "obs/phase_profiler.hh"
 
-#include <algorithm>
+#include "obs/live.hh"
+#include "obs/timeline.hh"
 
 namespace xfd::obs
 {
+
+namespace
+{
+
+/** Feed @p sec seconds of @p p to the phase's live metric, if any. */
+void
+feedLive(LiveMetrics &live, Phase p, double sec)
+{
+    switch (p) {
+      case Phase::TraceCapture:
+        live.gauge("pre_seconds", sec);
+        break;
+      case Phase::Restore:
+        live.count("restore_us", static_cast<std::uint64_t>(sec * 1e6));
+        break;
+      case Phase::RecoveryExec:
+        live.sample("post_exec_latency_us", sec * 1e6);
+        break;
+      case Phase::Classify:
+        live.count("classify_us", static_cast<std::uint64_t>(sec * 1e6));
+        break;
+      default:
+        break;
+    }
+}
+
+} // namespace
 
 const char *
 phaseName(Phase p)
@@ -18,28 +46,6 @@ phaseName(Phase p)
       case Phase::Oracle: return "oracle";
     }
     return "?";
-}
-
-const char *
-phaseDesc(Phase p)
-{
-    switch (p) {
-      case Phase::TraceCapture:
-        return "pre-failure stage under tracing";
-      case Phase::Plan:
-        return "failure-point planning + write-log indexing";
-      case Phase::LintPrune:
-        return "static frontier-signature pruning";
-      case Phase::Restore:
-        return "shadow/image advance + exec-pool restore";
-      case Phase::RecoveryExec:
-        return "post-failure stage execution";
-      case Phase::Classify:
-        return "post-trace replay + perf scan";
-      case Phase::Oracle:
-        return "crash-state oracle enumeration";
-    }
-    return "";
 }
 
 void
@@ -61,42 +67,22 @@ PhaseTotals::total() const
 }
 
 double
-PhaseTotals::backendAttributed() const
+ScopedPhase::stop()
 {
-    return seconds[static_cast<std::size_t>(Phase::Restore)] +
-           seconds[static_cast<std::size_t>(Phase::Classify)];
-}
-
-double
-PhaseTotals::attributionOf(double backend_seconds) const
-{
-    double attributed = backendAttributed();
-    double denom = std::max(backend_seconds, attributed);
-    return denom > 0 ? attributed / denom : 1.0;
-}
-
-void
-exportPhaseStats(StatsRegistry &reg, const PhaseTotals &t,
-                 double backend_seconds)
-{
-    for (std::size_t i = 0; i < phaseCount; i++) {
-        auto p = static_cast<Phase>(i);
-        reg.scalar(std::string("campaign.phase.") + phaseName(p) +
-                       "_seconds",
-                   phaseDesc(p))
-            .set(t.seconds[i]);
-        reg.scalar(std::string("campaign.phase.") + phaseName(p) +
-                       "_count",
-                   "scoped-timer intervals attributed to this phase")
-            .set(static_cast<double>(t.count[i]));
+    if (!totals)
+        return 0;
+    auto end = std::chrono::steady_clock::now();
+    double sec = std::chrono::duration<double>(end - start).count();
+    totals->note(phase, sec, units);
+    totals = nullptr;
+    if (out.timeline && spanName) {
+        std::int64_t ts = out.timeline->usAt(start);
+        out.timeline->recordSpan(spanName, category, out.track, ts,
+                                 out.timeline->usAt(end) - ts);
     }
-    reg.scalar("campaign.phase.total_seconds",
-               "seconds attributed to any phase")
-        .set(t.total());
-    reg.scalar("campaign.phase.backend_attribution",
-               "fraction of backend seconds attributed to "
-               "restore + classify")
-        .set(t.attributionOf(backend_seconds));
+    if (out.live)
+        feedLive(*out.live, phase, sec);
+    return sec;
 }
 
 void

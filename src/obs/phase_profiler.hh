@@ -8,15 +8,20 @@
  * differential campaigns) oracle enumeration. PhaseTotals accumulates
  * seconds and scoped-timer counts per phase; the driver threads one
  * through each worker and merges them like the rest of CampaignStats,
- * so BENCH_fig12's dominant backend_ms column finally decomposes into
- * named phases instead of one opaque number.
+ * so BENCH_fig12's dominant backend_ms column decomposes into named
+ * phases instead of one opaque number.
+ *
+ * ScopedPhase is the campaign's only timer: every timed interval is
+ * one scope, which notes the interval in PhaseTotals, records its
+ * Chrome-trace span and feeds its phase's live metric, so each
+ * interval is measured once and every sink reports the same number.
+ * CampaignStats' pre/post/backend seconds are sums over these totals.
  *
  * The accounting is CPU-seconds per phase: a serial campaign's phase
- * totals sum to its wall breakdown exactly (restore + classify ==
- * backendSeconds by construction — the driver feeds both from the
- * same measured interval), while a parallel campaign's totals exceed
- * wall time because workers overlap. Scoped-timer *counts* are
- * deterministic and identical between serial and parallel runs.
+ * totals sum to its wall breakdown, while a parallel campaign's
+ * totals exceed wall time because workers overlap. Scoped-timer
+ * *counts* are deterministic and identical between serial and
+ * parallel runs.
  *
  * All timing uses the steady clock (see DESIGN.md: wall-clock time
  * appears in exactly one exported field, the live snapshot's
@@ -32,10 +37,12 @@
 #include <cstdint>
 
 #include "obs/json.hh"
-#include "obs/stats.hh"
 
 namespace xfd::obs
 {
+
+class LiveMetrics;
+class Timeline;
 
 /** The named phases every campaign millisecond is attributed to. */
 enum class Phase : std::uint8_t
@@ -62,9 +69,6 @@ inline constexpr std::size_t phaseCount = 7;
 /** Stable identifier of @p p ("trace_capture", ...). */
 const char *phaseName(Phase p);
 
-/** One-line description of @p p for stat registration. */
-const char *phaseDesc(Phase p);
-
 /** Per-phase accumulated seconds and timer counts; mergeable. */
 struct PhaseTotals
 {
@@ -83,41 +87,49 @@ struct PhaseTotals
         count[i] += n;
     }
 
+    /** Seconds attributed to @p p. */
+    double
+    secondsOf(Phase p) const
+    {
+        return seconds[static_cast<std::size_t>(p)];
+    }
+
     /** Fold another worker's totals into this one. */
     void merge(const PhaseTotals &o);
 
     /** Sum of all phase seconds. */
     double total() const;
-
-    /**
-     * The share attributed to CampaignStats::backendSeconds: restore
-     * plus classify, which wrap exactly the intervals the driver adds
-     * to that counter.
-     */
-    double backendAttributed() const;
-
-    /**
-     * backendAttributed() as a fraction of @p backend_seconds. The
-     * denominator is clamped up to backendAttributed(): in a parallel
-     * campaign the phase totals are CPU-seconds summed across workers
-     * while CampaignStats::backendSeconds is not (the driver only
-     * accumulates it serially), so a raw quotient would be wildly >1.
-     * Serial campaigns are unaffected — there the two sides are equal
-     * by construction, and under-attribution still reads as <1.
-     */
-    double attributionOf(double backend_seconds) const;
 };
 
 /**
- * RAII scoped timer: attributes construction-to-destruction (steady
- * clock) to one phase. A null totals pointer makes it a no-op with no
- * clock reads.
+ * Where a timed interval is reported besides PhaseTotals: a span on
+ * a timeline track, and the phase's live metric (restore_us,
+ * classify_us, post_exec_latency_us, pre_seconds). Null members are
+ * skipped.
+ */
+struct PhaseSinks
+{
+    Timeline *timeline = nullptr;
+    int track = 0;
+    LiveMetrics *live = nullptr;
+};
+
+/**
+ * RAII scoped timer: one interval of one phase, from construction to
+ * stop() or destruction (steady clock, read twice). A null totals
+ * pointer makes it a no-op with no clock reads.
  */
 class ScopedPhase
 {
   public:
-    ScopedPhase(PhaseTotals *t, Phase p)
-        : totals(t), phase(p),
+    /**
+     * @param span name of the Chrome-trace span recorded on
+     *        sinks.timeline (none when null)
+     * @param cat  that span's category
+     */
+    ScopedPhase(PhaseTotals *t, Phase p, const PhaseSinks &sinks = {},
+                const char *span = nullptr, const char *cat = "phase")
+        : totals(t), phase(p), out(sinks), spanName(span), category(cat),
           start(t ? std::chrono::steady_clock::now()
                   : std::chrono::steady_clock::time_point{})
     {
@@ -128,34 +140,25 @@ class ScopedPhase
 
     ~ScopedPhase() { stop(); }
 
+    /**
+     * Units this interval counts for (default 1). Planning bills a
+     * point's frontier build as 0 units and its crash-state planning
+     * as the candidates it enumerated.
+     */
+    void setCount(std::uint64_t n) { units = n; }
+
     /** Record now; further stop() calls are no-ops. @return seconds. */
-    double
-    stop()
-    {
-        if (!totals)
-            return 0;
-        double sec = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-        totals->note(phase, sec);
-        totals = nullptr;
-        return sec;
-    }
+    double stop();
 
   private:
     PhaseTotals *totals;
     Phase phase;
+    PhaseSinks out;
+    const char *spanName;
+    const char *category;
+    std::uint64_t units = 1;
     std::chrono::steady_clock::time_point start;
 };
-
-/**
- * Register campaign.phase.* scalars for @p t into @p reg:
- * per-phase seconds and counts, the phase-seconds total, and
- * campaign.phase.backend_attribution — the fraction of
- * @p backend_seconds the restore/classify phases account for.
- */
-void exportPhaseStats(StatsRegistry &reg, const PhaseTotals &t,
-                      double backend_seconds);
 
 /**
  * Emit `{ "<phase>": {"seconds": s, "count": n}, ... }` for the

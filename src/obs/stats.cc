@@ -43,52 +43,6 @@ Scalar::writeJson(JsonWriter &w) const
     w.endObject();
 }
 
-Distribution::Distribution(std::string name, std::string desc,
-                           double lo_, double hi_, unsigned buckets)
-    : StatBase(std::move(name), std::move(desc)), lo(lo_), hi(hi_)
-{
-    if (buckets == 0 || hi <= lo)
-        panic("Distribution %s: bad bucket parameters", this->name().c_str());
-    counts.assign(buckets, 0);
-    bucketSize = (hi - lo) / buckets;
-}
-
-void
-Distribution::sample(double v, std::uint64_t n)
-{
-    m.note(v, n);
-    if (v < lo) {
-        underflow += n;
-    } else if (v >= hi) {
-        overflow += n;
-    } else {
-        auto i = static_cast<std::size_t>((v - lo) / bucketSize);
-        counts[std::min(i, counts.size() - 1)] += n;
-    }
-}
-
-void
-Distribution::writeJson(JsonWriter &w) const
-{
-    w.beginObject();
-    w.field("type", "distribution");
-    w.field("desc", desc());
-    w.field("count", m.count);
-    w.field("min", m.count ? m.minVal : 0.0);
-    w.field("max", m.count ? m.maxVal : 0.0);
-    w.field("mean", m.mean());
-    w.field("stddev", std::sqrt(m.variance()));
-    w.field("bucket_lo", lo);
-    w.field("bucket_hi", hi);
-    w.field("underflow", underflow);
-    w.field("overflow", overflow);
-    w.key("buckets").beginArray();
-    for (std::uint64_t c : counts)
-        w.value(c);
-    w.endArray();
-    w.endObject();
-}
-
 Histogram::Histogram(std::string name, std::string desc,
                      unsigned buckets)
     : StatBase(std::move(name), std::move(desc))
@@ -135,16 +89,6 @@ Histogram::writeJson(JsonWriter &w) const
     w.endObject();
 }
 
-void
-Formula::writeJson(JsonWriter &w) const
-{
-    w.beginObject();
-    w.field("type", "formula");
-    w.field("desc", desc());
-    w.field("value", value());
-    w.endObject();
-}
-
 template <typename T, typename... Args>
 T &
 StatsRegistry::add(const std::string &name, Args &&...args)
@@ -170,26 +114,11 @@ StatsRegistry::scalar(const std::string &name, const std::string &desc)
     return add<Scalar>(name, desc);
 }
 
-Distribution &
-StatsRegistry::distribution(const std::string &name,
-                            const std::string &desc, double lo,
-                            double hi, unsigned buckets)
-{
-    return add<Distribution>(name, desc, lo, hi, buckets);
-}
-
 Histogram &
 StatsRegistry::histogram(const std::string &name,
                          const std::string &desc, unsigned buckets)
 {
     return add<Histogram>(name, desc, buckets);
-}
-
-Formula &
-StatsRegistry::formula(const std::string &name, const std::string &desc,
-                       std::function<double()> fn)
-{
-    return add<Formula>(name, desc, std::move(fn));
 }
 
 const StatBase *
@@ -205,8 +134,6 @@ StatsRegistry::value(const std::string &name) const
     const StatBase *s = find(name);
     if (auto *sc = dynamic_cast<const Scalar *>(s))
         return sc->value();
-    if (auto *f = dynamic_cast<const Formula *>(s))
-        return f->value();
     return 0;
 }
 

@@ -2,13 +2,12 @@
  * @file
  * gem5-style statistics registry for detection campaigns.
  *
- * Components (Driver, ShadowPM, FailurePlanner, PmRuntime) register
- * named statistics into a StatsRegistry:
+ * The driver registers the campaign numbers that have no structured
+ * home in the stats document (shadow-FSM edges, per-op trace volumes,
+ * the post-execution latency histogram) into a StatsRegistry:
  *
- *  - Scalar       — a named counter or gauge,
- *  - Distribution — linearly-bucketed samples with moments,
- *  - Histogram    — power-of-two-bucketed samples (latencies),
- *  - Formula      — a value computed from other stats at dump time.
+ *  - Scalar    — a named counter or gauge,
+ *  - Histogram — power-of-two-bucketed samples (latencies).
  *
  * Counters on hot paths must stay cheap: incrementing is a plain add,
  * collection is gated by DetectorConfig::collectStats at run time, and
@@ -21,7 +20,6 @@
 #define XFD_OBS_STATS_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -78,7 +76,7 @@ class Scalar : public StatBase
     double val = 0;
 };
 
-/** Shared sample accounting for Distribution and Histogram. */
+/** Sample accounting behind Histogram. */
 struct SampleMoments
 {
     std::uint64_t count = 0;
@@ -90,31 +88,6 @@ struct SampleMoments
     void note(double v, std::uint64_t n);
     double mean() const { return count ? sum / count : 0; }
     double variance() const;
-};
-
-/** Linearly-bucketed distribution over [lo, hi). */
-class Distribution : public StatBase
-{
-  public:
-    Distribution(std::string name, std::string desc, double lo,
-                 double hi, unsigned buckets);
-
-    void sample(double v, std::uint64_t n = 1);
-
-    std::uint64_t count() const { return m.count; }
-    double mean() const { return m.mean(); }
-    std::uint64_t bucketCount(unsigned i) const { return counts[i]; }
-    std::uint64_t underflows() const { return underflow; }
-    std::uint64_t overflows() const { return overflow; }
-
-    void writeJson(JsonWriter &w) const override;
-
-  private:
-    double lo, hi, bucketSize;
-    std::vector<std::uint64_t> counts;
-    std::uint64_t underflow = 0;
-    std::uint64_t overflow = 0;
-    SampleMoments m;
 };
 
 /**
@@ -142,24 +115,6 @@ class Histogram : public StatBase
     SampleMoments m;
 };
 
-/** A value computed from other stats when the registry is dumped. */
-class Formula : public StatBase
-{
-  public:
-    Formula(std::string name, std::string desc,
-            std::function<double()> fn)
-        : StatBase(std::move(name), std::move(desc)), eval(std::move(fn))
-    {
-    }
-
-    double value() const { return eval ? eval() : 0; }
-
-    void writeJson(JsonWriter &w) const override;
-
-  private:
-    std::function<double()> eval;
-};
-
 /**
  * The registry: owns stats, preserves registration order, dumps to
  * JSON as one flat object keyed by dotted stat names. Re-registering
@@ -170,19 +125,14 @@ class StatsRegistry
 {
   public:
     Scalar &scalar(const std::string &name, const std::string &desc);
-    Distribution &distribution(const std::string &name,
-                               const std::string &desc, double lo,
-                               double hi, unsigned buckets);
     Histogram &histogram(const std::string &name,
                          const std::string &desc,
                          unsigned buckets = 32);
-    Formula &formula(const std::string &name, const std::string &desc,
-                     std::function<double()> fn);
 
     /** @return the stat named @p name, or nullptr. */
     const StatBase *find(const std::string &name) const;
 
-    /** Scalar/formula value by name (0 when absent — test helper). */
+    /** Scalar value by name (0 when absent — test helper). */
     double value(const std::string &name) const;
 
     std::size_t size() const { return order.size(); }

@@ -23,9 +23,14 @@ Timeline::registerTrack(const std::string &label)
 std::int64_t
 Timeline::nowUs() const
 {
+    return usAt(std::chrono::steady_clock::now());
+}
+
+std::int64_t
+Timeline::usAt(std::chrono::steady_clock::time_point t) const
+{
     using namespace std::chrono;
-    return duration_cast<microseconds>(steady_clock::now() - epoch)
-        .count();
+    return duration_cast<microseconds>(t - epoch).count();
 }
 
 void

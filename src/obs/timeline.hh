@@ -63,6 +63,9 @@ class Timeline
     /** Microseconds since the timeline epoch (monotonic). */
     std::int64_t nowUs() const;
 
+    /** Microseconds from the timeline epoch to steady-clock @p t. */
+    std::int64_t usAt(std::chrono::steady_clock::time_point t) const;
+
     /** Record a completed span. */
     void recordSpan(std::string name, const char *cat, int tid,
                     std::int64_t ts_us, std::int64_t dur_us);

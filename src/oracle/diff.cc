@@ -1,6 +1,5 @@
 #include "oracle/diff.hh"
 
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -279,7 +278,7 @@ runDifferentialCampaign(pm::PmPool &pool, const core::ProgramFn &pre,
         csOn && !rep.detector.stats.crashPruned.empty();
 
     bool wrotePreTrace = false;
-    auto toracle = std::chrono::steady_clock::now();
+    obs::ScopedPhase timer(&rep.detector.stats.phases, obs::Phase::Oracle);
     for (std::size_t i = 0; i < plan.points.size(); i++) {
         std::uint32_t fp = plan.points[i];
         FpAgreement a;
@@ -433,75 +432,8 @@ runDifferentialCampaign(pm::PmPool &pool, const core::ProgramFn &pre,
                 rep.crashPrunedDisagreements++;
         }
     }
-    rep.oracleSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      toracle)
-            .count();
-    rep.detector.stats.phases.note(obs::Phase::Oracle,
-                                   rep.oracleSeconds);
+    rep.oracleSeconds = timer.stop();
     return rep;
-}
-
-void
-exportOracleStats(obs::StatsRegistry &reg, const DiffReport &r)
-{
-    auto set = [&](const char *name, const char *desc, double v) {
-        reg.scalar(name, desc).set(v);
-    };
-    set("campaign.oracle.failure_points",
-        "failure points compared against the oracle",
-        static_cast<double>(r.failurePoints));
-    set("campaign.oracle.states_enumerated",
-        "legal crash states identified",
-        static_cast<double>(r.statesEnumerated));
-    set("campaign.oracle.subsets_sampled",
-        "candidates run at sampled (over-limit) points",
-        static_cast<double>(r.subsetsSampled));
-    set("campaign.oracle.candidates_run",
-        "candidate recovery executions",
-        static_cast<double>(r.candidatesRun));
-    set("campaign.oracle.pruned_rechecked",
-        "lint-pruned points the oracle re-checked",
-        static_cast<double>(r.prunedRechecked));
-    set("campaign.oracle.agreements",
-        "failure points where detector and oracle classes match",
-        static_cast<double>(r.agreements));
-    set("campaign.oracle.disagreements",
-        "failure points where the class sets differ",
-        static_cast<double>(r.disagreements));
-    set("campaign.oracle.extras_explained",
-        "partial-candidate extra classes with an attribution",
-        static_cast<double>(r.extrasExplained));
-    set("campaign.oracle.extras_unexplained",
-        "partial-candidate extra classes without one",
-        static_cast<double>(r.extrasUnexplained));
-    set("campaign.oracle.partial_checked",
-        "detector partial-image finding groups cross-checked",
-        static_cast<double>(r.partialChecked));
-    set("campaign.oracle.partial_disagreements",
-        "partial-image groups the oracle could not reproduce",
-        static_cast<double>(r.partialDisagreements));
-    set("campaign.oracle.crash_pruned_rechecked",
-        "equivalence-pruned candidates re-checked by the oracle",
-        static_cast<double>(r.crashPrunedRechecked));
-    set("campaign.oracle.crash_pruned_disagreements",
-        "pruned candidates whose verdict differed from their "
-        "representative",
-        static_cast<double>(r.crashPrunedDisagreements));
-    set("campaign.phase.oracle_seconds",
-        "oracle enumeration + candidate recovery wall seconds",
-        r.oracleSeconds);
-
-    obs::Scalar &points =
-        reg.scalar("campaign.oracle.failure_points", "");
-    obs::Scalar &agree = reg.scalar("campaign.oracle.agreements", "");
-    reg.formula("campaign.oracle.agreement_rate",
-                "agreeing points / compared points",
-                [&points, &agree] {
-                    return points.value()
-                               ? agree.value() / points.value()
-                               : 1.0;
-                });
 }
 
 core::JsonSection

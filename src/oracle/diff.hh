@@ -170,8 +170,8 @@ struct DiffReport
 
     /**
      * Wall seconds the oracle side spent (enumeration + candidate
-     * recovery executions); also noted as Phase::Oracle on the
-     * detector result's phase totals.
+     * recovery executions): the one Phase::Oracle interval noted on
+     * the detector result's phase totals.
      */
     double oracleSeconds = 0;
 
@@ -203,9 +203,6 @@ DiffReport runDifferentialCampaign(pm::PmPool &pool,
                                    const core::ProgramFn &pre,
                                    const core::ProgramFn &post,
                                    const DiffConfig &cfg);
-
-/** Register campaign.oracle.* scalars/formulas for @p r. */
-void exportOracleStats(obs::StatsRegistry &reg, const DiffReport &r);
 
 /**
  * Stats-JSON section ("oracle") for @p r. The report must outlive the

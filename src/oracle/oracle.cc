@@ -337,19 +337,10 @@ CrashStateOracle::runCandidate(const core::ProgramFn &post,
     nCandidates++;
     std::set<core::BugType> classes;
     trace::TraceBuffer postTrace;
-    {
-        trace::PmRuntime rt(execPool, postTrace,
-                            trace::Stage::PostFailure);
-        rt.setEntryCap(1u << 20);
-        try {
-            post(rt);
-        } catch (const trace::StageComplete &) {
-        } catch (const trace::PostFailureAbort &) {
-            classes.insert(core::BugType::RecoveryFailure);
-        } catch (const pm::BadPmAccess &) {
-            classes.insert(core::BugType::RecoveryFailure);
-        }
-    }
+    // The detector's executor. The oracle takes only the failure's
+    // class and classifies the reads by its own rules below.
+    if (auto failure = core::runRecovery(execPool, post, postTrace))
+        classes.insert(failure->type);
 
     // Classify the recovery's reads against the oracle cells, with
     // candidate-scoped overwrite/first-read marks and commit clocks.

@@ -264,7 +264,7 @@ TEST_F(DetectorE2E, StatsAreCoherent)
     EXPECT_GT(res.stats.preTraceEntries, 0u);
     EXPECT_GT(res.stats.postTraceEntries, 0u);
     EXPECT_GT(res.stats.checksPerformed, 0u);
-    EXPECT_GE(res.stats.preSeconds, 0.0);
+    EXPECT_GE(res.stats.preSeconds(), 0.0);
     EXPECT_EQ(res.stats.orderingCandidates,
               res.stats.failurePoints + res.stats.elidedPoints);
 }

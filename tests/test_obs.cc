@@ -79,7 +79,7 @@ TEST(JsonWriter, DoubleFormattingRoundTrips)
     }
 }
 
-TEST(StatsRegistry, GoldenScalarAndFormulaJson)
+TEST(StatsRegistry, GoldenScalarJson)
 {
     obs::StatsRegistry reg;
     obs::Scalar &n = reg.scalar("a.count", "things counted");
@@ -87,8 +87,6 @@ TEST(StatsRegistry, GoldenScalarAndFormulaJson)
     ++n;
     obs::Scalar &d = reg.scalar("a.total", "things overall");
     d.set(6);
-    reg.formula("a.ratio", "counted fraction",
-                [&n, &d] { return n.value() / d.value(); });
 
     std::ostringstream os;
     obs::JsonWriter w(os);
@@ -97,9 +95,7 @@ TEST(StatsRegistry, GoldenScalarAndFormulaJson)
               "{\"a.count\":{\"type\":\"scalar\","
               "\"desc\":\"things counted\",\"value\":3},"
               "\"a.total\":{\"type\":\"scalar\","
-              "\"desc\":\"things overall\",\"value\":6},"
-              "\"a.ratio\":{\"type\":\"formula\","
-              "\"desc\":\"counted fraction\",\"value\":0.5}}");
+              "\"desc\":\"things overall\",\"value\":6}}");
 }
 
 TEST(StatsRegistry, ReRegistrationReturnsExisting)
@@ -140,24 +136,6 @@ TEST(StatsRegistry, HistogramPowerOfTwoBuckets)
     EXPECT_EQ(hist.at("max").num, 1024);
     // Trailing zero buckets elided: bucket 10 is the last non-zero.
     EXPECT_EQ(hist.at("buckets").arr.size(), 11u);
-}
-
-TEST(StatsRegistry, DistributionBucketsAndOverflow)
-{
-    obs::StatsRegistry reg;
-    obs::Distribution &d =
-        reg.distribution("d", "samples", 0, 10, 5);
-    d.sample(-1); // underflow
-    d.sample(0);  // bucket 0
-    d.sample(5);  // bucket 2
-    d.sample(9.9);
-    d.sample(10); // overflow
-    EXPECT_EQ(d.count(), 5u);
-    EXPECT_EQ(d.underflows(), 1u);
-    EXPECT_EQ(d.overflows(), 1u);
-    EXPECT_EQ(d.bucketCount(0), 1u);
-    EXPECT_EQ(d.bucketCount(2), 1u);
-    EXPECT_EQ(d.bucketCount(4), 1u);
 }
 
 TEST(Timeline, ChromeTraceStructure)
@@ -276,25 +254,33 @@ runObserved(const std::string &workload, unsigned threads,
     return xfdtest::runWorkload(workload, cfg, opt);
 }
 
-TEST(CampaignExport, StatsRegistryMatchesCampaignStats)
+TEST(CampaignExport, StatsDocumentMatchesCampaignStats)
 {
     if (!obs::statsCompiledIn)
         GTEST_SKIP() << "stats compiled out (XFD_STATS_NOOP)";
     core::CampaignObserver obs;
     auto res = runObserved("btree", 1, obs);
 
-    const obs::StatsRegistry &reg = obs.stats;
-    EXPECT_EQ(reg.value("campaign.failure_points"),
+    // The structured section is the one copy of the campaign numbers;
+    // the registry holds only what has no structured home.
+    std::ostringstream os;
+    core::writeStatsJson(res, &obs.stats, os);
+    Json doc = parseJson(os.str());
+    const Json &camp = doc.at("campaign");
+    EXPECT_EQ(camp.at("failure_points").num,
               static_cast<double>(res.stats.failurePoints));
-    EXPECT_EQ(reg.value("campaign.post_executions"),
+    EXPECT_EQ(camp.at("post_executions").num,
               static_cast<double>(res.stats.postExecutions));
-    EXPECT_EQ(reg.value("campaign.checks_performed"),
+    EXPECT_EQ(camp.at("checks_performed").num,
               static_cast<double>(res.stats.checksPerformed));
-    EXPECT_EQ(reg.value("campaign.checks_skipped"),
+    EXPECT_EQ(camp.at("checks_skipped").num,
               static_cast<double>(res.stats.checksSkipped));
-    EXPECT_EQ(reg.value("campaign.pre_seconds"), res.stats.preSeconds);
-    EXPECT_EQ(reg.value("campaign.total_seconds"),
-              res.stats.totalSeconds());
+    EXPECT_EQ(camp.at("pre_seconds").num, res.stats.preSeconds());
+    EXPECT_EQ(camp.at("total_seconds").num, res.stats.totalSeconds());
+    for (const auto &kv : doc.at("stats").obj)
+        EXPECT_TRUE(xfdtest::isRegistryKey(kv.first)) << kv.first;
+
+    const obs::StatsRegistry &reg = obs.stats;
 
     // Shadow-FSM edges: a btree campaign writes, flushes and fences.
     EXPECT_GT(reg.value("shadow_fsm.edge.Modified_to_WritebackPending"),
@@ -328,10 +314,10 @@ TEST(CampaignExport, StatsJsonDocumentIsValid)
               static_cast<double>(res.stats.failurePoints));
     EXPECT_EQ(camp.at("checks_performed").num,
               static_cast<double>(res.stats.checksPerformed));
-    EXPECT_EQ(camp.at("pre_seconds").num, res.stats.preSeconds);
-    EXPECT_EQ(camp.at("post_seconds").num, res.stats.postSeconds);
+    EXPECT_EQ(camp.at("pre_seconds").num, res.stats.preSeconds());
+    EXPECT_EQ(camp.at("post_seconds").num, res.stats.postSeconds());
     EXPECT_EQ(camp.at("backend_seconds").num,
-              res.stats.backendSeconds);
+              res.stats.backendSeconds());
     EXPECT_EQ(doc.at("bugs").at("total").num,
               static_cast<double>(res.bugs.size()));
     const Json &restore = doc.at("restore");
@@ -343,6 +329,35 @@ TEST(CampaignExport, StatsJsonDocumentIsValid)
         EXPECT_NE(doc.at("stats").find("campaign.post_exec_latency_us"),
                   nullptr);
     }
+}
+
+TEST(CampaignExport, StatsJsonCarriesBatchElisionAndSyncCounts)
+{
+    // The three CampaignStats numbers the registry used to print
+    // alone now live in the structured sections.
+    workloads::WorkloadConfig cfg;
+    cfg.initOps = 5;
+    cfg.testOps = 5;
+    cfg.postOps = 2;
+    xfdtest::RunOptions opt;
+    opt.detector.backend = "batched";
+    opt.detector.crashStates = "sample:8";
+    opt.detector.elideSameValueWrites = true;
+    auto res = xfdtest::runWorkload("btree", cfg, opt);
+    ASSERT_GT(res.stats.batchGroups, 0u);
+    EXPECT_GT(res.stats.restore.syncRestores, 0u);
+
+    std::ostringstream os;
+    core::writeStatsJson(res, nullptr, os);
+    Json doc = parseJson(os.str());
+    const Json &camp = doc.at("campaign");
+    EXPECT_EQ(camp.at("batch_groups").num,
+              static_cast<double>(res.stats.batchGroups));
+    EXPECT_EQ(camp.at("same_value_elided").num,
+              static_cast<double>(res.stats.sameValueElided));
+    EXPECT_EQ(doc.at("restore").at("sync_restores").num,
+              static_cast<double>(res.stats.restore.syncRestores));
+    EXPECT_EQ(camp.find("backend_attribution"), nullptr);
 }
 
 TEST(CampaignExport, StatsJsonEchoesEveryConfigFlag)
@@ -529,7 +544,7 @@ TEST(MutationExport, JsonObjectGolden)
     EXPECT_DOUBLE_EQ(agg.at("precision").num, 0.6);
 }
 
-TEST(MutationExport, StatsRegistryMirrorsReport)
+TEST(MutationExport, StatsJsonCarriesTheScores)
 {
     mutate::MutationReport rep;
     rep.enumerated = 3;
@@ -538,13 +553,14 @@ TEST(MutationExport, StatsRegistryMirrorsReport)
     rep.aggregate.truePositives = 2;
     rep.aggregate.falsePositives = 1;
 
-    obs::StatsRegistry reg;
-    mutate::exportMutationStats(rep, reg);
-    EXPECT_EQ(reg.value("campaign.mutation.mutants"), 3);
-    EXPECT_EQ(reg.value("campaign.mutation.detected"), 2);
-    EXPECT_DOUBLE_EQ(reg.value("campaign.mutation.recall"), 2.0 / 3.0);
-    EXPECT_DOUBLE_EQ(reg.value("campaign.mutation.precision"),
-                     2.0 / 3.0);
+    std::ostringstream os;
+    obs::JsonWriter w(os);
+    rep.writeJson(w);
+    const Json agg = parseJson(os.str()).at("aggregate");
+    EXPECT_EQ(agg.at("mutants").num, 3);
+    EXPECT_EQ(agg.at("detected").num, 2);
+    EXPECT_DOUBLE_EQ(agg.at("recall").num, 2.0 / 3.0);
+    EXPECT_DOUBLE_EQ(agg.at("precision").num, 2.0 / 3.0);
 }
 
 TEST(MutationExport, ScoreboardTextGolden)
@@ -608,13 +624,12 @@ TEST(CampaignExport, SerialAndParallelExportIdentically)
     // Identical check accounting and FSM counters.
     EXPECT_EQ(serial.stats.checksPerformed, par.stats.checksPerformed);
     EXPECT_EQ(serial.stats.checksSkipped, par.stats.checksSkipped);
+    EXPECT_EQ(serial.stats.postExecutions, par.stats.postExecutions);
     for (const char *key :
          {"shadow_fsm.edge.Unmodified_to_Modified",
           "shadow_fsm.edge.Modified_to_WritebackPending",
           "shadow_fsm.edge.WritebackPending_to_Persisted",
-          "shadow_fsm.fences", "campaign.checks_performed",
-          "campaign.checks_skipped", "campaign.post_executions",
-          "trace.pre.WRITE", "trace.post.READ"}) {
+          "shadow_fsm.fences", "trace.pre.WRITE", "trace.post.READ"}) {
         EXPECT_EQ(serial_obs.stats.value(key), par_obs.stats.value(key))
             << key;
     }

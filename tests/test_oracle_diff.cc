@@ -21,6 +21,7 @@
 #include "obs/stats.hh"
 #include "oracle/diff.hh"
 #include "pmlib/objpool.hh"
+#include "testutil_json.hh"
 #include "trace/subset.hh"
 #include "workloads/workload.hh"
 
@@ -238,31 +239,42 @@ TEST(OracleDiff, CleanRunWritesNoArtifacts)
     EXPECT_FALSE(fs::exists(dir));
 }
 
-TEST(OracleDiff, StatsExportAndJsonSection)
+TEST(OracleDiff, StatsDocumentCarriesTheOracleOnce)
 {
-    oracle::DiffReport rep = diffWorkload("btree", smallConfig("btree"));
+    core::CampaignObserver obs;
+    oracle::DiffConfig cfg;
+    cfg.observer = &obs;
+    oracle::DiffReport rep =
+        diffWorkload("btree", smallConfig("btree"), cfg);
     ASSERT_TRUE(rep.clean()) << rep.summary();
-
-    obs::StatsRegistry reg;
-    oracle::exportOracleStats(reg, rep);
-    EXPECT_EQ(reg.value("campaign.oracle.failure_points"),
-              static_cast<double>(rep.failurePoints));
-    EXPECT_EQ(reg.value("campaign.oracle.states_enumerated"),
-              static_cast<double>(rep.statesEnumerated));
-    EXPECT_EQ(reg.value("campaign.oracle.candidates_run"),
-              static_cast<double>(rep.candidatesRun));
-    EXPECT_EQ(reg.value("campaign.oracle.disagreements"), 0.0);
-    EXPECT_DOUBLE_EQ(reg.value("campaign.oracle.agreement_rate"), 1.0);
 
     core::JsonSection sec = oracle::oracleJsonSection(rep);
     EXPECT_EQ(sec.key, "oracle");
     std::ostringstream os;
-    obs::JsonWriter w(os);
-    sec.body(w);
-    std::string json = os.str();
-    EXPECT_NE(json.find("\"agreement_rate\""), std::string::npos);
-    EXPECT_NE(json.find("\"disagreements\""), std::string::npos);
-    EXPECT_NE(json.find("\"states_enumerated\""), std::string::npos);
+    core::writeStatsJson(rep.detector, nullptr,
+                         obs.stats.empty() ? nullptr : &obs.stats, os,
+                         {sec});
+    xfdtest::Json doc = xfdtest::parseJson(os.str());
+    const xfdtest::Json &o = doc.at("oracle");
+    EXPECT_EQ(o.at("failure_points").num,
+              static_cast<double>(rep.failurePoints));
+    EXPECT_EQ(o.at("states_enumerated").num,
+              static_cast<double>(rep.statesEnumerated));
+    EXPECT_EQ(o.at("candidates_run").num,
+              static_cast<double>(rep.candidatesRun));
+    EXPECT_EQ(o.at("disagreements").num, 0.0);
+    EXPECT_DOUBLE_EQ(o.at("agreement_rate").num, 1.0);
+
+    // The oracle interval is timed once: one oracle phase, and its
+    // seconds are the section's oracle_seconds.
+    const xfdtest::Json &ph = doc.at("campaign").at("phases");
+    EXPECT_EQ(ph.at("oracle").at("count").num, 1.0);
+    EXPECT_EQ(ph.at("oracle").at("seconds").num,
+              o.at("oracle_seconds").num);
+    if (obs::statsCompiledIn) {
+        for (const auto &kv : doc.at("stats").obj)
+            EXPECT_TRUE(xfdtest::isRegistryKey(kv.first)) << kv.first;
+    }
 }
 
 /**

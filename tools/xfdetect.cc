@@ -505,7 +505,6 @@ main(int argc, char **argv)
         frep = fix::runFixCampaign(fxcfg);
         std::printf("%s", frep.baseline.summary().c_str());
         std::printf("%s", frep.scoreboard().c_str());
-        fix::exportFixStats(frep, obs.stats);
         res = frep.baseline;
         extra.push_back(core::JsonSection{
             "fix", [&frep](obs::JsonWriter &w) { frep.writeJson(w); }});
@@ -540,7 +539,6 @@ main(int argc, char **argv)
         };
         mrep = mutate::runMutationCampaign(mcfg);
         std::printf("%s", mrep.scoreboard().c_str());
-        mutate::exportMutationStats(mrep, obs.stats);
         res = mrep.baseline;
         extra.push_back(core::JsonSection{
             "mutation",
@@ -577,7 +575,6 @@ main(int argc, char **argv)
     }
 
     if (oracle_on) {
-        oracle::exportOracleStats(obs.stats, orep);
         extra.push_back(oracle::oracleJsonSection(orep));
         // Exit 3 signals a conformance break, distinct from findings
         // (1) and usage errors (2).
