@@ -121,13 +121,9 @@ writeStatsJson(const CampaignResult &res, const DetectorConfig *cfg,
     // Exec-pool restore volume (delta-image engine accounting).
     w.key("restore").beginObject();
     w.field("pool_bytes", static_cast<std::uint64_t>(s.poolBytes));
-    w.field("full_copies", s.restore.fullCopies);
     w.field("delta_restores", s.restore.deltaRestores);
     w.field("pages_restored", s.restore.pagesRestored);
-    w.field("bytes_restored", s.restore.bytesRestored);
-    w.field("bytes_full_copy", s.restore.bytesFullCopy);
     w.field("bytes_copied", s.restore.bytesCopied());
-    w.field("sync_restores", s.restore.syncRestores);
     w.endObject();
 
     w.key("bugs").beginObject();

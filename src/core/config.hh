@@ -14,24 +14,25 @@
 #include <limits>
 #include <string>
 
+#include "pm/cow.hh"
+
 namespace xfd::core
 {
 
 /**
- * How the campaign backend restores and schedules failure points.
- * Parsed from DetectorConfig::backend ("full", "delta", "batched").
+ * How the campaign backend schedules failure points. Parsed from
+ * DetectorConfig::backend ("delta", "batched"). Both restore the exec
+ * pool the same way: the write-log page delta.
  */
 enum class BackendMode
 {
-    /** Full-image copy before every post-failure run (ablation). */
-    Full,
-    /** Page-granular delta restores, one run per failure point. */
+    /** One recovery run per failure point. */
     Delta,
     /**
-     * Delta restores plus frontier-signature batching: failure
-     * points whose lint signature proves them equivalent share one
-     * representative recovery run, and groups are pulled dynamically
-     * by the worker pool.
+     * Frontier-signature batching: failure points whose lint
+     * signature proves them equivalent share one representative
+     * recovery run, and groups are pulled dynamically by the worker
+     * pool.
      */
     Batched,
 };
@@ -125,23 +126,19 @@ struct DetectorConfig
     std::size_t maxFailurePoints = 0;
 
     /**
-     * Backend descriptor: how exec pools are restored and failure
-     * points scheduled. One of
+     * Backend descriptor: how failure points are scheduled. One of
      *
-     *  - "full":    full-image copy before every post-failure run
-     *               (the ablation baseline, ex --no-delta);
-     *  - "delta":   page-granular delta restores, one recovery run
-     *               per failure point (the former default);
-     *  - "batched": delta restores plus frontier-signature batching —
-     *               failure points the lint pass proves equivalent
-     *               (same ordering-point location, identical frontier
-     *               signature) fold into one representative run, and
-     *               the worker pool pulls groups dynamically
-     *               (subsumes the former --lint-prune switch).
+     *  - "delta":   one recovery run per failure point (the default);
+     *  - "batched": frontier-signature batching — failure points the
+     *               lint pass proves equivalent (same ordering-point
+     *               location, identical frontier signature) fold into
+     *               one representative run, and the worker pool pulls
+     *               groups dynamically.
      *
-     * Findings are byte-identical across all three modes; the
-     * equivalence suites (test_delta_image, test_batch_sched) and the
-     * oracle differential campaign enforce that.
+     * Both restore every exec pool with the write-log page delta
+     * (deltaPageSize). Findings are byte-identical across the two;
+     * test_batch_sched and the oracle differential campaign enforce
+     * that. The driver rejects any other spelling.
      */
     std::string backend = "delta";
 
@@ -166,15 +163,12 @@ struct DetectorConfig
      */
     std::string pmModel = "clwb";
 
-    /** Delta restore granularity in bytes (power of two >= 64). */
-    std::size_t deltaPageSize = 4096;
-
     /**
-     * Full-image checkpoint cadence: after this many consecutive
-     * delta restores, resync with one full copy so error recovery and
-     * drift stay bounded (0 = checkpoint only at chunk starts).
+     * Exec-pool restore granularity in bytes: the page size of the
+     * write-log index, the pool's dirty map and the working images.
      */
-    std::size_t deltaCheckpointInterval = 64;
+    static constexpr std::size_t deltaPageSize =
+        pm::CowImage::defaultPageSize;
 
     /**
      * Collect observability counters (shadow-FSM transition counts,
@@ -319,9 +313,7 @@ struct DetectorConfig
     static bool
     parseBackend(const std::string &s, BackendMode &mode)
     {
-        if (s == "full")
-            mode = BackendMode::Full;
-        else if (s == "delta" || s.empty())
+        if (s == "delta" || s.empty())
             mode = BackendMode::Delta;
         else if (s == "batched")
             mode = BackendMode::Batched;
@@ -330,31 +322,11 @@ struct DetectorConfig
         return true;
     }
 
-    /**
-     * The parsed backend descriptor. An unknown string degrades to
-     * Delta here; the driver validates and reports it at campaign
-     * start.
-     */
-    BackendMode
-    backendMode() const
-    {
-        BackendMode m = BackendMode::Delta;
-        parseBackend(backend, m);
-        return m;
-    }
-
-    /** Whether the delta-image engine is on (delta and batched). */
-    bool
-    deltaImagesOn() const
-    {
-        return backendMode() != BackendMode::Full;
-    }
-
     /** Whether signature batching folds failure points (batched). */
     bool
     batchingOn() const
     {
-        return backendMode() == BackendMode::Batched;
+        return backend == "batched";
     }
 
     /**
@@ -375,7 +347,8 @@ struct DetectorConfig
 
     /**
      * The parsed persistency model. An unknown string degrades to
-     * Clwb here; flag parsing rejects it before it can get this far.
+     * Clwb here; flag parsing and Driver::runParallel reject it
+     * before it can get this far.
      */
     PersistencyModel
     pmModelEnum() const

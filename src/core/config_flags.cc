@@ -18,12 +18,44 @@ namespace xfd::core
  * constant together with the table.
  */
 static_assert(sizeof(DetectorConfig) ==
-                  96 + 9 * sizeof(std::string),
+                  80 + 9 * sizeof(std::string),
               "DetectorConfig changed: add a ConfigFlagDesc row for "
               "the new field, then update this size tripwire");
 
 namespace
 {
+
+/**
+ * Why @p v is not a valid spelling of the descriptor field @p field
+ * (backend, pmModel or crashStates), or an empty string.
+ */
+std::string
+badSpelling(std::string DetectorConfig::*field, const std::string &v)
+{
+    BackendMode backend;
+    PersistencyModel model;
+    bool exhaustive = false;
+    std::size_t n = 0;
+    if (field == &DetectorConfig::backend &&
+        !DetectorConfig::parseBackend(v, backend)) {
+        return strprintf("unknown backend \"%s\" (expected delta or "
+                         "batched)",
+                         v.c_str());
+    }
+    if (field == &DetectorConfig::pmModel &&
+        !DetectorConfig::parsePmModel(v, model)) {
+        return strprintf("unknown persistency model \"%s\" (expected "
+                         "clwb or eadr)",
+                         v.c_str());
+    }
+    if (field == &DetectorConfig::crashStates &&
+        !DetectorConfig::parseCrashStates(v, exhaustive, n)) {
+        return strprintf("bad crash-states mode \"%s\" (expected "
+                         "anchor, sample:<n> or exhaustive)",
+                         v.c_str());
+    }
+    return {};
+}
 
 std::vector<ConfigFlagDesc>
 buildTable()
@@ -76,20 +108,6 @@ buildTable()
         d.impliedValue = implied;
         t.push_back(d);
     };
-    // Deprecated switch spelling that stores a fixed string into a
-    // canonical field's slot ("--no-delta" == "--backend=full").
-    auto alias = [&](const char *flag, const char *help,
-                     std::string C::*field, const char *implied) {
-        ConfigFlagDesc d;
-        d.flag = flag;
-        d.arg = nullptr;
-        d.help = help;
-        d.jsonKey = "";
-        d.stringField = field;
-        d.impliedValue = implied;
-        d.alias = true;
-        t.push_back(d);
-    };
 
     sw("--no-elision",
        "disable empty-interval failure-point elision",
@@ -116,29 +134,18 @@ buildTable()
        "crash_image_mode", &C::crashImageMode, true);
     sizef("--max-failpoints", "<n>", "cap injected failure points",
           "max_failure_points", &C::maxFailurePoints);
-    strf("--backend", "<full|delta|batched>",
-         "campaign backend: \"full\" copies the whole exec pool per "
-         "failure point, \"delta\" (default) restores only dirtied "
-         "pages, \"batched\" additionally folds failure points with "
+    strf("--backend", "<delta|batched>",
+         "campaign backend: \"delta\" (default) runs recovery once "
+         "per failure point, \"batched\" folds failure points with "
          "identical frontier signatures into one representative "
          "recovery run",
          "backend", &C::backend, nullptr);
-    alias("--no-delta", "deprecated alias for --backend=full",
-          &C::backend, "full");
     strf("--pm-model", "<clwb|eadr>",
          "persistency model: \"clwb\" (default) requires explicit "
          "writeback + fence for durability, \"eadr\" is flush-free "
          "(eADR/CXL: stores are durable on arrival, flushes are "
          "no-ops and flush-omission is not a bug class)",
          "pm_model", &C::pmModel, nullptr);
-    sizef("--delta-page", "<bytes>",
-          "delta restore granularity (power of two >= 64, "
-          "default 4096)",
-          "delta_page_size", &C::deltaPageSize);
-    sizef("--delta-checkpoint", "<n>",
-          "full-copy resync after <n> delta restores (0 = only at "
-          "chunk starts, default 64)",
-          "delta_checkpoint_interval", &C::deltaCheckpointInterval);
     sw("--no-stats", "skip stat collection", "collect_stats",
        &C::collectStats, false);
     strf("--mutate", "[=<ops>]",
@@ -189,8 +196,6 @@ buildTable()
          "and machine-check it by re-running the campaign; <id> "
          "limits checking to one finding (\"F3\") or plan (\"R2\")",
          "fix_targets", &C::fixTargets, "all");
-    alias("--lint-prune", "deprecated alias for --backend=batched",
-          &C::backend, "batched");
     sw("--elide-same-value",
        "drop trace entries for stores that write back the bytes "
        "already in memory (Jaaru-style; cannot change any crash "
@@ -245,29 +250,9 @@ applyDetectorFlag(const ConfigFlagDesc &d, DetectorConfig &cfg,
     if (!value)
         return strprintf("flag %s requires a value", d.flag);
     if (d.stringField) {
-        BackendMode backend;
-        PersistencyModel model;
-        bool exhaustive = false;
-        std::size_t n = 0;
-        if (d.stringField == &DetectorConfig::backend &&
-            !DetectorConfig::parseBackend(value, backend)) {
-            return strprintf("flag %s: unknown backend \"%s\" (expected "
-                             "full, delta or batched)",
-                             d.flag, value);
-        }
-        if (d.stringField == &DetectorConfig::pmModel &&
-            !DetectorConfig::parsePmModel(value, model)) {
-            return strprintf("flag %s: unknown persistency model \"%s\" "
-                             "(expected clwb or eadr)",
-                             d.flag, value);
-        }
-        if (d.stringField == &DetectorConfig::crashStates &&
-            !DetectorConfig::parseCrashStates(value, exhaustive, n)) {
-            return strprintf("flag %s: bad crash-states mode \"%s\" "
-                             "(expected anchor, sample:<n> or "
-                             "exhaustive)",
-                             d.flag, value);
-        }
+        std::string err = badSpelling(d.stringField, value);
+        if (!err.empty())
+            return strprintf("flag %s: %s", d.flag, err.c_str());
         cfg.*(d.stringField) = value;
         return {};
     }
@@ -291,16 +276,26 @@ applyDetectorFlag(const ConfigFlagDesc &d, DetectorConfig &cfg,
                          "4 or 8)",
                          d.flag, value);
     }
-    if (d.sizeField == &DetectorConfig::deltaPageSize &&
-        (v < 64 || (v & (v - 1)) != 0)) {
-        return strprintf("flag %s: bad page size \"%s\" (expected a "
-                         "power of two >= 64)",
-                         d.flag, value);
-    }
     if (d.uintField)
         cfg.*(d.uintField) = static_cast<unsigned>(v);
     else
         cfg.*(d.sizeField) = static_cast<std::size_t>(v);
+    return {};
+}
+
+std::string
+checkDetectorConfig(const DetectorConfig &cfg)
+{
+    for (auto field : {&DetectorConfig::backend, &DetectorConfig::pmModel,
+                       &DetectorConfig::crashStates}) {
+        std::string err = badSpelling(field, cfg.*field);
+        if (!err.empty())
+            return err;
+    }
+    if (cfg.crashStatesOn() && cfg.crashImageMode) {
+        return "--crash-states already explores realistic partial "
+               "images; it cannot be combined with --crash-image";
+    }
     return {};
 }
 
@@ -326,8 +321,6 @@ writeConfigJson(const DetectorConfig &cfg, obs::JsonWriter &w)
 {
     w.beginObject();
     for (const auto &d : detectorFlagTable()) {
-        if (d.alias)
-            continue;
         if (d.boolField)
             w.field(d.jsonKey, cfg.*(d.boolField));
         else if (d.uintField)

@@ -59,14 +59,6 @@ struct ConfigFlagDesc
      */
     const char *impliedValue = nullptr;
 
-    /**
-     * Deprecated alias row: parses like any other row (storing into
-     * the same field as its canonical spelling) but is skipped by the
-     * xfd-stats-v1 "config" echo so the canonical key appears exactly
-     * once. The removal schedule lives in DESIGN.md conventions.
-     */
-    bool alias = false;
-
     bool
     takesValue() const
     {
@@ -84,14 +76,23 @@ const ConfigFlagDesc *findDetectorFlag(const char *flag);
  * Apply one parsed flag to @p cfg. @p value is the argument string
  * for value-taking rows, ignored for switches. Numeric values must be
  * base-10 digits in the field's range; --granularity takes 1, 2, 4 or
- * 8, --delta-page a power of two >= 64, and --backend, --pm-model and
- * --crash-states their documented spellings.
+ * 8, and --backend, --pm-model and --crash-states their documented
+ * spellings.
  * @return why @p value was rejected (@p cfg is then unchanged), or
  *         an empty string when the flag applied.
  */
 [[nodiscard]] std::string applyDetectorFlag(const ConfigFlagDesc &d,
                                             DetectorConfig &cfg,
                                             const char *value);
+
+/**
+ * Why @p cfg cannot run a campaign: a backend, pmModel or crashStates
+ * value that is no documented spelling, or crashStates combined with
+ * crashImageMode. Driver::runParallel throws std::invalid_argument
+ * with this message and xfdetect exits 2 with it.
+ * @return the reason, or an empty string when @p cfg is runnable.
+ */
+[[nodiscard]] std::string checkDetectorConfig(const DetectorConfig &cfg);
 
 /** Formatted help lines for every row (the --help detector section). */
 std::string detectorFlagHelp();

@@ -8,9 +8,11 @@
 #include <deque>
 #include <latch>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
 #include "common/logging.hh"
+#include "core/config_flags.hh"
 #include "trace/buffer.hh"
 #include "trace/candidates.hh"
 #include "trace/iter.hh"
@@ -37,7 +39,7 @@ secondsSince(std::chrono::steady_clock::time_point t0)
  */
 void
 validateRestore(const pm::CowImage &src, const pm::PmPool &exec_pool,
-                std::uint32_t fp, std::size_t page_size)
+                std::uint32_t fp)
 {
     static const bool validate =
         std::getenv("XFD_DELTA_VALIDATE") != nullptr;
@@ -47,7 +49,8 @@ validateRestore(const pm::CowImage &src, const pm::PmPool &exec_pool,
     if (off != SIZE_MAX) {
         panic("delta restore diverged at fp %u: pool offset %#zx "
               "(page %zu) pool=%02x",
-              fp, off, off / page_size, exec_pool.data()[off]);
+              fp, off, off / DetectorConfig::deltaPageSize,
+              exec_pool.data()[off]);
     }
 }
 
@@ -539,40 +542,18 @@ void
 Driver::restoreAnchor(PreCursor &cur, pm::PmPool &exec_pool,
                       std::uint32_t fp, CampaignStats &stats)
 {
-    bool checkpoint_due = cfg.deltaCheckpointInterval != 0 &&
-                          cur.sinceCheckpoint >= cfg.deltaCheckpointInterval;
-    if (!deltaStore) {
-        pm::restoreFull(cur.image, exec_pool, stats.restore);
-    } else if (!cur.execSynced || checkpoint_due) {
-        // Chunk start or checkpoint cadence: resync from scratch. A
-        // fresh pool is all zeros and any working image can differ
-        // from zero only where the write log landed or the initial
-        // snapshot was nonzero (chunkSyncPages), so restoring that
-        // set plus the exec pool's own dirt is byte-equivalent to the
-        // old full O(pool) copy.
-        std::set<std::uint32_t> pages = *chunkSyncPages;
-        exec_pool.drainDirtyPages(pages);
-        pm::restorePages(cur.image, exec_pool, deltaStore->pageSize(),
-                         pages, stats.restore);
-        stats.restore.syncRestores++;
-        cur.execSynced = true;
-        cur.sinceCheckpoint = 0;
-    } else {
-        // The exec pool matches the working image as of the previous
-        // restore except on (a) pages the image gained since, (b)
-        // pages the previous executions soiled, and (c) pages a
-        // candidate restore took from the durable image. Copy exactly
-        // that union.
-        std::set<std::uint32_t> pages = std::move(cur.candidatePages);
-        deltaStore->collectPages(cur.lastRestoredSeq, fp, pages);
-        exec_pool.drainDirtyPages(pages);
-        pm::restorePages(cur.image, exec_pool, deltaStore->pageSize(),
-                         pages, stats.restore);
-        cur.sinceCheckpoint++;
-    }
-    cur.candidatePages.clear();
+    // The exec pool matches the working image as of the previous
+    // restore except on (a) pages the image gained since, (b) pages
+    // the previous executions soiled, and (c) the cursor's pending
+    // pages. Copy exactly that union.
+    std::set<std::uint32_t> pages;
+    pages.swap(cur.pendingPages);
+    deltaStore->collectPages(cur.lastRestoredSeq, fp, pages);
+    exec_pool.drainDirtyPages(pages);
+    pm::restorePages(cur.image, exec_pool, deltaStore->pageSize(), pages,
+                     stats.restore);
     cur.lastRestoredSeq = fp;
-    validateRestore(cur.image, exec_pool, fp, cfg.deltaPageSize);
+    validateRestore(cur.image, exec_pool, fp);
 }
 
 void
@@ -646,33 +627,29 @@ Driver::restoreCandidate(PreCursor &cur, pm::PmPool &exec_pool,
                          CampaignStats &stats)
 {
     const ShadowPM &shadow = cur.shadow;
-    if (!deltaStore) {
-        pm::restoreFull(cur.durable, exec_pool, stats.restore);
-    } else {
-        // The pool holds the anchor image or an earlier candidate of
-        // this point, plus its own dirt. Only the pages of in-flight
-        // cells separate the anchor from the durable image, and every
-        // open cell carries some frontier write.
-        std::set<std::uint32_t> pages;
-        if (cur.candidatePages.empty()) {
-            for (const auto &runs : cf.runsOf) {
-                for (const CellRun &r : runs) {
-                    std::uint32_t last =
-                        deltaStore->pageOf(shadow.cellAddr(r.end - 1));
-                    for (std::uint32_t p =
-                             deltaStore->pageOf(shadow.cellAddr(r.first));
-                         p <= last; p++) {
-                        pages.insert(p);
-                    }
+    // The pool holds the anchor image or an earlier candidate of this
+    // point, plus its own dirt. Only the pages of in-flight cells
+    // separate the anchor from the durable image, and every open cell
+    // carries some frontier write.
+    std::set<std::uint32_t> pages;
+    if (cur.pendingPages.empty()) {
+        for (const auto &runs : cf.runsOf) {
+            for (const CellRun &r : runs) {
+                std::uint32_t last =
+                    deltaStore->pageOf(shadow.cellAddr(r.end - 1));
+                for (std::uint32_t p =
+                         deltaStore->pageOf(shadow.cellAddr(r.first));
+                     p <= last; p++) {
+                    pages.insert(p);
                 }
             }
         }
-        exec_pool.drainDirtyPages(pages);
-        pm::restorePages(cur.durable, exec_pool, deltaStore->pageSize(),
-                         pages, stats.restore);
-        cur.candidatePages.insert(pages.begin(), pages.end());
     }
-    validateRestore(cur.durable, exec_pool, fp, cfg.deltaPageSize);
+    exec_pool.drainDirtyPages(pages);
+    pm::restorePages(cur.durable, exec_pool, deltaStore->pageSize(), pages,
+                     stats.restore);
+    cur.pendingPages.insert(pages.begin(), pages.end());
+    validateRestore(cur.durable, exec_pool, fp);
 
     // Apply the persisted subset in ascending seq order; only cells
     // still carrying the event are undecided (mirrors the oracle's
@@ -742,8 +719,8 @@ Driver::planCrashStates(const trace::TraceBuffer &pre, std::uint32_t fp,
 
     // The point's equivalence group (PointGroups, fixed at plan time)
     // keys both the sampler stream — equivalent points sample
-    // identical mask sequences, keeping full, delta and batched
-    // schedules fingerprint-identical — and the pruning set.
+    // identical mask sequences, keeping delta and batched schedules
+    // fingerprint-identical — and the pruning set.
     trace::CandidateSet::EnumerateOptions eopt;
     eopt.exhaustive = csCtx->exhaustive;
     eopt.frontierLimit = cfg.oracleFrontierLimit;
@@ -789,27 +766,19 @@ CampaignResult
 Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
                     unsigned threads)
 {
+    if (std::string err = checkDetectorConfig(cfg); !err.empty())
+        throw std::invalid_argument(err);
     if (threads == 0)
         threads = 1;
     CampaignResult result;
     result.runConfig = cfg;
     result.stats.threads = threads;
 
-    if (cfg.crashStatesOn() && cfg.crashImageMode) {
-        fatal("--crash-states explores partial crash images itself "
-              "and cannot combine with --crash-image");
-    }
     CrashStateCtx cs_ctx;
     if (cfg.crashStatesOn()) {
-        bool exhaustive = false;
         std::size_t n = 0;
-        if (!DetectorConfig::parseCrashStates(cfg.crashStates,
-                                              exhaustive, n)) {
-            fatal("bad --crash-states mode \"%s\" (expected anchor, "
-                  "sample:<n> or exhaustive)",
-                  cfg.crashStates.c_str());
-        }
-        cs_ctx.exhaustive = exhaustive;
+        DetectorConfig::parseCrashStates(cfg.crashStates,
+                                         cs_ctx.exhaustive, n);
         // Exhaustive mode still samples frontiers beyond the
         // --oracle-frontier bound; match the oracle's fallback width.
         cs_ctx.sampleCount = n ? n : 64;
@@ -922,28 +891,26 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
 
     // Index the write log by page once; workers share it read-only.
     // Its cost bills to planning: both prepare the per-point loop.
-    // base_sync_pages bounds where any working image can differ from
-    // a zeroed pool (every logged write's page + the initial
-    // snapshot's nonzero pages); chunk starts and checkpoint resyncs
-    // restore that set instead of the whole pool.
+    // The sync set bounds where any working image can differ from a
+    // pool that is zero or holds the pre-failure stage's final image:
+    // every logged write's page plus the initial snapshot's nonzero
+    // pages. Every cursor starts with it pending, so its first restore
+    // brings the exec pool in line the way every later one does.
+    std::uint32_t trace_end =
+        static_cast<std::uint32_t>(pre_trace.size());
     pm::ImageDeltaStore delta_store;
-    std::set<std::uint32_t> base_sync_pages;
-    if (cfg.deltaImagesOn()) {
+    std::set<std::uint32_t> sync_pages;
+    {
         obs::ScopedPhase timer(&phases, obs::Phase::Plan, {tl},
                                "index-write-log");
         delta_store = trace::buildDeltaStore(
-            pre_trace, cfg.deltaPageSize, pool.range());
-        deltaStore = &delta_store;
-        delta_store.collectPages(
-            0, static_cast<std::uint32_t>(pre_trace.size()),
-            base_sync_pages);
-        initial.collectNonZeroPages(cfg.deltaPageSize,
-                                    base_sync_pages);
-        chunkSyncPages = &base_sync_pages;
+            pre_trace, DetectorConfig::deltaPageSize, pool.range());
+        delta_store.collectPages(0, trace_end, sync_pages);
+        initial.collectNonZeroPages(DetectorConfig::deltaPageSize,
+                                    sync_pages);
     }
+    deltaStore = &delta_store;
 
-    std::uint32_t trace_end =
-        static_cast<std::uint32_t>(pre_trace.size());
     threads = static_cast<unsigned>(
         std::min<std::size_t>(threads, std::max<std::size_t>(
                                            schedule.size(), 1)));
@@ -960,8 +927,10 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
     std::deque<BugSink> item_sinks(schedule.size());
     std::deque<CampaignStats> stats(threads);
     std::deque<PreCursor> cursors;
-    for (unsigned t = 0; t < threads; t++)
+    for (unsigned t = 0; t < threads; t++) {
         cursors.emplace_back(pool.range(), cfg, initial, true);
+        cursors.back().pendingPages = sync_pages;
+    }
 
     // Per-worker observability sinks, merged deterministically
     // (worker order) into the observer after the join.
@@ -998,8 +967,7 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
                                                  pool.base());
             exec_pool = local.get();
         }
-        if (deltaStore)
-            exec_pool->enableDirtyTracking(cfg.deltaPageSize);
+        exec_pool->enableDirtyTracking(DetectorConfig::deltaPageSize);
         WorkerObs wobs{{tl, tracks[t], live}, &post_latency[t],
                        &post_ops[t]};
         // All workers start pulling together — otherwise the first
@@ -1098,7 +1066,6 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
         phases.merge(stats[t].phases);
     }
     deltaStore = nullptr;
-    chunkSyncPages = nullptr;
     csCtx = nullptr;
 
     // Performance bugs come from one full pre-trace replay, and the

@@ -103,7 +103,7 @@ struct CampaignStats
     std::size_t checksSkipped = 0;
     /** Worker threads used (1 = serial). */
     unsigned threads = 1;
-    /** Exec-pool restore volume (delta engine or full copies). */
+    /** Exec-pool restore volume (write-log page deltas). */
     pm::DeltaRestoreStats restore;
     /** Pool capacity in bytes (baseline for restore-volume ratios). */
     std::size_t poolBytes = 0;
@@ -236,6 +236,9 @@ class Driver
      * Like run(), but post-failure executions are distributed over
      * @p threads worker threads (each on its own pool replica).
      * Findings are identical to the serial run.
+     * @throw std::invalid_argument before the pre-failure stage runs
+     *        when the config cannot run (checkDetectorConfig); run()
+     *        throws the same.
      */
     CampaignResult runParallel(const ProgramFn &pre,
                                const ProgramFn &post, unsigned threads);
@@ -301,26 +304,17 @@ class Driver
         /** Post-failure trace, reused (cleared) by every execution. */
         trace::TraceBuffer postTrace;
 
-        /**
-         * @name Delta-restore state (meaningful only when the driver
-         * runs with an ImageDeltaStore attached)
-         * @{
-         */
-        /** Exec pool has been synced with a full copy at least once. */
-        bool execSynced = false;
         /** Failure point the exec pool was last restored to. */
         std::uint32_t lastRestoredSeq = 0;
-        /** Delta restores since the last full checkpoint. */
-        std::size_t sinceCheckpoint = 0;
         /**
-         * Pages candidate restores copied from the durable image
-         * since the last anchor restore. The write-log index cannot
-         * see that they differ from the working image, so the next
-         * anchor restore re-copies them. Empty while the exec pool
-         * holds the anchor image.
+         * Pages the next anchor restore copies besides the write-log
+         * interval and the pool's dirt, because the write-log index
+         * cannot see that they differ from the working image: before
+         * the first restore the campaign's sync set, afterwards the
+         * pages candidate restores copied from the durable image.
+         * Empty while the exec pool holds the anchor image.
          */
-        std::set<std::uint32_t> candidatePages;
-        /** @} */
+        std::set<std::uint32_t> pendingPages;
     };
 
     /**
@@ -361,8 +355,8 @@ class Driver
 
     /**
      * Restore @p exec_pool to the working (footnote-3) image as of
-     * @p fp: a write-log delta restore when a delta store is
-     * attached, a full copy otherwise.
+     * @p fp: copy the cursor's pending pages, the pages the write log
+     * touched since the previous restore and the pool's dirty pages.
      */
     void restoreAnchor(PreCursor &cur, pm::PmPool &exec_pool,
                        std::uint32_t fp, CampaignStats &stats);
@@ -430,20 +424,10 @@ class Driver
     DetectorConfig cfg;
     CampaignObserver *observer = nullptr;
     /**
-     * Write-log page index for the campaign in flight; null disables
-     * delta restores (handleFailurePoint falls back to full copies).
-     * Set by runParallel() for the delta and batched backends,
-     * cleared before it returns.
+     * Write-log page index for the campaign in flight: set by
+     * runParallel() before workers start, cleared before it returns.
      */
     const pm::ImageDeltaStore *deltaStore = nullptr;
-    /**
-     * Pages where any working image can differ from a fresh zeroed
-     * pool: the full write-log page set united with the initial
-     * snapshot's nonzero pages. Chunk starts and checkpoint resyncs
-     * restore this set (plus exec-pool dirt) instead of copying the
-     * whole pool. Valid exactly while deltaStore is.
-     */
-    const std::set<std::uint32_t> *chunkSyncPages = nullptr;
 
     /**
      * Campaign-global crash-state exploration context (parsed mode

@@ -109,8 +109,8 @@ class CowImage
      * nonzero byte. Of the initial snapshot, together with an
      * ImageDeltaStore's full write-log page set, this bounds where
      * any campaign working image can differ from a fresh zeroed pool,
-     * which is what lets chunk starts restore a page subset instead
-     * of the whole pool (see Driver::handleFailurePoint).
+     * which is what lets a worker's first restore copy a page subset
+     * instead of the whole pool (see Driver::restoreAnchor).
      */
     void collectNonZeroPages(std::size_t pageSize,
                              std::set<std::uint32_t> &out) const;

@@ -51,17 +51,22 @@ ImageDeltaStore::collectPages(std::uint32_t fromSeq, std::uint32_t toSeq,
     }
 }
 
-void
-restorePages(const PmImage &src, PmPool &pool, std::size_t pageSize,
-             const std::set<std::uint32_t> &pages,
-             DeltaRestoreStats &stats)
+namespace
 {
-    if (pool.size() != src.size() || pool.base() != src.base())
-        panic("delta-restoring mismatched PM image into pool");
+
+/**
+ * Copy @p pages of a @p size -byte image, one copy(offset, length)
+ * call per run of adjacent pages, accounted into @p stats.
+ */
+template <typename Copy>
+void
+copyPageRuns(std::size_t size, std::size_t pageSize,
+             const std::set<std::uint32_t> &pages,
+             DeltaRestoreStats &stats, Copy copy)
+{
     stats.deltaRestores++;
     auto it = pages.begin();
     while (it != pages.end()) {
-        // Coalesce a run of adjacent pages into one copy.
         std::uint32_t first = *it;
         std::uint32_t last = first;
         ++it;
@@ -70,15 +75,30 @@ restorePages(const PmImage &src, PmPool &pool, std::size_t pageSize,
             ++it;
         }
         std::size_t off = static_cast<std::size_t>(first) * pageSize;
-        if (off >= src.size())
+        if (off >= size)
             continue;
         std::size_t len = std::min(
             (static_cast<std::size_t>(last - first) + 1) * pageSize,
-            src.size() - off);
-        std::memcpy(pool.data() + off, src.data() + off, len);
+            size - off);
+        copy(off, len);
         stats.pagesRestored += last - first + 1;
         stats.bytesRestored += len;
     }
+}
+
+} // namespace
+
+void
+restorePages(const PmImage &src, PmPool &pool, std::size_t pageSize,
+             const std::set<std::uint32_t> &pages,
+             DeltaRestoreStats &stats)
+{
+    if (pool.size() != src.size() || pool.base() != src.base())
+        panic("delta-restoring mismatched PM image into pool");
+    copyPageRuns(src.size(), pageSize, pages, stats,
+                 [&](std::size_t off, std::size_t len) {
+                     std::memcpy(pool.data() + off, src.data() + off, len);
+                 });
 }
 
 void
@@ -96,34 +116,10 @@ restorePages(const CowImage &src, PmPool &pool, std::size_t pageSize,
 {
     if (pool.size() != src.size() || pool.base() != src.base())
         panic("delta-restoring mismatched cow image into pool");
-    stats.deltaRestores++;
-    auto it = pages.begin();
-    while (it != pages.end()) {
-        std::uint32_t first = *it;
-        std::uint32_t last = first;
-        ++it;
-        while (it != pages.end() && *it == last + 1) {
-            last = *it;
-            ++it;
-        }
-        std::size_t off = static_cast<std::size_t>(first) * pageSize;
-        if (off >= src.size())
-            continue;
-        std::size_t len = std::min(
-            (static_cast<std::size_t>(last - first) + 1) * pageSize,
-            src.size() - off);
-        src.copyRange(off, len, pool.data() + off);
-        stats.pagesRestored += last - first + 1;
-        stats.bytesRestored += len;
-    }
-}
-
-void
-restoreFull(const CowImage &src, PmPool &pool, DeltaRestoreStats &stats)
-{
-    src.copyTo(pool);
-    stats.fullCopies++;
-    stats.bytesFullCopy += src.size();
+    copyPageRuns(src.size(), pageSize, pages, stats,
+                 [&](std::size_t off, std::size_t len) {
+                     src.copyRange(off, len, pool.data() + off);
+                 });
 }
 
 } // namespace xfd::pm

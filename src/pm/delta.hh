@@ -6,16 +6,17 @@
  * post-failure execution costs O(failure points x pool size), yet
  * consecutive failure points differ only by the handful of writes
  * between two ordering points. The ImageDeltaStore indexes the
- * pre-failure write log by page, so the driver can restore only the
- * pages that changed since the previous failure point in a worker's
- * chunk: pages the image gained (from the write log) plus pages the
- * previous post-failure execution soiled (from the pool's dirty map).
- * Periodic full-image checkpoints bound divergence so chunk starts
- * and error recovery stay a single O(pool) copy.
+ * pre-failure write log by page, so the driver restores only the
+ * pages that changed since a worker's previous failure point: pages
+ * the image gained (from the write log) plus pages the previous
+ * post-failure execution soiled (from the pool's dirty map). A
+ * worker's first restore copies the campaign's sync set instead: every
+ * write-log page plus the initial snapshot's nonzero pages.
  *
  * Invariant: between restores, the exec pool is byte-identical to the
- * source image on every page outside the two dirty sets; DESIGN.md §7
- * spells out why that holds and the tests that enforce it.
+ * source image on every page outside those sets (and the driver's
+ * pending pages); DESIGN.md §7 spells out why that holds and the tests
+ * that enforce it.
  */
 
 #ifndef XFD_PM_DELTA_HH
@@ -34,24 +35,18 @@ class CowImage;
 class PmImage;
 class PmPool;
 
-/** Restore-volume accounting for one campaign (or worker chunk). */
+/** Restore-volume accounting for one campaign (or worker). */
 struct DeltaRestoreStats
 {
-    /** Full-image checkpoint copies (chunk starts, cadence, errors). */
+    /** Whole-image copies (restoreFull; the oracle's first restore). */
     std::uint64_t fullCopies = 0;
     /** Page-granular partial restores. */
     std::uint64_t deltaRestores = 0;
-    /**
-     * Of the delta restores, ones that (re)synced an exec pool from
-     * scratch via the exact written∪nonzero page set instead of a
-     * full O(pool) copy (chunk starts, checkpoint cadence).
-     */
-    std::uint64_t syncRestores = 0;
     /** Pages copied by partial restores. */
     std::uint64_t pagesRestored = 0;
     /** Bytes copied by partial restores. */
     std::uint64_t bytesRestored = 0;
-    /** Bytes copied by full checkpoints. */
+    /** Bytes copied by whole-image copies. */
     std::uint64_t bytesFullCopy = 0;
 
     std::uint64_t
@@ -65,7 +60,6 @@ struct DeltaRestoreStats
     {
         fullCopies += o.fullCopies;
         deltaRestores += o.deltaRestores;
-        syncRestores += o.syncRestores;
         pagesRestored += o.pagesRestored;
         bytesRestored += o.bytesRestored;
         bytesFullCopy += o.bytesFullCopy;
@@ -139,18 +133,15 @@ void restorePages(const PmImage &src, PmPool &pool,
                   const std::set<std::uint32_t> &pages,
                   DeltaRestoreStats &stats);
 
-/** Full-image checkpoint restore, accounted into @p stats. */
+/** Whole-image restore, accounted into @p stats. */
 void restoreFull(const PmImage &src, PmPool &pool,
                  DeltaRestoreStats &stats);
 
-/** @name CowImage sources (the campaign driver's working images) @{ */
+/** restorePages from a CowImage (the campaign driver's working images). */
 void restorePages(const CowImage &src, PmPool &pool,
                   std::size_t pageSize,
                   const std::set<std::uint32_t> &pages,
                   DeltaRestoreStats &stats);
-void restoreFull(const CowImage &src, PmPool &pool,
-                 DeltaRestoreStats &stats);
-/** @} */
 
 } // namespace xfd::pm
 

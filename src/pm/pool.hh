@@ -213,6 +213,15 @@ class PPtr
                      : nullptr;
     }
 
+    /** get() for a dereference: null throws BadPmAccess{0, 0}. */
+    T *
+    deref(PmPool &pool) const
+    {
+        if (!addr_)
+            throw BadPmAccess{0, 0};
+        return get(pool);
+    }
+
     bool operator==(const PPtr &o) const = default;
 
   private:

@@ -238,7 +238,7 @@ class Impl
   private:
     bool bug(const char *id) const { return bugs.has(id); }
 
-    Node *resolve(pm::PPtr<Node> p) { return p.get(rt.pool()); }
+    Node *resolve(pm::PPtr<Node> p) { return p.deref(rt.pool()); }
 
     bool
     isLeafPtr(pm::PPtr<Node> p)

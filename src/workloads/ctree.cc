@@ -177,7 +177,7 @@ class Impl
   private:
     bool bug(const char *id) const { return bugs.has(id); }
 
-    CEntry *resolve(pm::PPtr<CEntry> p) { return p.get(rt.pool()); }
+    CEntry *resolve(pm::PPtr<CEntry> p) { return p.deref(rt.pool()); }
 
     void
     scanEntry(pm::PPtr<CEntry> p)

@@ -122,29 +122,13 @@ class Campaign
     /** @name Named DetectorConfig setters @{ */
 
     /**
-     * Select the campaign backend: "full", "delta" (default) or
-     * "batched". See DetectorConfig::backend.
+     * Select the campaign backend: "delta" (default) or "batched".
+     * See DetectorConfig::backend.
      */
     Campaign &
     backend(const std::string &mode)
     {
         cfg.backend = mode;
-        return *this;
-    }
-
-    /** Delta restore granularity in bytes (power of two >= 64). */
-    Campaign &
-    deltaPageSize(std::size_t bytes)
-    {
-        cfg.deltaPageSize = bytes;
-        return *this;
-    }
-
-    /** Full-copy resync cadence (0 = only at chunk starts). */
-    Campaign &
-    deltaCheckpointInterval(std::size_t restores)
-    {
-        cfg.deltaCheckpointInterval = restores;
         return *this;
     }
 
@@ -252,7 +236,11 @@ class Campaign
     /** The DetectorConfig as currently assembled. */
     const DetectorConfig &configView() const { return cfg; }
 
-    /** Execute the campaign. */
+    /**
+     * Execute the campaign.
+     * @throw std::invalid_argument when the configuration cannot run
+     *        (core::checkDetectorConfig).
+     */
     CampaignResult
     run()
     {

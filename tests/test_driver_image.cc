@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/driver.hh"
@@ -229,25 +230,15 @@ TEST(DriverImage, CrashImageIsTheOracleAllZeroCandidate)
     // image the independent oracle materializes for its all-zero
     // candidate: allocator zero-fill durable at once, a store after a
     // flush keeping its cell in flight, freed cells pinned.
-    struct Input
-    {
-        const char *name;
-        const char *backend;
-        const char *pmModel;
-    };
     // Under the flush-free model (eadr) every write is durable on
     // arrival, so the all-zero candidate is the whole image.
-    std::vector<Input> inputs;
-    for (const char *name :
-         {"ctree", "hashmap_tx", "hashmap_atomic", "ringlog"}) {
-        for (const char *backend : {"delta", "full"}) {
-            for (const char *pm_model : {"clwb", "eadr"})
-                inputs.push_back({name, backend, pm_model});
-        }
+    std::vector<std::pair<std::string, const char *>> inputs;
+    for (const std::string &name : workloads::workloadNames()) {
+        for (const char *pm_model : {"clwb", "eadr"})
+            inputs.emplace_back(name, pm_model);
     }
-    for (const auto &[name, backend, pm_model] : inputs) {
-        SCOPED_TRACE(std::string(name) + " " + backend + " " +
-                     pm_model);
+    for (const auto &[name, pm_model] : inputs) {
+        SCOPED_TRACE(name + " " + pm_model);
         workloads::WorkloadConfig wcfg;
         wcfg.initOps = 4;
         wcfg.testOps = 6;
@@ -257,7 +248,6 @@ TEST(DriverImage, CrashImageIsTheOracleAllZeroCandidate)
         pm::PmPool pool(1 << 22);
         pm::PmImage initial = pool.snapshot();
         core::DetectorConfig dcfg;
-        dcfg.backend = backend;
         dcfg.pmModel = pm_model;
         dcfg.crashImageMode = true;
 

@@ -263,9 +263,6 @@ TEST(FixCampaign, DeterministicSerialVsParallel)
 
 TEST(FixCampaign, DeterministicAcrossBackends)
 {
-    fix::FixReport full = runFixOn(
-        "hashmap_atomic", "hashmap_atomic.race.slot_plain_store", 1,
-        "full");
     fix::FixReport delta = runFixOn(
         "hashmap_atomic", "hashmap_atomic.race.slot_plain_store", 1,
         "delta");
@@ -273,9 +270,8 @@ TEST(FixCampaign, DeterministicAcrossBackends)
         "hashmap_atomic", "hashmap_atomic.race.slot_plain_store", 1,
         "batched");
 
-    ASSERT_GE(full.plans(), 1u);
-    EXPECT_EQ(planSignature(full), planSignature(delta));
-    EXPECT_EQ(planSignature(full), planSignature(batched));
+    ASSERT_GE(delta.plans(), 1u);
+    EXPECT_EQ(planSignature(delta), planSignature(batched));
 }
 
 TEST(FixCampaign, TargetSelectionChecksOnlyTheNamedPlan)

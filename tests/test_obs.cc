@@ -17,6 +17,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 #include "core/campaign_json.hh"
@@ -31,6 +32,7 @@
 #include "obs/timeline.hh"
 #include "testutil_json.hh"
 #include "workloads/workload.hh"
+#include "xfd.hh"
 
 namespace
 {
@@ -323,18 +325,23 @@ TEST(CampaignExport, StatsJsonDocumentIsValid)
     const Json &restore = doc.at("restore");
     EXPECT_EQ(restore.at("pool_bytes").num,
               static_cast<double>(res.stats.poolBytes));
+    EXPECT_EQ(restore.at("delta_restores").num,
+              static_cast<double>(res.stats.restore.deltaRestores));
+    EXPECT_EQ(restore.at("pages_restored").num,
+              static_cast<double>(res.stats.restore.pagesRestored));
     EXPECT_EQ(restore.at("bytes_copied").num,
               static_cast<double>(res.stats.restore.bytesCopied()));
+    EXPECT_EQ(restore.obj.size(), 4u);
     if (obs::statsCompiledIn) {
         EXPECT_NE(doc.at("stats").find("campaign.post_exec_latency_us"),
                   nullptr);
     }
 }
 
-TEST(CampaignExport, StatsJsonCarriesBatchElisionAndSyncCounts)
+TEST(CampaignExport, StatsJsonCarriesBatchAndElisionCounts)
 {
-    // The three CampaignStats numbers the registry used to print
-    // alone now live in the structured sections.
+    // CampaignStats numbers the registry used to print alone now live
+    // in the structured sections.
     workloads::WorkloadConfig cfg;
     cfg.initOps = 5;
     cfg.testOps = 5;
@@ -345,7 +352,6 @@ TEST(CampaignExport, StatsJsonCarriesBatchElisionAndSyncCounts)
     opt.detector.elideSameValueWrites = true;
     auto res = xfdtest::runWorkload("btree", cfg, opt);
     ASSERT_GT(res.stats.batchGroups, 0u);
-    EXPECT_GT(res.stats.restore.syncRestores, 0u);
 
     std::ostringstream os;
     core::writeStatsJson(res, nullptr, os);
@@ -355,8 +361,6 @@ TEST(CampaignExport, StatsJsonCarriesBatchElisionAndSyncCounts)
               static_cast<double>(res.stats.batchGroups));
     EXPECT_EQ(camp.at("same_value_elided").num,
               static_cast<double>(res.stats.sameValueElided));
-    EXPECT_EQ(doc.at("restore").at("sync_restores").num,
-              static_cast<double>(res.stats.restore.syncRestores));
     EXPECT_EQ(camp.find("backend_attribution"), nullptr);
 }
 
@@ -367,23 +371,21 @@ TEST(CampaignExport, StatsJsonEchoesEveryConfigFlag)
 
     core::DetectorConfig dcfg;
     dcfg.crashImageMode = true;
-    dcfg.deltaPageSize = 256;
+    dcfg.maxFailurePoints = 256;
     std::ostringstream os;
     core::writeStatsJson(res, &dcfg, &obs.stats, os);
     Json doc = parseJson(os.str());
 
     const Json &conf = doc.at("config");
-    for (const auto &d : core::detectorFlagTable()) {
-        // Deprecated alias rows write through a canonical field and
-        // are deliberately absent from the echo.
-        if (d.alias)
-            continue;
+    for (const auto &d : core::detectorFlagTable())
         EXPECT_NE(conf.find(d.jsonKey), nullptr) << d.jsonKey;
-    }
+    EXPECT_EQ(conf.obj.size(), core::detectorFlagTable().size());
     EXPECT_TRUE(conf.at("crash_image_mode").b);
     EXPECT_EQ(conf.at("backend").str, "delta");
-    EXPECT_EQ(conf.at("delta_page_size").num, 256);
+    EXPECT_EQ(conf.at("max_failure_points").num, 256);
     EXPECT_EQ(conf.at("granularity").num, 1);
+    EXPECT_EQ(conf.find("delta_page_size"), nullptr);
+    EXPECT_EQ(conf.find("delta_checkpoint_interval"), nullptr);
 
     // The three-argument overload omits the echo.
     std::ostringstream os2;
@@ -396,13 +398,7 @@ TEST(ConfigFlags, TableRowsAreWellFormedAndUnique)
     std::set<std::string> flags, keys;
     for (const auto &d : core::detectorFlagTable()) {
         EXPECT_TRUE(flags.insert(d.flag).second) << d.flag;
-        if (d.alias) {
-            // Alias rows have no JSON identity of their own.
-            EXPECT_EQ(d.jsonKey, std::string()) << d.flag;
-            EXPECT_NE(d.stringField, nullptr) << d.flag;
-        } else {
-            EXPECT_TRUE(keys.insert(d.jsonKey).second) << d.jsonKey;
-        }
+        EXPECT_TRUE(keys.insert(d.jsonKey).second) << d.jsonKey;
         int typed = (d.boolField != nullptr) +
                     (d.uintField != nullptr) + (d.sizeField != nullptr) +
                     (d.stringField != nullptr);
@@ -418,6 +414,9 @@ TEST(ConfigFlags, TableRowsAreWellFormedAndUnique)
         EXPECT_NE(core::findDetectorFlag(d.flag), nullptr) << d.flag;
     }
     EXPECT_EQ(core::findDetectorFlag("--not-a-flag"), nullptr);
+    for (const char *gone : {"--no-delta", "--lint-prune", "--delta-page",
+                             "--delta-checkpoint"})
+        EXPECT_EQ(core::findDetectorFlag(gone), nullptr) << gone;
     EXPECT_FALSE(core::detectorFlagHelp().empty());
 }
 
@@ -429,14 +428,8 @@ TEST(ConfigFlags, ApplySetsTheMappedField)
         ASSERT_NE(d, nullptr) << flag;
         EXPECT_EQ(core::applyDetectorFlag(*d, cfg, value), "") << flag;
     };
-    apply("--no-delta", nullptr);
-    EXPECT_EQ(cfg.backend, "full");
     apply("--backend", "batched");
     EXPECT_TRUE(cfg.batchingOn());
-    apply("--delta-page", "256");
-    EXPECT_EQ(cfg.deltaPageSize, 256u);
-    apply("--delta-checkpoint", "7");
-    EXPECT_EQ(cfg.deltaCheckpointInterval, 7u);
     apply("--granularity", "4");
     EXPECT_EQ(cfg.granularity, 4u);
     apply("--strict-persist", nullptr);
@@ -466,11 +459,10 @@ TEST(ConfigFlags, BadValuesAreRejectedAndLeaveTheConfig)
         {"--granularity", "3"},     {"--granularity", "abc"},
         {"--granularity", "16"},    {"--granularity", "0"},
         {"--granularity", "-1"},    {"--granularity", "4294967297"},
-        {"--delta-page", "100"},    {"--delta-page", "32"},
-        {"--delta-page", ""},       {"--max-failpoints", "abc"},
-        {"--max-failpoints", "5x"}, {"--max-failpoints", " 5"},
-        {"--max-failpoints", "+5"}, {"--mutation-seed", "1e3"},
-        {"--backend", "fast"},      {"--pm-model", "cxl"},
+        {"--max-failpoints", "abc"}, {"--max-failpoints", "5x"},
+        {"--max-failpoints", " 5"}, {"--max-failpoints", "+5"},
+        {"--mutation-seed", "1e3"}, {"--backend", "fast"},
+        {"--backend", "full"},      {"--pm-model", "cxl"},
         {"--crash-states", "some"}, {"--crash-states", "sample:"},
     };
     for (const auto &[flag, value] : bad) {
@@ -480,7 +472,6 @@ TEST(ConfigFlags, BadValuesAreRejectedAndLeaveTheConfig)
             *core::findDetectorFlag(flag), cfg, value);
         EXPECT_NE(err.find(flag), std::string::npos) << err;
         EXPECT_EQ(cfg.granularity, defaults.granularity);
-        EXPECT_EQ(cfg.deltaPageSize, defaults.deltaPageSize);
         EXPECT_EQ(cfg.maxFailurePoints, defaults.maxFailurePoints);
         EXPECT_EQ(cfg.backend, defaults.backend);
         EXPECT_EQ(cfg.pmModel, defaults.pmModel);
@@ -500,6 +491,36 @@ TEST(ConfigFlags, BadValuesAreRejectedAndLeaveTheConfig)
                   *core::findDetectorFlag("--max-failpoints"), cfg, "12"),
               "");
     EXPECT_EQ(cfg.maxFailurePoints, 12u);
+}
+
+TEST(ConfigFlags, CampaignRunRejectsWhatTheFlagsReject)
+{
+    // The library checks its config before the pre-failure stage, with
+    // the message xfdetect prints for the same config.
+    std::vector<core::DetectorConfig> configs(5);
+    configs[0].backend = "full";
+    configs[1].backend = "batchd";
+    configs[2].pmModel = "eADR";
+    configs[3].crashStates = "sample:0";
+    configs[4].crashStates = "sample:8";
+    configs[4].crashImageMode = true;
+    for (const auto &dcfg : configs) {
+        std::string want = core::checkDetectorConfig(dcfg);
+        ASSERT_NE(want, "");
+        bool pre_ran = false;
+        try {
+            xfd::Campaign::forProgram(
+                [&](trace::PmRuntime &) { pre_ran = true; },
+                [](trace::PmRuntime &) {})
+                .config(dcfg)
+                .run();
+            ADD_FAILURE() << "accepted: " << want;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_EQ(e.what(), want);
+        }
+        EXPECT_FALSE(pre_ran) << want;
+    }
+    EXPECT_EQ(core::checkDetectorConfig({}), "");
 }
 
 TEST(MutationExport, JsonObjectGolden)

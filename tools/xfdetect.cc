@@ -238,11 +238,8 @@ main(int argc, char **argv)
         }
     }
 
-    if (dcfg.crashStatesOn() && dcfg.crashImageMode) {
-        std::fprintf(stderr,
-                     "--crash-states already explores realistic "
-                     "partial images; it cannot be combined with "
-                     "--crash-image\n");
+    if (std::string err = core::checkDetectorConfig(dcfg); !err.empty()) {
+        std::fprintf(stderr, "%s\n", err.c_str());
         return 2;
     }
 
