@@ -49,7 +49,7 @@ main()
                         mode ? "crash image" : "paper (all)",
                         t.last.findings().size(),
                         t.last.count(core::BugType::RecoveryFailure),
-                        t.meanTotalSeconds * 1e3);
+                        t.meanWallSeconds * 1e3);
             clean = clean && t.last.findings().empty();
         }
     }

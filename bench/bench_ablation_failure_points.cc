@@ -64,7 +64,7 @@ main()
             std::printf("%-16s %-22s %10zu %10zu %10.2f\n", w, c.label,
                         t.last.statistics().failurePoints,
                         t.last.statistics().elidedPoints,
-                        t.meanTotalSeconds * 1e3);
+                        t.meanWallSeconds * 1e3);
         }
     }
     rule();

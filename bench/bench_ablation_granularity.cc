@@ -48,7 +48,7 @@ main()
         bool det = rep && bugsuite::detected(
                               *rep, bugsuite::runBugCase(*rep, dcfg));
         std::printf("%-9uB %12.2f %14.3f %16zu %14s\n", g,
-                    t.meanTotalSeconds * 1e3,
+                    t.meanWallSeconds * 1e3,
                     t.meanBackendSeconds * 1e3, t.last.findings().size(),
                     det ? "yes" : "NO");
         all_clean = all_clean && t.last.findings().empty();

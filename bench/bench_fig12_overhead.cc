@@ -4,10 +4,11 @@
  *
  * (a) wall-clock time of one campaign per workload (init 5, one test
  *     operation, as in §6.2.1: "one transaction/query that performs
- *     an insertion, and another one for each failure point"), broken
- *     into pre-failure, post-failure and backend components;
- * (b) slowdown of full detection over a trace-only run ("Pure Pin")
- *     and over the untraced original program.
+ *     an insertion, and another one for each failure point"): the
+ *     whole run() call, beside its pre-failure, post-failure and
+ *     backend phases;
+ * (b) slowdown of that wall over a trace-only run ("Pure Pin") and
+ *     over the untraced original program.
  *
  * Expected shape (paper): the post-failure executions dominate the
  * campaign, detection >> pure tracing >> original.
@@ -63,7 +64,7 @@ printTables()
                 "(per campaign) ===\n");
     rule();
     std::printf("%-16s %10s %10s %10s %10s %8s\n", "workload",
-                "total(ms)", "pre(ms)", "post(ms)", "backend", "#fail");
+                "wall(ms)", "pre(ms)", "post(ms)", "backend", "#fail");
     rule();
 
     struct Row
@@ -94,7 +95,7 @@ printTables()
         // mode; the folded members ride along via lintPrunedPoints.
         const core::CampaignStats &st = row.t.last.statistics();
         std::printf("%-16s %10.3f %10.3f %10.3f %10.3f %5zu/%zu\n", w,
-                    row.t.meanTotalSeconds * 1e3,
+                    row.t.meanWallSeconds * 1e3,
                     row.t.meanPreSeconds * 1e3,
                     row.t.meanPostSeconds * 1e3,
                     row.t.meanBackendSeconds * 1e3, st.failurePoints,
@@ -123,14 +124,14 @@ printTables()
     std::printf("\n=== Figure 12a addendum: --crash-states=sample:16 "
                 "exploration cost ===\n");
     rule();
-    std::printf("%-16s %10s %10s %10s %10s\n", "workload", "total(ms)",
+    std::printf("%-16s %10s %10s %10s %10s\n", "workload", "wall(ms)",
                 "explored", "pruned", "prune%");
     rule();
     for (const auto &row : rows) {
         const core::CampaignStats &cst = row.cs.last.statistics();
         std::size_t enumd = cst.crashStatesEnumerated;
         std::printf("%-16s %10.3f %10zu %10zu %9.1f%%\n",
-                    row.name.c_str(), row.cs.meanTotalSeconds * 1e3,
+                    row.name.c_str(), row.cs.meanWallSeconds * 1e3,
                     cst.crashStatesExplored, cst.crashStatesPruned,
                     enumd ? 100.0 * cst.crashStatesPruned / enumd : 0.0);
     }
@@ -147,13 +148,13 @@ printTables()
     rule();
     double geo_trace = 1, geo_orig = 1;
     for (const auto &row : rows) {
-        double s_trace = row.t.meanTotalSeconds /
+        double s_trace = row.t.meanWallSeconds /
                          std::max(row.traced, 1e-9);
-        double s_orig = row.t.meanTotalSeconds /
+        double s_orig = row.t.meanWallSeconds /
                         std::max(row.original, 1e-9);
         double post_share =
             (row.t.meanPostSeconds + row.t.meanBackendSeconds) /
-            std::max(row.t.meanTotalSeconds, 1e-12);
+            std::max(row.t.meanWallSeconds, 1e-12);
         geo_trace *= s_trace;
         geo_orig *= s_orig;
         std::printf("%-16s %15.1fx %15.1fx %13.0f%%\n",
@@ -173,7 +174,7 @@ printTables()
         for (const auto &row : rows) {
             w.beginObject();
             w.field("workload", row.name);
-            w.field("total_ms", row.t.meanTotalSeconds * 1e3);
+            w.field("wall_ms", row.t.meanWallSeconds * 1e3);
             w.field("pre_ms", row.t.meanPreSeconds * 1e3);
             w.field("post_ms", row.t.meanPostSeconds * 1e3);
             w.field("backend_ms", row.t.meanBackendSeconds * 1e3);
@@ -188,7 +189,7 @@ printTables()
                     static_cast<std::uint64_t>(st.sameValueElided));
             const core::CampaignStats &cst = row.cs.last.statistics();
             w.field("crash_states_ms",
-                    row.cs.meanTotalSeconds * 1e3);
+                    row.cs.meanWallSeconds * 1e3);
             w.field("crash_states_explored",
                     static_cast<std::uint64_t>(cst.crashStatesExplored));
             w.field("candidates_pruned",
@@ -197,10 +198,10 @@ printTables()
             w.field("trace_only_ms", row.traced * 1e3);
             w.field("original_ms", row.original * 1e3);
             w.field("slowdown_vs_trace",
-                    row.t.meanTotalSeconds /
+                    row.t.meanWallSeconds /
                         std::max(row.traced, 1e-9));
             w.field("slowdown_vs_original",
-                    row.t.meanTotalSeconds /
+                    row.t.meanWallSeconds /
                         std::max(row.original, 1e-9));
             w.endObject();
         }

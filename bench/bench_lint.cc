@@ -85,11 +85,11 @@ runOne(const std::string &name, const workloads::WorkloadConfig &wcfg,
     // The payoff: the same campaign with and without pruning.
     core::DetectorConfig off;
     row.fullSeconds = timeCampaign(name, wcfg, off, reps)
-                          .meanTotalSeconds;
+                          .meanWallSeconds;
     core::DetectorConfig on;
     on.backend = "batched";
     row.prunedSeconds = timeCampaign(name, wcfg, on, reps)
-                            .meanTotalSeconds;
+                            .meanWallSeconds;
     return row;
 }
 

@@ -14,7 +14,7 @@
 #include <limits>
 #include <string>
 
-#include "pm/cow.hh"
+#include "pm/pool.hh"
 
 namespace xfd::core
 {
@@ -167,8 +167,7 @@ struct DetectorConfig
      * Exec-pool restore granularity in bytes: the page size of the
      * write-log index, the pool's dirty map and the working images.
      */
-    static constexpr std::size_t deltaPageSize =
-        pm::CowImage::defaultPageSize;
+    static constexpr std::size_t deltaPageSize = pm::PmPool::pageSize;
 
     /**
      * Collect observability counters (shadow-FSM transition counts,

@@ -32,25 +32,27 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 }
 
 /**
- * Paranoia mode (XFD_DELTA_VALIDATE=1): after any restore the exec
- * pool must equal the source image byte-for-byte; a mismatch means a
- * mutation path missed markDirty() or the write-log index missed a
- * write. The equivalence suite runs its campaigns under this check.
+ * Paranoia mode (XFD_DELTA_VALIDATE=1): @p pool must equal @p image
+ * byte for byte after every restore, at campaign start (the snapshot
+ * against the pool it was taken from) and at campaign end (the pool
+ * against the final pre-failure image). A mismatch means a mutation
+ * path missed markDirty() or the write-log index missed a write. The
+ * equivalence suite runs its campaigns under this check.
  */
 void
-validateRestore(const pm::CowImage &src, const pm::PmPool &exec_pool,
-                std::uint32_t fp)
+validatePool(const pm::CowImage &image, const pm::PmPool &pool,
+             const char *what, std::uint32_t seq)
 {
     static const bool validate =
         std::getenv("XFD_DELTA_VALIDATE") != nullptr;
     if (!validate)
         return;
-    std::size_t off = src.firstMismatch(exec_pool.data());
+    std::size_t off = image.firstMismatch(pool.data());
     if (off != SIZE_MAX) {
-        panic("delta restore diverged at fp %u: pool offset %#zx "
-              "(page %zu) pool=%02x",
-              fp, off, off / DetectorConfig::deltaPageSize,
-              exec_pool.data()[off]);
+        panic("%s diverged at seq %u: pool offset %#zx (page %zu) "
+              "pool=%02x",
+              what, seq, off, off / DetectorConfig::deltaPageSize,
+              pool.data()[off]);
     }
 }
 
@@ -495,7 +497,7 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
             advance(cur, pre, fp, nullptr);
         }
         obs::SpanScope s3(tl, "restore-pool", "backend", track);
-        restoreAnchor(cur, exec_pool, fp, stats);
+        restoreAnchor(cur, exec_pool, cur.image, fp, stats.restore);
     }
     if (wobs.sinks.live)
         wobs.sinks.live->count("failure_points");
@@ -540,7 +542,8 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
 
 void
 Driver::restoreAnchor(PreCursor &cur, pm::PmPool &exec_pool,
-                      std::uint32_t fp, CampaignStats &stats)
+                      const pm::CowImage &image, std::uint32_t to,
+                      pm::DeltaRestoreStats &stats)
 {
     // The exec pool matches the working image as of the previous
     // restore except on (a) pages the image gained since, (b) pages
@@ -548,12 +551,12 @@ Driver::restoreAnchor(PreCursor &cur, pm::PmPool &exec_pool,
     // pages. Copy exactly that union.
     std::set<std::uint32_t> pages;
     pages.swap(cur.pendingPages);
-    deltaStore->collectPages(cur.lastRestoredSeq, fp, pages);
+    deltaStore->collectPages(cur.lastRestoredSeq, to, pages);
     exec_pool.drainDirtyPages(pages);
-    pm::restorePages(cur.image, exec_pool, deltaStore->pageSize(), pages,
-                     stats.restore);
-    cur.lastRestoredSeq = fp;
-    validateRestore(cur.image, exec_pool, fp);
+    pm::restorePages(image, exec_pool, deltaStore->pageSize(), pages,
+                     stats);
+    cur.lastRestoredSeq = to;
+    validatePool(image, exec_pool, "delta restore", to);
 }
 
 void
@@ -649,7 +652,7 @@ Driver::restoreCandidate(PreCursor &cur, pm::PmPool &exec_pool,
     pm::restorePages(cur.durable, exec_pool, deltaStore->pageSize(), pages,
                      stats.restore);
     cur.pendingPages.insert(pages.begin(), pages.end());
-    validateRestore(cur.durable, exec_pool, fp);
+    validatePool(cur.durable, exec_pool, "candidate restore", fp);
 
     // Apply the persisted subset in ascending seq order; only cells
     // still carrying the event are undecided (mirrors the oracle's
@@ -795,13 +798,20 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
         observer && observer->live.enabled() ? &observer->live
                                              : nullptr;
 
-    // The campaign-start snapshot: one O(pool) copy into CoW pages;
-    // every cursor's working/durable image forks it for O(pages)
-    // pointer copies.
-    pm::CowImage initial(pool);
-
     // Campaign-level intervals span the main track (0).
     obs::PhaseTotals &phases = result.stats.phases;
+
+    // The campaign-start snapshot copies the pool's may-be-nonzero
+    // pages and leaves the rest pristine; every cursor's working and
+    // durable image forks it for O(pages) pointer copies.
+    pm::CowImage initial;
+    {
+        obs::ScopedPhase timer(&phases, obs::Phase::Plan, {tl},
+                               "snapshot");
+        timer.setCount(0);
+        initial = pm::CowImage(pool);
+    }
+    validatePool(initial, pool, "campaign-start snapshot", 0);
 
     // Step 1: pre-failure stage, traced.
     trace::TraceBuffer pre_trace;
@@ -893,9 +903,10 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
     // Its cost bills to planning: both prepare the per-point loop.
     // The sync set bounds where any working image can differ from a
     // pool that is zero or holds the pre-failure stage's final image:
-    // every logged write's page plus the initial snapshot's nonzero
-    // pages. Every cursor starts with it pending, so its first restore
-    // brings the exec pool in line the way every later one does.
+    // the pool's may-be-nonzero pages, which cover the snapshot's and
+    // every page the pre-failure stage wrote. Every cursor starts with
+    // it pending, so its first restore brings the exec pool in line
+    // the way every later one does.
     std::uint32_t trace_end =
         static_cast<std::uint32_t>(pre_trace.size());
     pm::ImageDeltaStore delta_store;
@@ -905,9 +916,7 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
                                "index-write-log");
         delta_store = trace::buildDeltaStore(
             pre_trace, DetectorConfig::deltaPageSize, pool.range());
-        delta_store.collectPages(0, trace_end, sync_pages);
-        initial.collectNonZeroPages(DetectorConfig::deltaPageSize,
-                                    sync_pages);
+        pool.collectMayBeNonzeroPages(sync_pages);
     }
     deltaStore = &delta_store;
 
@@ -967,7 +976,6 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
                                                  pool.base());
             exec_pool = local.get();
         }
-        exec_pool->enableDirtyTracking(DetectorConfig::deltaPageSize);
         WorkerObs wobs{{tl, tracks[t], live}, &post_latency[t],
                        &post_ops[t]};
         // All workers start pulling together — otherwise the first
@@ -1018,7 +1026,6 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
             }
         }
         cursors[t].shadow.endPostReplay();
-        exec_pool->disableDirtyTracking();
         if (threads > 1)
             setThreadLogLabel("");
     };
@@ -1065,11 +1072,9 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
         // summed seconds are CPU time.
         phases.merge(stats[t].phases);
     }
-    deltaStore = nullptr;
     csCtx = nullptr;
 
-    // Performance bugs come from one full pre-trace replay, and the
-    // pool is left holding the final pre-failure contents. The FSM
+    // Performance bugs come from one full pre-trace replay. The FSM
     // counters exported to the observer come from this cursor: it
     // covers the whole trace exactly once, so serial and parallel
     // campaigns register identical values.
@@ -1082,9 +1087,23 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
                                    "perf-scan");
             advance(full, pre_trace, trace_end, &merged);
         }
-        full.image.copyTo(pool);
+        // The pool is left holding the final pre-failure image. Worker
+        // replicas leave it untouched since the pre-failure stage; a
+        // serial campaign ran on it, and one more anchor restore of
+        // cursor 0, to the end of the trace, returns it. The restore
+        // is an uncounted interval outside the restore counters.
+        if (threads == 1) {
+            obs::ScopedPhase timer(&phases, obs::Phase::Restore, {tl},
+                                   "restore-final-image");
+            timer.setCount(0);
+            pm::DeltaRestoreStats uncounted;
+            restoreAnchor(cursors[0], pool, full.image, trace_end,
+                          uncounted);
+        }
+        validatePool(full.image, pool, "final pool image", trace_end);
         fsm = full.shadow.fsmCounters();
     }
+    deltaStore = nullptr;
 
     result.bugs = merged.bugs();
 

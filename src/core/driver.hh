@@ -354,12 +354,16 @@ class Driver
                             CampaignStats &stats, const WorkerObs &wobs);
 
     /**
-     * Restore @p exec_pool to the working (footnote-3) image as of
-     * @p fp: copy the cursor's pending pages, the pages the write log
-     * touched since the previous restore and the pool's dirty pages.
+     * Restore @p exec_pool to @p image, the working (footnote-3)
+     * image as of trace seq @p to: copy the cursor's pending pages,
+     * the pages the write log touched since the previous restore and
+     * the pool's dirty pages, accounted into @p stats. Failure points
+     * restore the cursor's own image; a serial campaign's last restore
+     * returns the pool to the final pre-failure image.
      */
     void restoreAnchor(PreCursor &cur, pm::PmPool &exec_pool,
-                       std::uint32_t fp, CampaignStats &stats);
+                       const pm::CowImage &image, std::uint32_t to,
+                       pm::DeltaRestoreStats &stats);
 
     /**
      * Execute one candidate crash image of failure point @p fp: the

@@ -24,7 +24,6 @@ CrashStateOracle::CrashStateOracle(const trace::TraceBuffer &p,
     // 2^frontier subsets are enumerated below the limit; keep the
     // shift well-defined.
     cfg.frontierLimit = std::min<std::size_t>(cfg.frontierLimit, 20);
-    execPool.enableDirtyTracking(restorePageSize);
 }
 
 std::uint64_t

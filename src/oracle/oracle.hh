@@ -291,8 +291,8 @@ class CrashStateOracle
     std::int32_t ts = 0;
     std::uint32_t cursor = 0;
 
-    /** Delta-restore bookkeeping for the exec pool. */
-    static constexpr std::size_t restorePageSize = 4096;
+    /** Delta-restore bookkeeping for the exec pool, at its page size. */
+    static constexpr std::size_t restorePageSize = pm::PmPool::pageSize;
     std::set<std::uint32_t> durableDirty;
     bool poolSynced = false;
 

@@ -4,18 +4,21 @@
  *
  * The campaign loop materializes one working image per worker (plus a
  * durable image when it runs crash-state candidates), all seeded from
- * the same initial pool snapshot. With contiguous PmImage buffers that
- * seeding costs one O(pool) memcpy per cursor; a CowImage instead
- * shares its fixed-size pages by shared_ptr, so forking an image is
- * O(pages) pointer copies and a page is physically duplicated only when
- * a write first lands on it (applyWrite clones shared pages). Since a
- * campaign's working images diverge on exactly the pages the
- * pre-failure write log touches, the shared remainder — usually the
- * vast majority of a mostly-idle pool — is never copied at all.
+ * the same campaign-start snapshot. A CowImage shares its fixed-size
+ * pages by shared_ptr, so forking an image is O(pages) pointer copies
+ * and a page is physically duplicated only when a write first lands
+ * on it (applyWrite clones shared pages).
  *
- * A CowImage is byte-equivalent to the PmImage it was built from; the
- * delta-restore validation mode (XFD_DELTA_VALIDATE=1) memcmps the
- * exec pool against it after every restore.
+ * A page that is all zero may be *pristine*: a null pointer every
+ * reader treats as 4 KiB of zeros, allocated only when a write lands.
+ * The snapshot of a live pool copies only the pages the pool's
+ * may-be-nonzero map names and leaves the rest pristine, so a
+ * campaign's fixed cost follows the pages its program touched, not
+ * the pool size.
+ *
+ * A CowImage is byte-equivalent to the pool or PmImage it was built
+ * from; the delta-restore validation mode (XFD_DELTA_VALIDATE=1)
+ * memcmps the exec pool against it after every restore.
  */
 
 #ifndef XFD_PM_COW_HH
@@ -44,18 +47,19 @@ class CowImage
     CowImage() = default;
 
     /**
-     * Build from a contiguous snapshot (one O(size) copy — the only
-     * one; subsequent forks share these pages).
+     * Build from a contiguous snapshot: one O(size) copy into
+     * allocated pages; subsequent forks share them.
      */
     explicit CowImage(const PmImage &src,
                       std::size_t pageSize = defaultPageSize);
 
     /**
-     * Build straight from a live pool: the same single copy, without
-     * a PmImage holding a second whole-pool copy meanwhile.
+     * Build straight from a live pool at its page size: copy the
+     * pages the pool's may-be-nonzero map names, leave every other
+     * page pristine. Byte-identical to pool.snapshot() as long as
+     * every write into the pool was marked.
      */
-    explicit CowImage(const PmPool &pool,
-                      std::size_t pageSize = defaultPageSize);
+    explicit CowImage(const PmPool &pool);
 
     /** Forks: O(pages) pointer copies, no byte copying. */
     CowImage(const CowImage &) = default;
@@ -86,9 +90,6 @@ class CowImage
     void copyRange(std::size_t off, std::size_t len,
                    std::uint8_t *dst) const;
 
-    /** Copy this image's bytes into @p pool (sizes must match). */
-    void copyTo(PmPool &pool) const;
-
     /**
      * First byte offset where this image differs from @p other (a
      * buffer of size() bytes), or SIZE_MAX when equal. Validation
@@ -98,26 +99,30 @@ class CowImage
 
     /**
      * Pages (by index) still physically shared with another fork or
-     * the original snapshot — i.e. never written since the fork.
-     * Tests and stats only.
+     * the original snapshot — i.e. never written since the fork —
+     * or pristine. Tests and stats only.
      */
     std::size_t sharedPageCount() const;
 
     /**
      * Union into @p out the indices (at @p pageSize granularity,
      * which need not match pageSize()) of every page containing a
-     * nonzero byte. Of the initial snapshot, together with an
-     * ImageDeltaStore's full write-log page set, this bounds where
-     * any campaign working image can differ from a fresh zeroed pool,
-     * which is what lets a worker's first restore copy a page subset
-     * instead of the whole pool (see Driver::restoreAnchor).
+     * nonzero byte (pristine pages are skipped unread).
      */
     void collectNonZeroPages(std::size_t pageSize,
                              std::set<std::uint32_t> &out) const;
 
   private:
-    CowImage(Addr base, const std::uint8_t *bytes, std::size_t size,
-             std::size_t pageSize);
+    using Page = std::shared_ptr<std::uint8_t[]>;
+
+    /** All pages pristine. */
+    CowImage(Addr base, std::size_t size, std::size_t pageSize);
+
+    /**
+     * A page holding bytes [off, off + pageSize()) of the size()-byte
+     * buffer @p bytes, zero-padded past size().
+     */
+    Page copyPage(const std::uint8_t *bytes, std::size_t off) const;
 
     /** Writable view of page @p p, cloning it if shared. */
     std::uint8_t *mutablePage(std::size_t p);
@@ -125,8 +130,11 @@ class CowImage
     Addr baseAddr = 0;
     std::size_t totalSize = 0;
     std::size_t pageSz = 0;
-    /** Fixed-size pages; the last one is zero-padded past size(). */
-    std::vector<std::shared_ptr<std::uint8_t[]>> pages;
+    /**
+     * Fixed-size pages, null while pristine (all zero); the last one
+     * is zero-padded past size().
+     */
+    std::vector<Page> pages;
 };
 
 } // namespace xfd::pm

@@ -55,15 +55,17 @@ namespace
 {
 
 /**
- * Copy @p pages of a @p size -byte image, one copy(offset, length)
- * call per run of adjacent pages, accounted into @p stats.
+ * Copy @p pages of an image into @p pool, one copy(offset, length)
+ * call per run of adjacent pages, accounted into @p stats. The
+ * copied pages may be nonzero afterwards.
  */
 template <typename Copy>
 void
-copyPageRuns(std::size_t size, std::size_t pageSize,
+copyPageRuns(PmPool &pool, std::size_t pageSize,
              const std::set<std::uint32_t> &pages,
              DeltaRestoreStats &stats, Copy copy)
 {
+    std::size_t size = pool.size();
     stats.deltaRestores++;
     auto it = pages.begin();
     while (it != pages.end()) {
@@ -81,6 +83,7 @@ copyPageRuns(std::size_t size, std::size_t pageSize,
             (static_cast<std::size_t>(last - first) + 1) * pageSize,
             size - off);
         copy(off, len);
+        pool.markCopied(pool.base() + off, len);
         stats.pagesRestored += last - first + 1;
         stats.bytesRestored += len;
     }
@@ -95,7 +98,7 @@ restorePages(const PmImage &src, PmPool &pool, std::size_t pageSize,
 {
     if (pool.size() != src.size() || pool.base() != src.base())
         panic("delta-restoring mismatched PM image into pool");
-    copyPageRuns(src.size(), pageSize, pages, stats,
+    copyPageRuns(pool, pageSize, pages, stats,
                  [&](std::size_t off, std::size_t len) {
                      std::memcpy(pool.data() + off, src.data() + off, len);
                  });
@@ -116,7 +119,7 @@ restorePages(const CowImage &src, PmPool &pool, std::size_t pageSize,
 {
     if (pool.size() != src.size() || pool.base() != src.base())
         panic("delta-restoring mismatched cow image into pool");
-    copyPageRuns(src.size(), pageSize, pages, stats,
+    copyPageRuns(pool, pageSize, pages, stats,
                  [&](std::size_t off, std::size_t len) {
                      src.copyRange(off, len, pool.data() + off);
                  });

@@ -10,8 +10,8 @@
  * pages that changed since a worker's previous failure point: pages
  * the image gained (from the write log) plus pages the previous
  * post-failure execution soiled (from the pool's dirty map). A
- * worker's first restore copies the campaign's sync set instead: every
- * write-log page plus the initial snapshot's nonzero pages.
+ * worker's first restore also copies the campaign's sync set: the
+ * pool's may-be-nonzero pages after the pre-failure stage.
  *
  * Invariant: between restores, the exec pool is byte-identical to the
  * source image on every page outside those sets (and the driver's
@@ -125,7 +125,8 @@ class ImageDeltaStore
 
 /**
  * Copy only @p pages (page indices at @p pageSize granularity) from
- * @p src into @p pool; adjacent pages coalesce into one memcpy.
+ * @p src into @p pool; adjacent pages coalesce into one memcpy. The
+ * copied pages may be nonzero afterwards (PmPool::markCopied).
  * Accounts the copied volume into @p stats.
  */
 void restorePages(const PmImage &src, PmPool &pool,

@@ -30,6 +30,7 @@ PmImage::copyTo(PmPool &pool) const
     if (pool.size() != bytes.size() || pool.base() != baseAddr)
         panic("copying mismatched PM image into pool");
     std::memcpy(pool.data(), bytes.data(), bytes.size());
+    pool.markCopied(baseAddr, bytes.size());
 }
 
 } // namespace xfd::pm

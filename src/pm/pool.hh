@@ -3,7 +3,7 @@
  * DRAM-emulated persistent-memory pool.
  *
  * The paper evaluates on Intel DCPMM mounted DAX; we do not have that
- * hardware, so the pool is a DRAM buffer with a *deterministic* virtual
+ * hardware, so the pool is a DRAM mapping with a *deterministic* virtual
  * base address (the paper itself pins pool addresses across executions
  * with PMEM_MMAP_HINT, and its artifact explicitly supports emulated
  * PM). All detector logic operates on pool-relative virtual addresses
@@ -14,10 +14,9 @@
 #define XFD_PM_POOL_HH
 
 #include <atomic>
-#include <cstring>
+#include <cstdint>
 #include <memory>
 #include <set>
-#include <vector>
 
 #include "common/logging.hh"
 #include "common/types.hh"
@@ -43,13 +42,36 @@ struct BadPmAccess
 /**
  * An emulated persistent-memory pool: a contiguous byte buffer exposed
  * at a fixed virtual address range [base, base + size).
+ *
+ * The bytes come from a lazily zeroed anonymous mapping, so a pool
+ * costs memory only for the pages something wrote. Beside the bytes
+ * the pool keeps two bits per 4 KiB page (pageSize):
+ *
+ *  - *dirty*: written since the last drainDirtyPages() — what the
+ *    delta-image engine re-copies after a post-failure execution;
+ *  - *may be nonzero*: ever written, never drained. A page without
+ *    it is zero, which is what lets a campaign snapshot copy only the
+ *    pages the program touched (pm::CowImage(const PmPool &)).
+ *
+ * The instrumented runtime calls markDirty() on every mutation path,
+ * and every bulk copy the pm layer makes into a pool (restorePages,
+ * PmImage::copyTo, restore()) sets the may-be-nonzero bits of the
+ * pages it covers. A write that bypasses both (a raw store through
+ * data() or at()) leaves the maps stale: snapshot() still sees it,
+ * a CowImage built from the pool does not.
  */
 class PmPool
 {
   public:
+    /** Granularity of the dirty and may-be-nonzero page maps. */
+    static constexpr std::size_t pageSize = 4096;
+
     /**
      * @param size pool capacity in bytes
      * @param base first virtual PM address of the pool
+     * @throw std::invalid_argument for a zero @p size or a @p base
+     *        that is not cache-line aligned
+     * @throw std::bad_alloc when the pool cannot be mapped
      */
     explicit PmPool(std::size_t size, Addr base = defaultPoolBase);
 
@@ -57,8 +79,8 @@ class PmPool
     PmPool &operator=(const PmPool &) = delete;
 
     Addr base() const { return baseAddr; }
-    std::size_t size() const { return bytes.size(); }
-    AddrRange range() const { return {baseAddr, baseAddr + bytes.size()}; }
+    std::size_t size() const { return len; }
+    AddrRange range() const { return {baseAddr, baseAddr + len}; }
 
     /** @return whether the pool address space contains @p a. */
     bool contains(Addr a) const { return range().contains(a); }
@@ -67,7 +89,7 @@ class PmPool
     bool
     contains(Addr a, std::size_t n) const
     {
-        return a >= baseAddr && a + n <= baseAddr + bytes.size();
+        return a >= baseAddr && a + n <= baseAddr + len;
     }
 
     /**
@@ -79,7 +101,7 @@ class PmPool
     {
         if (!contains(a, n ? n : 1))
             throw BadPmAccess{a, n};
-        return bytes.data() + (a - baseAddr);
+        return bytes.get() + (a - baseAddr);
     }
 
     const void *
@@ -96,10 +118,11 @@ class PmPool
     Addr
     toAddr(const void *p) const
     {
-        auto *b = static_cast<const std::uint8_t *>(p);
-        if (b < bytes.data() || b >= bytes.data() + bytes.size())
+        if (!hosts(p))
             throw BadPmAccess{0, 0};
-        return baseAddr + static_cast<Addr>(b - bytes.data());
+        return baseAddr + static_cast<Addr>(
+                              static_cast<const std::uint8_t *>(p) -
+                              bytes.get());
     }
 
     /** @return whether a host pointer points into this pool. */
@@ -107,7 +130,7 @@ class PmPool
     hosts(const void *p) const
     {
         auto *b = static_cast<const std::uint8_t *>(p);
-        return b >= bytes.data() && b < bytes.data() + bytes.size();
+        return b >= bytes.get() && b < bytes.get() + len;
     }
 
     /** Typed view of the pool at byte offset @p off. */
@@ -115,75 +138,100 @@ class PmPool
     T *
     at(std::size_t off)
     {
-        if (off + sizeof(T) > bytes.size())
+        if (off + sizeof(T) > len)
             panic("pool offset %zu overruns pool", off);
-        return reinterpret_cast<T *>(bytes.data() + off);
+        return reinterpret_cast<T *>(bytes.get() + off);
     }
 
-    /** Zero the whole pool (fresh-device state). */
-    void wipe() { std::memset(bytes.data(), 0, bytes.size()); }
-
-    /** Capture a byte-exact snapshot of the pool contents. */
+    /** Capture a byte-exact snapshot of the whole pool. */
     PmImage snapshot() const;
 
     /** Overwrite the pool contents from a snapshot. */
     void restore(const PmImage &img);
 
     /** Raw storage access, used by PmImage and the failure injector. */
-    std::uint8_t *data() { return bytes.data(); }
-    const std::uint8_t *data() const { return bytes.data(); }
+    std::uint8_t *data() { return bytes.get(); }
+    const std::uint8_t *data() const { return bytes.get(); }
 
     /**
-     * @name Dirty-page tracking
-     * The delta-image engine needs to know which pages a post-failure
-     * execution soiled so the next failure point can restore only
-     * those. The instrumented runtime calls markDirty() on every
-     * mutation path; with tracking disabled (the default) the call is
-     * a single predictable branch. Flags are relaxed atomics so
-     * multi-threaded workload stages may mark concurrently.
+     * @name Page maps
+     * Bits are relaxed atomics so multi-threaded workload stages may
+     * mark concurrently; draining runs while nothing marks.
      * @{
      */
 
-    /** Start tracking writes at @p pageSize granularity (power of 2). */
-    void enableDirtyTracking(std::size_t pageSize);
-
-    /** Stop tracking and drop the page map. */
-    void disableDirtyTracking();
-
-    /** @return the tracking page size, 0 when tracking is disabled. */
-    std::size_t trackingPageSize() const { return pageSz; }
-
-    /** Record that [a, a+n) was written (no-op unless tracking). */
+    /**
+     * Record that [a, a+n) was written: its pages become dirty and
+     * may be nonzero. Marks past the pool's end are clamped. A page
+     * already dirty costs one load.
+     */
     void
     markDirty(Addr a, std::size_t n)
     {
-        if (pageSz == 0 || n == 0 || a < baseAddr)
+        if (n == 0 || a < baseAddr)
             return;
-        std::size_t first = (a - baseAddr) >> pageShift;
-        std::size_t last = (a - baseAddr + n - 1) >> pageShift;
-        for (std::size_t p = first; p <= last && p < numPages; p++)
-            dirtyMap[p].store(1, std::memory_order_relaxed);
+        std::size_t first = (a - baseAddr) / pageSize;
+        std::size_t last = (a - baseAddr + n - 1) / pageSize;
+        for (std::size_t p = first; p <= last && p < numPages; p++) {
+            if (!(dirty[p / 64].load(std::memory_order_relaxed) &
+                  bitOf(p))) {
+                markPage(p);
+            }
+        }
     }
 
-    /** Move the dirty-page set into @p out (union) and clear the map. */
+    /**
+     * Record a bulk copy into [a, a+n) (a restore): its pages may be
+     * nonzero, but they are not dirt.
+     */
+    void markCopied(Addr a, std::size_t n);
+
+    /**
+     * Move the dirty-page set into @p out (union) and clear it. Costs
+     * O(dirty pages) plus one summary word per 4096 pages.
+     */
     void drainDirtyPages(std::set<std::uint32_t> &out);
 
-    /** Clear the dirty-page map (after a full restore). */
+    /** Clear the dirty-page set. */
     void clearDirtyPages();
 
     /** @return number of pages currently marked dirty. */
     std::size_t dirtyPageCount() const;
 
+    /** Union into @p out every page that may hold a nonzero byte. */
+    void collectMayBeNonzeroPages(std::set<std::uint32_t> &out) const;
+
     /** @} */
 
   private:
+    using Word = std::atomic<std::uint64_t>;
+
+    static std::uint64_t
+    bitOf(std::size_t p)
+    {
+        return std::uint64_t{1} << (p % 64);
+    }
+
+    /** First mark of page @p p since the last drain. */
+    void markPage(std::size_t p);
+
+    /** Unmaps the pool bytes. */
+    struct Unmap
+    {
+        std::size_t len;
+        void operator()(std::uint8_t *p) const;
+    };
+
     Addr baseAddr;
-    std::vector<std::uint8_t> bytes;
-    /** Dirty-page map; allocated only while tracking is enabled. */
-    std::unique_ptr<std::atomic<std::uint8_t>[]> dirtyMap;
-    std::size_t pageSz = 0;
-    unsigned pageShift = 0;
-    std::size_t numPages = 0;
+    std::size_t len;
+    std::size_t numPages;
+    std::unique_ptr<std::uint8_t[], Unmap> bytes;
+    /** One bit per page: written since the last drain. */
+    std::unique_ptr<Word[]> dirty;
+    /** One bit per dirty word (64 pages): the word may be nonzero. */
+    std::unique_ptr<Word[]> dirtySummary;
+    /** One bit per page: ever written or copied into. */
+    std::unique_ptr<Word[]> nonzero;
 };
 
 /**

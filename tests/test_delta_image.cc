@@ -10,14 +10,19 @@
  *     dirty-page map, restorePages coalescing);
  *  2. sweeps over every registered workload, serial and parallel,
  *     hashing the exec pool at every post-stage entry against an
- *     independent prefix replay of the pre-failure trace, plus the
- *     whole synthetic-bug suite;
+ *     independent prefix replay of the pre-failure trace, and the
+ *     pool left after the campaign against the full replay, under
+ *     anchor, --crash-image, sample:8 and --backend batched; the
+ *     same campaign on a 4 MiB and a 256 MiB pool; plus the whole
+ *     synthetic-bug suite;
  *  3. differential fuzzing against the same prefix replay.
  *
  * The whole binary additionally runs with XFD_DELTA_VALIDATE=1, which
  * makes the driver memcmp the exec pool against the source image
- * after every restore and panic on the first diverging byte — so any
- * campaign below doubles as an invariant check. (--crash-image
+ * after every restore, the campaign-start snapshot against the pool
+ * and the pool against the final image at campaign end, and panic on
+ * the first diverging byte — so any campaign below doubles as an
+ * invariant check. (--crash-image
  * restores are pinned against the oracle's all-zero candidate in
  * test_driver_image.)
  */
@@ -128,17 +133,12 @@ TEST(ImageDeltaStore, IgnoresEmptyAndOutOfRangeWrites)
 
 TEST(DirtyTracking, MarksDrainsAndClears)
 {
-    pm::PmPool pool(1 << 16);
-    EXPECT_EQ(pool.trackingPageSize(), 0u);
-    pool.markDirty(pool.base(), 64); // no-op while disabled
-    EXPECT_EQ(pool.dirtyPageCount(), 0u);
-
-    pool.enableDirtyTracking(256);
-    EXPECT_EQ(pool.trackingPageSize(), 256u);
+    constexpr std::size_t page = pm::PmPool::pageSize;
+    pm::PmPool pool(16 * page);
 
     // One write straddling a page boundary dirties both pages.
-    pool.markDirty(pool.base() + 255, 2);
-    pool.markDirty(pool.base() + 7 * 256, 1);
+    pool.markDirty(pool.base() + page - 1, 2);
+    pool.markDirty(pool.base() + 7 * page, 1);
     EXPECT_EQ(pool.dirtyPageCount(), 3u);
 
     std::set<std::uint32_t> out{42}; // drain unions into out
@@ -154,11 +154,6 @@ TEST(DirtyTracking, MarksDrainsAndClears)
     // Out-of-range marks are clamped, not fatal.
     pool.markDirty(pool.base() + pool.size() - 1, 4096);
     EXPECT_EQ(pool.dirtyPageCount(), 1u);
-
-    pool.disableDirtyTracking();
-    EXPECT_EQ(pool.trackingPageSize(), 0u);
-    pool.markDirty(pool.base(), 64);
-    EXPECT_EQ(pool.dirtyPageCount(), 0u);
 }
 
 /* --------------------------------------------------------------- */
@@ -231,33 +226,60 @@ fnv1a(const std::uint8_t *p, std::size_t n)
     return h;
 }
 
-/** Keeps a copy of the campaign's pre-failure trace. */
+/**
+ * Keeps a copy of the campaign's pre-failure trace and the failure
+ * points it executed.
+ */
 struct PreTraceCopy : core::CampaignHooks
 {
     trace::TraceBuffer pre;
+    std::vector<std::uint32_t> executed;
+    std::mutex mu;
+
     void
     onPreTraceReady(const trace::TraceBuffer &b) override
     {
         pre = b;
     }
+
+    void
+    onFailurePoint(std::uint32_t fp, const core::BugSink &) override
+    {
+        std::lock_guard<std::mutex> lk(mu);
+        executed.push_back(fp);
+    }
 };
 
 /**
- * Run an anchor campaign of @p pre / @p post on a fresh pool of
- * @p poolBytes and check, on entry to every post-failure execution,
- * the exec pool against an independent reconstruction: the initial
- * image plus every write entry below the failure point, replayed from
- * the campaign's own pre-failure trace. Worker interleaving makes a
- * threaded campaign's entry order arbitrary, so it compares as a
- * multiset. @return the campaign result.
+ * Run a campaign of @p pre / @p post on an external pool of
+ * @p poolBytes, fresh or written by @p seedPool beforehand, and check
+ * it against an independent replay of the campaign's own pre-failure
+ * trace onto the initial image:
+ *
+ *  - anchor campaigns (no --crash-image, no --crash-states): on entry
+ *    to every post-failure execution, the exec pool holds the initial
+ *    image plus every write entry below the failure point. Worker
+ *    interleaving makes a threaded campaign's entry order arbitrary,
+ *    so it compares as a multiset;
+ *  - every campaign: afterwards the pool holds the initial image plus
+ *    every write entry of the trace, byte for byte.
+ *
+ * @return the campaign result.
  */
 CampaignResult
 expectPrefixImages(const ProgramFn &pre, const ProgramFn &post,
                    std::size_t poolBytes, const DetectorConfig &dcfg,
-                   unsigned threads, const std::string &ctx)
+                   unsigned threads, const std::string &ctx,
+                   const ProgramFn &seedPool = {})
 {
     pm::PmPool pool(poolBytes);
+    if (seedPool) {
+        trace::TraceBuffer scratch;
+        PmRuntime rt(pool, scratch, trace::Stage::PreFailure);
+        seedPool(rt);
+    }
     pm::PmImage img = pool.snapshot();
+    bool anchor = !dcfg.crashImageMode && !dcfg.crashStatesOn();
     PreTraceCopy cap;
     core::CampaignObserver obs;
     obs.hooks = &cap;
@@ -266,9 +288,10 @@ expectPrefixImages(const ProgramFn &pre, const ProgramFn &post,
     CampaignResult res =
         Campaign::forProgram(pre,
                              [&](PmRuntime &rt) {
-                                 pm::PmPool &p = rt.pool();
-                                 std::uint64_t h = fnv1a(p.data(), p.size());
-                                 {
+                                 if (anchor) {
+                                     pm::PmPool &p = rt.pool();
+                                     std::uint64_t h =
+                                         fnv1a(p.data(), p.size());
                                      std::lock_guard<std::mutex> lk(mu);
                                      seen.push_back(h);
                                  }
@@ -280,45 +303,95 @@ expectPrefixImages(const ProgramFn &pre, const ProgramFn &post,
             .observer(&obs)
             .run();
 
+    // Every planned point executes, or under --backend batched every
+    // group's representative.
+    std::vector<std::uint32_t> points = cap.executed;
+    std::sort(points.begin(), points.end());
+    if (!dcfg.batchingOn()) {
+        EXPECT_EQ(points, core::planFailurePoints(cap.pre, dcfg).points)
+            << ctx;
+    }
+
     std::vector<std::uint64_t> want;
     std::uint32_t cursor = 0;
-    for (std::uint32_t fp : core::planFailurePoints(cap.pre, dcfg).points) {
-        for (; cursor < fp; cursor++) {
+    auto replayTo = [&](std::uint32_t to) {
+        for (; cursor < to; cursor++) {
             const auto &e = cap.pre[cursor];
             if (e.isWrite())
                 img.applyWrite(e.addr, e.data.data(), e.data.size());
         }
-        want.push_back(fnv1a(img.data(), img.size()));
-    }
-    if (threads > 1) {
-        std::sort(seen.begin(), seen.end());
-        std::sort(want.begin(), want.end());
-    }
-    EXPECT_EQ(seen, want) << ctx;
+    };
+    if (anchor) {
+        for (std::uint32_t fp : points) {
+            replayTo(fp);
+            want.push_back(fnv1a(img.data(), img.size()));
+        }
+        if (threads > 1) {
+            std::sort(seen.begin(), seen.end());
+            std::sort(want.begin(), want.end());
+        }
+        EXPECT_EQ(seen, want) << ctx;
 
-    // Restores copy pages, not pools: fewer bytes than one full copy
-    // per restore (the baseline bench_fig13 prices).
-    const auto &r = res.stats.restore;
-    EXPECT_EQ(r.deltaRestores, res.stats.postExecutions) << ctx;
-    if (r.deltaRestores > 1) {
-        EXPECT_LT(r.bytesCopied(), r.deltaRestores * pool.size()) << ctx;
+        // Restores copy pages, not pools: fewer bytes than one full
+        // copy per restore (the baseline bench_fig13 prices).
+        const auto &r = res.stats.restore;
+        EXPECT_EQ(r.deltaRestores, res.stats.postExecutions) << ctx;
+        if (r.deltaRestores > 1) {
+            EXPECT_LT(r.bytesCopied(), r.deltaRestores * pool.size())
+                << ctx;
+        }
     }
+
+    // The pool is left holding the final pre-failure image.
+    replayTo(static_cast<std::uint32_t>(cap.pre.size()));
+    EXPECT_EQ(std::memcmp(pool.data(), img.data(), img.size()), 0)
+        << ctx << ": final pool image";
     return res;
 }
 
-void
-expectWorkloadPrefixImages(const std::string &name, unsigned threads)
+/**
+ * The image-building modes every workload sweep covers: anchor,
+ * --crash-image, --crash-states sample:8 and --backend batched.
+ */
+std::vector<std::pair<std::string, DetectorConfig>>
+imageModes()
+{
+    std::vector<std::pair<std::string, DetectorConfig>> modes;
+    modes.emplace_back("anchor", DetectorConfig{});
+    DetectorConfig crash_image;
+    crash_image.crashImageMode = true;
+    modes.emplace_back("crash-image", crash_image);
+    DetectorConfig sampled;
+    sampled.crashStates = "sample:8";
+    modes.emplace_back("sample:8", sampled);
+    DetectorConfig batched;
+    batched.backend = "batched";
+    modes.emplace_back("batched", batched);
+    return modes;
+}
+
+workloads::WorkloadConfig
+sweepConfig()
 {
     workloads::WorkloadConfig wcfg;
     wcfg.initOps = 4;
     wcfg.testOps = 4;
     wcfg.postOps = 2;
-    auto w = workloads::makeWorkload(name, wcfg);
-    CampaignResult res = expectPrefixImages(
-        [&](PmRuntime &rt) { w->pre(rt); },
-        [&](PmRuntime &rt) { w->post(rt); }, 1 << 22, {}, threads,
-        strprintf("%s threads=%u", name.c_str(), threads));
-    EXPECT_GT(res.stats.failurePoints, 0u) << name;
+    return wcfg;
+}
+
+void
+expectWorkloadPrefixImages(const std::string &name, unsigned threads)
+{
+    for (const auto &[mode, dcfg] : imageModes()) {
+        auto w = workloads::makeWorkload(name, sweepConfig());
+        CampaignResult res = expectPrefixImages(
+            [&](PmRuntime &rt) { w->pre(rt); },
+            [&](PmRuntime &rt) { w->post(rt); }, 1 << 22, dcfg, threads,
+            strprintf("%s %s threads=%u", name.c_str(), mode.c_str(),
+                      threads));
+        EXPECT_GT(res.stats.failurePoints, 0u) << name << " " << mode;
+    }
 }
 
 TEST(DeltaEquivalence, EveryWorkloadSerial)
@@ -330,7 +403,74 @@ TEST(DeltaEquivalence, EveryWorkloadSerial)
 TEST(DeltaEquivalence, EveryWorkloadParallel)
 {
     for (const auto &name : workloads::workloadNames())
-        expectWorkloadPrefixImages(name, 3);
+        expectWorkloadPrefixImages(name, 4);
+}
+
+/**
+ * A pool that already holds data when the campaign starts: worker
+ * replicas start zeroed, so the sync set must carry the snapshot's
+ * pages to them, and the serial pool must end holding the data too.
+ */
+TEST(DeltaEquivalence, PrePopulatedPoolReachesEveryExecPool)
+{
+    auto seed = [](PmRuntime &rt) {
+        pm::PmPool &p = rt.pool();
+        std::vector<std::uint8_t> pattern(3 * pm::PmPool::pageSize + 100);
+        for (std::size_t i = 0; i < pattern.size(); i++)
+            pattern[i] = static_cast<std::uint8_t>(1 + i % 251);
+        rt.copyToPm(p.data() + p.size() - pattern.size() - 64,
+                    pattern.data(), pattern.size());
+    };
+    for (const auto &[mode, dcfg] : imageModes()) {
+        for (unsigned threads : {1u, 4u}) {
+            auto w = workloads::makeWorkload("btree", sweepConfig());
+            expectPrefixImages(
+                [&](PmRuntime &rt) { w->pre(rt); },
+                [&](PmRuntime &rt) { w->post(rt); }, 1 << 22, dcfg,
+                threads,
+                strprintf("seeded %s threads=%u", mode.c_str(), threads),
+                seed);
+        }
+    }
+}
+
+/**
+ * A campaign's work follows the pages its program touches, not the
+ * pool: on a 4 MiB and a 256 MiB pool the same campaign finds the
+ * same things with the same executions and restore volume.
+ */
+TEST(DeltaEquivalence, PoolSizeDoesNotChangeTheCampaign)
+{
+    for (const char *name : {"btree", "hashmap_tx"}) {
+        for (unsigned threads : {1u, 4u}) {
+            SCOPED_TRACE(strprintf("%s threads=%u", name, threads));
+            auto run = [&](std::size_t poolBytes) {
+                auto w = workloads::makeWorkload(name, sweepConfig());
+                return Campaign::forProgram(
+                           [&](PmRuntime &rt) { w->pre(rt); },
+                           [&](PmRuntime &rt) { w->post(rt); })
+                    .poolSize(poolBytes)
+                    .threads(threads)
+                    .run();
+            };
+            CampaignResult small = run(std::size_t{4} << 20);
+            CampaignResult large = run(std::size_t{256} << 20);
+            EXPECT_EQ(small.fingerprint(), large.fingerprint());
+            EXPECT_EQ(small.stats.postExecutions,
+                      large.stats.postExecutions);
+            const auto &a = small.stats.restore;
+            const auto &b = large.stats.restore;
+            EXPECT_EQ(a.fullCopies, b.fullCopies);
+            EXPECT_EQ(a.deltaRestores, b.deltaRestores);
+            EXPECT_EQ(a.bytesFullCopy, b.bytesFullCopy);
+            // A worker's restore volume depends on which items it won,
+            // so only the serial volume is a function of the campaign.
+            if (threads == 1) {
+                EXPECT_EQ(a.pagesRestored, b.pagesRestored);
+                EXPECT_EQ(a.bytesRestored, b.bytesRestored);
+            }
+        }
+    }
 }
 
 TEST(DeltaEquivalence, EveryBugCaseDetectedUnderValidation)

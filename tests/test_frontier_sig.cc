@@ -709,11 +709,12 @@ TEST(FrontierSigPm, NonZeroPagesMatchByteScan)
 TEST(FrontierSigPm, DrainDirtyPagesMatchesMarkedSet)
 {
     Rng rng(12);
+    const std::size_t ps = pm::PmPool::pageSize;
     for (int round = 0; round < 24; round++) {
         SCOPED_TRACE(round);
-        pm::PmPool pool(std::size_t{1} << 16);
-        std::size_t ps = std::size_t{64} << rng.below(8);
-        pool.enableDirtyTracking(ps);
+        // 16 pages to 64 MiB: the larger pools span several summary
+        // words (64 dirty words each).
+        pm::PmPool pool((std::size_t{1} << 16) << rng.below(11));
         std::set<std::uint32_t> want{0xffffffffu};
         std::size_t marks = rng.below(10);
         for (std::size_t i = 0; i < marks; i++) {
@@ -727,7 +728,7 @@ TEST(FrontierSigPm, DrainDirtyPagesMatchesMarkedSet)
         // Drains union into what the caller already holds.
         std::set<std::uint32_t> got{0xffffffffu};
         pool.drainDirtyPages(got);
-        EXPECT_EQ(got, want) << "page " << ps;
+        EXPECT_EQ(got, want) << "pool " << pool.size();
         EXPECT_EQ(pool.dirtyPageCount(), 0u);
         std::set<std::uint32_t> again;
         pool.drainDirtyPages(again);
