@@ -101,8 +101,7 @@ writeStatsJson(const CampaignResult &res, const DetectorConfig *cfg,
     w.field("post_seconds", s.postSeconds());
     w.field("backend_seconds", s.backendSeconds());
     w.field("total_seconds", s.totalSeconds());
-    if (s.crashStatesEnumerated || s.crashStatesExplored ||
-        s.crashStatesPruned) {
+    if (s.crashStatesEnumerated) {
         w.key("crash_states").beginObject();
         w.field("enumerated",
                 static_cast<std::uint64_t>(s.crashStatesEnumerated));
@@ -110,6 +109,8 @@ writeStatsJson(const CampaignResult &res, const DetectorConfig *cfg,
                 static_cast<std::uint64_t>(s.crashStatesExplored));
         w.field("pruned",
                 static_cast<std::uint64_t>(s.crashStatesPruned));
+        w.field("read_equivalent",
+                static_cast<std::uint64_t>(s.crashStatesReadEquivalent));
         w.field("partial_findings",
                 static_cast<std::uint64_t>(res.partialImageFindings()));
         w.endObject();

@@ -31,6 +31,15 @@ secondsSince(std::chrono::steady_clock::time_point t0)
     return duration<double>(steady_clock::now() - t0).count();
 }
 
+/** Paranoia mode: XFD_DELTA_VALIDATE is set. */
+bool
+deltaValidate()
+{
+    static const bool validate =
+        std::getenv("XFD_DELTA_VALIDATE") != nullptr;
+    return validate;
+}
+
 /**
  * Paranoia mode (XFD_DELTA_VALIDATE=1): @p pool must equal @p image
  * byte for byte after every restore, at campaign start (the snapshot
@@ -43,9 +52,7 @@ void
 validatePool(const pm::CowImage &image, const pm::PmPool &pool,
              const char *what, std::uint32_t seq)
 {
-    static const bool validate =
-        std::getenv("XFD_DELTA_VALIDATE") != nullptr;
-    if (!validate)
+    if (!deltaValidate())
         return;
     std::size_t off = image.firstMismatch(pool.data());
     if (off != SIZE_MAX) {
@@ -140,6 +147,67 @@ Driver::PreCursor::PreCursor(AddrRange range,
     }
 }
 
+Driver::PointCandidates::PointCandidates(const ShadowPM &shadow,
+                                         const CellFrontier &cf,
+                                         const trace::TraceBuffer &pre)
+    : commitBits(cf.seqs.size())
+{
+    for (std::size_t b = 0; b < cf.seqs.size(); b++) {
+        const auto &e = pre[cf.seqs[b]];
+        if (shadow.overlapsCommitVar({e.addr, e.addr + e.size}))
+            commitBits.set(b);
+        for (const CellRun &r : cf.runsOf[b]) {
+            runs.push_back({shadow.cellAddr(r.first),
+                            shadow.cellAddr(r.end),
+                            static_cast<std::uint32_t>(b)});
+        }
+    }
+    std::sort(runs.begin(), runs.end(),
+              [](const RunBit &x, const RunBit &y) { return x.lo < y.lo; });
+    maxHi.reserve(runs.size());
+    Addr hi = 0;
+    for (const RunBit &r : runs) {
+        hi = std::max(hi, r.hi);
+        maxHi.push_back(hi);
+    }
+}
+
+trace::SubsetMask
+Driver::PointCandidates::readBits(const RecoveryRun &run) const
+{
+    // Bit b is read iff a cell of cf.runsOf[b] overlaps the footprint.
+    // Per range: the runs starting before its end, walked down while
+    // the running maximum of their ends still reaches its begin.
+    trace::SubsetMask bits(commitBits.size());
+    if (runs.empty())
+        return bits;
+    const Addr lo = runs.front().lo;
+    const Addr hi = maxHi.back();
+    run.forEachRead([&](AddrRange r) {
+        if (r.end <= lo || r.begin >= hi)
+            return;
+        auto it = std::lower_bound(
+            runs.begin(), runs.end(), r.end,
+            [](const RunBit &x, Addr a) { return x.lo < a; });
+        for (auto i = static_cast<std::size_t>(it - runs.begin());
+             i-- > 0 && maxHi[i] > r.begin;) {
+            if (runs[i].hi > r.begin)
+                bits.set(runs[i].bit);
+        }
+    });
+    return bits;
+}
+
+const Driver::PointCandidates::Executed *
+Driver::PointCandidates::match(const trace::SubsetMask &mask) const
+{
+    for (const Executed &e : executed) {
+        if (mask.agreesOn(e.mask, e.decisive))
+            return &e;
+    }
+    return nullptr;
+}
+
 /**
  * Campaign-global crash-state context: parsed --crash-states knobs,
  * the plan's per-group sampler streams, and the equivalence-class
@@ -190,13 +258,13 @@ CampaignResult::summary() const
         bugs.size(), stats.failurePoints, stats.orderingCandidates,
         stats.elidedPoints, batched.c_str(), stats.postExecutions,
         stats.preSeconds(), stats.postSeconds(), stats.backendSeconds());
-    if (stats.crashStatesExplored || stats.crashStatesPruned) {
+    if (stats.crashStatesEnumerated) {
         s += strprintf(
             "crash states: %zu partial candidate(s) explored "
-            "(+%zu pruned as equivalent), partial-image findings: "
-            "%zu\n",
+            "(+%zu pruned as equivalent, +%zu read-equivalent), "
+            "partial-image findings: %zu\n",
             stats.crashStatesExplored, stats.crashStatesPruned,
-            partialImageFindings());
+            stats.crashStatesReadEquivalent, partialImageFindings());
     }
     for (const auto &b : bugs)
         s += b.str() + "\n";
@@ -240,15 +308,16 @@ CampaignResult::fingerprint() const
 }
 
 std::optional<BugReport>
-runRecovery(pm::PmPool &pool, const ProgramFn &post,
-            trace::TraceBuffer &out,
+runRecovery(pm::PmPool &pool, const ProgramFn &post, RecoveryRun &out,
             std::array<std::uint64_t, trace::opCount> *ops)
 {
-    // Callers reuse one buffer per cursor: it keeps its capacity, so
+    // Callers reuse one record per cursor: it keeps its capacity, so
     // a trace does not regrow from empty.
-    out.clear();
-    trace::PmRuntime rt(pool, out, trace::Stage::PostFailure);
+    out.trace.clear();
+    out.untracedReads.clear();
+    trace::PmRuntime rt(pool, out.trace, trace::Stage::PostFailure);
     rt.setEntryCap(1u << 20);
+    rt.recordUntracedReads(&out.untracedReads);
     // Ring-buffered emission; no same-value elision post-failure
     // (recovery rewriting identical bytes still re-establishes
     // consistency, so every post write must be traced).
@@ -508,30 +577,47 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
     // the bit order of every candidate mask.
     CellFrontier cf = frontierOf(cur.shadow, stats);
 
+    std::vector<trace::SubsetMask> masks;
+    if (csCtx)
+        masks = planCrashStates(pre, fp, group, cf, stats);
+    // Executed candidates are kept for reuse only while partial masks
+    // remain to compare against them.
+    std::optional<PointCandidates> kept;
+    if (!masks.empty()) {
+        obs::ScopedPhase timer(&stats.phases, obs::Phase::Plan);
+        timer.setCount(0);
+        kept.emplace(cur.shadow, cf, pre);
+    }
+
     // The point's own candidate: the paper's footnote-3 image (every
     // frontier write persisted), or under --crash-image none of them.
     trace::SubsetMask own(cf.seqs.size());
     if (!cfg.crashImageMode)
         own.setAll();
+    PointCandidates *point = kept ? &*kept : nullptr;
     runCandidate(cur, exec_pool, pre, post, fp, cf, own, local, stats,
-                 wobs);
+                 wobs, point, point != nullptr);
 
     // Partial candidates merge into the same per-point sink, each
     // annotated with its own persisted mask, before the hook fires.
-    if (csCtx) {
-        std::vector<trace::SubsetMask> masks =
-            planCrashStates(pre, fp, group, cf, stats);
-        if (!masks.empty()) {
-            obs::SpanScope span(tl,
-                                tl ? strprintf("crash-states@fp#%u", fp)
-                                   : std::string(),
-                                "crash-states", track);
-            for (const auto &mask : masks) {
-                runCandidate(cur, exec_pool, pre, post, fp, cf, mask,
-                             local, stats, wobs);
-                if (wobs.sinks.live)
-                    wobs.sinks.live->count("crash_candidates");
-            }
+    // A mask that matches an executed candidate of this point on the
+    // bits its recovery read and on every commit-variable bit would
+    // replay that execution (DESIGN.md §14): it reuses the findings.
+    if (!masks.empty()) {
+        obs::SpanScope span(tl,
+                            tl ? strprintf("crash-states@fp#%u", fp)
+                               : std::string(),
+                            "crash-states", track);
+        for (std::size_t i = 0; i < masks.size(); i++) {
+            if (reuseCandidate(cur, exec_pool, pre, post, fp, cf,
+                               masks[i], *kept, local, stats, wobs))
+                continue;
+            stats.crashStatesExplored++;
+            runCandidate(cur, exec_pool, pre, post, fp, cf, masks[i],
+                         local, stats, wobs, point,
+                         i + 1 < masks.size());
+            if (wobs.sinks.live)
+                wobs.sinks.live->count("crash_candidates");
         }
     }
 
@@ -564,7 +650,8 @@ Driver::runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
                      const trace::TraceBuffer &pre, const ProgramFn &post,
                      std::uint32_t fp, const CellFrontier &cf,
                      const trace::SubsetMask &mask, BugSink &sink,
-                     CampaignStats &stats, const WorkerObs &wobs)
+                     CampaignStats &stats, const WorkerObs &wobs,
+                     PointCandidates *point, bool keep)
 {
     // The commit-variable timestamps assume recovery observes the
     // *latest* commit write, which only the all-updates image
@@ -573,44 +660,43 @@ Driver::runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
     // epoch, so commit-window (condition (3)) verdicts are not sound.
     bool suppress_semantic = cfg.crashImageMode;
     if (!mask.all()) {
-        {
-            obs::ScopedPhase timer(&stats.phases, obs::Phase::Restore,
-                                   {nullptr, 0, wobs.sinks.live});
-            restoreCandidate(cur, exec_pool, pre, fp, cf, mask, stats);
-        }
-        for (std::size_t b = 0; b < mask.size() && !suppress_semantic;
-             b++) {
-            const auto &e = pre[cf.seqs[b]];
-            suppress_semantic = !mask.test(b) &&
-                                cur.shadow.overlapsCommitVar(
-                                    {e.addr, e.addr + e.size});
+        obs::ScopedPhase timer(&stats.phases, obs::Phase::Restore,
+                               {nullptr, 0, wobs.sinks.live});
+        restoreCandidate(cur, exec_pool, pre, fp, cf, mask,
+                         stats.restore);
+        // Any other partial mask is a --crash-states candidate, whose
+        // point always comes with its commit bits.
+        if (!suppress_semantic) {
+            suppress_semantic = !mask.agreesOn(point->commitBits,
+                                               point->commitBits);
         }
     }
 
     BugSink cand;
+    std::optional<BugReport> failure;
     {
         // The interval covers the runtime's construction (its emit
         // ring).
         obs::ScopedPhase timer(&stats.phases, obs::Phase::RecoveryExec,
                                wobs.sinks, "post-exec", "post");
-        std::optional<BugReport> failure =
-            runRecovery(exec_pool, post, cur.postTrace, wobs.postOps);
+        failure = runRecovery(exec_pool, post, cur.post, wobs.postOps);
         double post_s = timer.stop();
         if (failure) {
-            failure->writer = pre[fp].loc;
-            failure->failurePoint = fp;
-            cand.report(std::move(*failure));
+            BugReport r = *failure;
+            r.writer = pre[fp].loc;
+            r.failurePoint = fp;
+            cand.report(std::move(r));
         }
         if (wobs.postLatency)
             wobs.postLatency->push_back(post_s);
         stats.postExecutions++;
-        stats.postTraceEntries += cur.postTrace.size();
+        stats.postTraceEntries += cur.post.trace.size();
     }
-    {
-        obs::ScopedPhase timer(&stats.phases, obs::Phase::Classify,
-                               wobs.sinks, "replay", "backend");
-        replayPost(cur, pre, cur.postTrace, fp, cand, suppress_semantic);
-    }
+    // The interval covers turning the trace into findings: the replay,
+    // their provenance and the merge.
+    obs::ScopedPhase timer(&stats.phases, obs::Phase::Classify,
+                           wobs.sinks, "replay", "backend");
+    replayPost(cur, pre, cur.post.trace, fp, cand, suppress_semantic);
 
     // Provenance: the point's frontier, plus which of its writes this
     // candidate image contained.
@@ -620,6 +706,71 @@ Driver::runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
     });
     recordFindings(wobs, fp, cf.seqs, mask, cand);
     sink.merge(cand);
+    if (keep) {
+        PointCandidates::Executed &e = point->executed.emplace_back();
+        e.mask = mask;
+        e.decisive = point->readBits(cur.post);
+        e.decisive |= point->commitBits;
+        e.findings = std::move(cand);
+        if (deltaValidate()) {
+            e.trace = cur.post.trace;
+            e.failure = std::move(failure);
+        }
+    }
+}
+
+bool
+Driver::reuseCandidate(PreCursor &cur, pm::PmPool &exec_pool,
+                       const trace::TraceBuffer &pre,
+                       const ProgramFn &post, std::uint32_t fp,
+                       const CellFrontier &cf,
+                       const trace::SubsetMask &mask,
+                       const PointCandidates &point, BugSink &sink,
+                       CampaignStats &stats, const WorkerObs &wobs)
+{
+    const PointCandidates::Executed *rep;
+    {
+        // Matching, and merging the representative's findings again
+        // under this mask, is classification work. No execution
+        // happens, so the interval is uncounted.
+        obs::ScopedPhase timer(&stats.phases, obs::Phase::Classify);
+        timer.setCount(0);
+        rep = point.match(mask);
+        if (!rep)
+            return false;
+        stats.crashStatesReadEquivalent++;
+        stats.crashReadEquivalent.push_back({fp, rep->mask, mask});
+        BugSink cand = rep->findings;
+        cand.annotate([&](BugReport &b) { b.persistedMask = mask; });
+        recordFindings(wobs, fp, cf.seqs, mask, cand);
+        sink.merge(cand);
+    }
+    if (!deltaValidate())
+        return true;
+    // Execute the skipped candidate anyway, outside every counter: it
+    // must replay the representative's trace and outcome exactly.
+    pm::DeltaRestoreStats uncounted;
+    restoreCandidate(cur, exec_pool, pre, fp, cf, mask, uncounted);
+    std::optional<BugReport> failure =
+        runRecovery(exec_pool, post, cur.post);
+    const trace::TraceBuffer &got = cur.post.trace;
+    std::size_t n = std::min(got.size(), rep->trace.size());
+    std::size_t at = 0;
+    while (at < n && trace::sameEntry(got[at], rep->trace[at]))
+        at++;
+    bool same_outcome =
+        failure.has_value() == rep->failure.has_value() &&
+        (!failure || (failure->note == rep->failure->note &&
+                      failure->reader == rep->failure->reader &&
+                      failure->addr == rep->failure->addr));
+    if (at < n || got.size() != rep->trace.size() || !same_outcome) {
+        panic("read-equivalent candidate %s of fp %u diverged from "
+              "%s: post-trace entry %zu of %zu/%zu, outcome %s",
+              mask.toHex().c_str(), fp, rep->mask.toHex().c_str(), at,
+              got.size(), rep->trace.size(),
+              same_outcome ? "same" : "differs");
+    }
+    return true;
 }
 
 void
@@ -627,7 +778,7 @@ Driver::restoreCandidate(PreCursor &cur, pm::PmPool &exec_pool,
                          const trace::TraceBuffer &pre, std::uint32_t fp,
                          const CellFrontier &cf,
                          const trace::SubsetMask &mask,
-                         CampaignStats &stats)
+                         pm::DeltaRestoreStats &stats)
 {
     const ShadowPM &shadow = cur.shadow;
     // The pool holds the anchor image or an earlier candidate of this
@@ -650,7 +801,7 @@ Driver::restoreCandidate(PreCursor &cur, pm::PmPool &exec_pool,
     }
     exec_pool.drainDirtyPages(pages);
     pm::restorePages(cur.durable, exec_pool, deltaStore->pageSize(), pages,
-                     stats.restore);
+                     stats);
     cur.pendingPages.insert(pages.begin(), pages.end());
     validatePool(cur.durable, exec_pool, "candidate restore", fp);
 
@@ -749,7 +900,6 @@ Driver::planCrashStates(const trace::TraceBuffer &pre, std::uint32_t fp,
             fresh = it.second;
         }
         if (fresh) {
-            stats.crashStatesExplored++;
             keep.push_back(std::move(mask));
         } else {
             stats.crashStatesPruned++;
@@ -1061,8 +1211,12 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
         result.stats.crashStatesExplored +=
             stats[t].crashStatesExplored;
         result.stats.crashStatesPruned += stats[t].crashStatesPruned;
+        result.stats.crashStatesReadEquivalent +=
+            stats[t].crashStatesReadEquivalent;
         for (auto &p : stats[t].crashPruned)
             result.stats.crashPruned.push_back(std::move(p));
+        for (auto &r : stats[t].crashReadEquivalent)
+            result.stats.crashReadEquivalent.push_back(std::move(r));
         result.stats.checksPerformed +=
             cursors[t].shadow.checksPerformed();
         result.stats.checksSkipped +=

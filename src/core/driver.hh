@@ -85,6 +85,13 @@ struct CampaignStats
     /** Candidates skipped by equivalence-class pruning. */
     std::size_t crashStatesPruned = 0;
     /**
+     * Candidates skipped as read-equivalent: an executed candidate
+     * of the same point read none of the frontier writes they differ
+     * in, and they agree on every commit-variable write (DESIGN.md
+     * §14), so its findings stand for theirs.
+     */
+    std::size_t crashStatesReadEquivalent = 0;
+    /**
      * One record per pruned candidate: where it was skipped, the
      * failure point whose identical candidate already executed, and
      * the mask — the conformance tier oracle-rechecks exactly these.
@@ -96,6 +103,18 @@ struct CampaignStats
         std::string maskHex;
     };
     std::vector<PrunedCrashCandidate> crashPruned;
+    /**
+     * One record per read-equivalent candidate: the failure point,
+     * the mask of the executed candidate whose findings it reused,
+     * and its own mask — the oracle re-checks these like pruned ones.
+     */
+    struct ReadEquivalentCandidate
+    {
+        std::uint32_t fp = 0;
+        trace::SubsetMask repMask;
+        trace::SubsetMask mask;
+    };
+    std::vector<ReadEquivalentCandidate> crashReadEquivalent;
     /** @} */
     std::size_t preTraceEntries = 0;
     std::size_t postTraceEntries = 0;
@@ -202,7 +221,33 @@ struct CampaignResult
 };
 
 /**
- * Run the post-failure stage @p post once on @p pool, tracing into
+ * What one post-failure execution read and did: its trace, plus the
+ * PM ranges it read without a Read entry (PmRuntime::peek and the
+ * in-pool sources of copyToPm). The trace's Read entries and those
+ * ranges are the execution's read footprint; recovery is a function
+ * of the bytes in it.
+ */
+struct RecoveryRun
+{
+    trace::TraceBuffer trace;
+    std::vector<AddrRange> untracedReads;
+
+    /** Call @p fn(AddrRange) for every range of the read footprint. */
+    template <typename Fn>
+    void
+    forEachRead(Fn &&fn) const
+    {
+        for (const auto &e : trace) {
+            if (e.op == trace::Op::Read && e.size)
+                fn(AddrRange{e.addr, e.addr + e.size});
+        }
+        for (const AddrRange &r : untracedReads)
+            fn(r);
+    }
+};
+
+/**
+ * Run the post-failure stage @p post once on @p pool, recording into
  * @p out (cleared first) under the 2^20-entry runaway cap, and add
  * the execution's per-op entry counts to @p ops when non-null. The
  * one recovery executor of the detector and the crash-state oracle.
@@ -212,8 +257,7 @@ struct CampaignResult
  *         nothing when the stage completed.
  */
 std::optional<BugReport>
-runRecovery(pm::PmPool &pool, const ProgramFn &post,
-            trace::TraceBuffer &out,
+runRecovery(pm::PmPool &pool, const ProgramFn &post, RecoveryRun &out,
             std::array<std::uint64_t, trace::opCount> *ops = nullptr);
 
 /** Orchestrates detection campaigns over a PM pool. */
@@ -301,8 +345,8 @@ class Driver
         std::uint32_t cursor = 0;
         /** TX_ADD ranges of the open transaction (perf bugs). */
         std::vector<AddrRange> openTxAdds;
-        /** Post-failure trace, reused (cleared) by every execution. */
-        trace::TraceBuffer postTrace;
+        /** Post-failure execution, reused (cleared) by every one. */
+        RecoveryRun post;
 
         /** Failure point the exec pool was last restored to. */
         std::uint32_t lastRestoredSeq = 0;
@@ -341,11 +385,56 @@ class Driver
     };
 
     /**
+     * The candidates of the failure point in flight that later masks
+     * may reuse (--crash-states): the bits whose writes overlap a
+     * commit variable, an address index of the frontier's cell runs,
+     * and every executed candidate with its findings and the bits a
+     * mask must match to stand for it (DESIGN.md §14).
+     */
+    struct PointCandidates
+    {
+        /** One cell run of frontier bit `bit`: [lo, hi). */
+        struct RunBit
+        {
+            Addr lo;
+            Addr hi;
+            std::uint32_t bit;
+        };
+        struct Executed
+        {
+            trace::SubsetMask mask;
+            /** Bits its recovery read, plus the commit bits. */
+            trace::SubsetMask decisive;
+            /** Its findings (annotated with its own mask). */
+            BugSink findings;
+            /** XFD_DELTA_VALIDATE=1 only: its trace and outcome. */
+            trace::TraceBuffer trace;
+            std::optional<BugReport> failure;
+        };
+
+        PointCandidates(const ShadowPM &shadow, const CellFrontier &cf,
+                        const trace::TraceBuffer &pre);
+
+        /** Frontier bits the footprint of @p run reads. */
+        trace::SubsetMask readBits(const RecoveryRun &run) const;
+
+        /** The first executed candidate @p mask may reuse, or null. */
+        const Executed *match(const trace::SubsetMask &mask) const;
+
+        trace::SubsetMask commitBits;
+        /** Sorted by lo; maxHi[i] is the largest hi in runs[0..i]. */
+        std::vector<RunBit> runs;
+        std::vector<Addr> maxHi;
+        std::vector<Executed> executed;
+    };
+
+    /**
      * Handle failure point @p fp of equivalence group @p group end to
      * end on @p exec_pool: advance the cursors, restore the anchor
      * image, then run the point's own candidate (all-ones mask, or
      * all-zero under --crash-image) and the partial masks
-     * --crash-states keeps.
+     * --crash-states keeps, each executed unless it is read-equivalent
+     * to a candidate the point already executed.
      */
     void handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
                             const trace::TraceBuffer &pre,
@@ -370,16 +459,37 @@ class Driver
      * persisted subset @p mask of frontier @p cf. The all-ones mask
      * runs on the anchor image the exec pool already holds; any
      * other mask materializes over the durable image first. Runs
-     * recovery into cur.postTrace (a recovery abort or wild PM access
-     * is a finding), classifies the trace, annotates the findings
-     * with (cf.seqs, mask) and merges them into @p sink.
+     * recovery into cur.post (a recovery abort or wild PM access is
+     * a finding), classifies the trace, annotates the findings with
+     * (cf.seqs, mask) and merges them into @p sink. @p point is the
+     * point's candidates under --crash-states (null otherwise): its
+     * commit bits decide semantic suppression, and with @p keep the
+     * candidate joins its executed list with the bits recovery read.
      */
     void runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
                       const trace::TraceBuffer &pre,
                       const ProgramFn &post, std::uint32_t fp,
                       const CellFrontier &cf,
                       const trace::SubsetMask &mask, BugSink &sink,
-                      CampaignStats &stats, const WorkerObs &wobs);
+                      CampaignStats &stats, const WorkerObs &wobs,
+                      PointCandidates *point, bool keep);
+
+    /**
+     * Skip @p mask if it is read-equivalent to a candidate @p point
+     * executed: that candidate's findings, annotated with @p mask,
+     * merge into @p sink as executing @p mask would have merged them,
+     * and the skip is counted and recorded. Under XFD_DELTA_VALIDATE=1
+     * the mask executes anyway, uncounted, and must replay the
+     * representative's trace and outcome exactly.
+     * @return whether @p mask was skipped
+     */
+    bool reuseCandidate(PreCursor &cur, pm::PmPool &exec_pool,
+                        const trace::TraceBuffer &pre,
+                        const ProgramFn &post, std::uint32_t fp,
+                        const CellFrontier &cf,
+                        const trace::SubsetMask &mask,
+                        const PointCandidates &point, BugSink &sink,
+                        CampaignStats &stats, const WorkerObs &wobs);
 
     /**
      * Materialize a non-anchor candidate on @p exec_pool: restore it
@@ -389,7 +499,7 @@ class Driver
                           const trace::TraceBuffer &pre,
                           std::uint32_t fp, const CellFrontier &cf,
                           const trace::SubsetMask &mask,
-                          CampaignStats &stats);
+                          pm::DeltaRestoreStats &stats);
 
     /**
      * One Chrome-trace finding instant per finding in @p sink, with

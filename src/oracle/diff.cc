@@ -107,13 +107,16 @@ DiffReport::summary() const
                        "kept representatives: %zu\n",
                        prunedRechecked);
     }
-    if (partialChecked || crashPrunedRechecked) {
+    if (partialChecked || crashPrunedRechecked ||
+        readEquivalentRechecked) {
         s += strprintf(
             "crash-states conformance: %zu partial finding group(s) "
             "checked (%zu disagree), %zu pruned candidate(s) "
-            "re-checked (%zu disagree)\n",
+            "re-checked (%zu disagree), %zu read-equivalent "
+            "candidate(s) re-checked (%zu disagree)\n",
             partialChecked, partialDisagreements, crashPrunedRechecked,
-            crashPrunedDisagreements);
+            crashPrunedDisagreements, readEquivalentRechecked,
+            readEquivalentDisagreements);
     }
     for (const auto &a : perFp) {
         if (a.agree)
@@ -276,6 +279,15 @@ runDifferentialCampaign(pm::PmPool &pool, const core::ProgramFn &pre,
         oracleByFpMask;
     bool wantPruneRecheck =
         csOn && !rep.detector.stats.crashPruned.empty();
+    // The detector's read-equivalent skips, by point: both masks of
+    // each run at that point here, and their verdicts must match.
+    std::map<std::uint32_t,
+             std::vector<const core::CampaignStats::ReadEquivalentCandidate *>>
+        readEquivalentAt;
+    if (csOn) {
+        for (const auto &r : rep.detector.stats.crashReadEquivalent)
+            readEquivalentAt[r.fp].push_back(&r);
+    }
 
     bool wrotePreTrace = false;
     obs::ScopedPhase timer(&rep.detector.stats.phases, obs::Phase::Oracle);
@@ -299,14 +311,22 @@ runDifferentialCampaign(pm::PmPool &pool, const core::ProgramFn &pre,
         const std::uint64_t *streamPtr = nullptr;
         std::vector<trace::SubsetMask> detMasks;
         const std::vector<trace::SubsetMask> *extraMasks = nullptr;
+        auto reit = readEquivalentAt.find(fp);
         if (csOn) {
             streamPtr = &groups.streams[groups.groupOf[i]];
             auto mit = detectorByFpMask.find(detectorFp);
             if (mit != detectorByFpMask.end()) {
                 for (const auto &[m, classes] : mit->second)
                     detMasks.push_back(m);
-                extraMasks = &detMasks;
             }
+            if (reit != readEquivalentAt.end()) {
+                for (const auto *r : reit->second) {
+                    detMasks.push_back(r->repMask);
+                    detMasks.push_back(r->mask);
+                }
+            }
+            if (!detMasks.empty())
+                extraMasks = &detMasks;
         }
 
         FpOracleResult ores =
@@ -340,6 +360,18 @@ runDifferentialCampaign(pm::PmPool &pool, const core::ProgramFn &pre,
                     }
                     if (!ok) {
                         rep.partialDisagreements++;
+                        a.agree = false;
+                    }
+                }
+            }
+            if (reit != readEquivalentAt.end()) {
+                for (const auto *r : reit->second) {
+                    rep.readEquivalentRechecked++;
+                    auto skipped = omasks.find(r->mask.toHex());
+                    auto kept = omasks.find(r->repMask.toHex());
+                    if (skipped == omasks.end() || kept == omasks.end() ||
+                        *skipped->second != *kept->second) {
+                        rep.readEquivalentDisagreements++;
                         a.agree = false;
                     }
                 }
@@ -472,6 +504,12 @@ oracleJsonSection(const DiffReport &r)
             w.field("crash_pruned_disagreements",
                     static_cast<std::uint64_t>(
                         r.crashPrunedDisagreements));
+            w.field("read_equivalent_rechecked",
+                    static_cast<std::uint64_t>(
+                        r.readEquivalentRechecked));
+            w.field("read_equivalent_disagreements",
+                    static_cast<std::uint64_t>(
+                        r.readEquivalentDisagreements));
             w.field("oracle_seconds", r.oracleSeconds);
             w.key("disagreement_fps").beginArray();
             for (const auto &a : r.perFp) {

@@ -28,7 +28,9 @@
  *    candidate at the same mask, and every candidate the detector
  *    pruned as equivalent must get the same oracle verdict as the
  *    representative that ran in its place (agreement 1.0 means the
- *    pruning rule lost nothing).
+ *    pruning rule lost nothing), and so must every candidate it
+ *    skipped as read-equivalent, against the executed candidate of
+ *    the same point whose findings it reused.
  *
  * Disagreements are dumped as replayable artifacts: the pre-failure
  * trace (trace/serialize format) once per campaign, plus one JSON
@@ -165,6 +167,15 @@ struct DiffReport
     std::size_t crashPrunedRechecked = 0;
     std::size_t crashPrunedDisagreements = 0;
 
+    /**
+     * Candidates the detector skipped as read-equivalent, re-checked
+     * by comparing the oracle's verdict at the skipped (point, mask)
+     * against its verdict at the executed candidate whose findings
+     * the detector reused. A disagreement also fails the point.
+     */
+    std::size_t readEquivalentRechecked = 0;
+    std::size_t readEquivalentDisagreements = 0;
+
     /** Artifact files written (disagreements only). */
     std::vector<std::string> artifacts;
 
@@ -187,7 +198,8 @@ struct DiffReport
     {
         return disagreements == 0 && extrasUnexplained == 0 &&
                partialDisagreements == 0 &&
-               crashPrunedDisagreements == 0;
+               crashPrunedDisagreements == 0 &&
+               readEquivalentDisagreements == 0;
     }
 
     /** Multi-line human-readable report. */

@@ -335,17 +335,17 @@ CrashStateOracle::runCandidate(const core::ProgramFn &post,
 
     nCandidates++;
     std::set<core::BugType> classes;
-    trace::TraceBuffer postTrace;
+    core::RecoveryRun run;
     // The detector's executor. The oracle takes only the failure's
     // class and classifies the reads by its own rules below.
-    if (auto failure = core::runRecovery(execPool, post, postTrace))
+    if (auto failure = core::runRecovery(execPool, post, run))
         classes.insert(failure->type);
 
     // Classify the recovery's reads against the oracle cells, with
     // candidate-scoped overwrite/first-read marks and commit clocks.
     std::map<std::uint64_t, std::uint8_t> pflags;
     std::vector<OCommitVar> scoped = cvars;
-    for (const auto &e : postTrace) {
+    for (const auto &e : run.trace) {
         switch (e.op) {
           case Op::Write:
           case Op::NtWrite:

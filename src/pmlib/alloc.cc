@@ -127,16 +127,15 @@ PAllocator::pfree(Addr a, trace::SrcLoc loc)
 std::size_t
 PAllocator::blockSize(Addr a) const
 {
-    auto &pool = const_cast<trace::PmRuntime &>(rt).pool();
     auto *blk = static_cast<const BlockHeader *>(
-        pool.toHost(a - sizeof(BlockHeader)));
-    return blk->size;
+        rt.pool().toHost(a - sizeof(BlockHeader)));
+    return rt.peek(blk->size);
 }
 
 std::size_t
 PAllocator::bumpUsed() const
 {
-    return hdr()->bumpOff - heapOff;
+    return rt.peek(hdr()->bumpOff) - heapOff;
 }
 
 } // namespace xfd::pmlib

@@ -34,8 +34,8 @@ std::size_t
 ObjPool::rootSize() const
 {
     const auto *h = static_cast<const PoolHeader *>(
-        const_cast<ObjPool *>(this)->pm().toHost(base + headerOff));
-    return h->rootSize;
+        rt.pool().toHost(base + headerOff));
+    return rt.peek(h->rootSize);
 }
 
 ObjPool
@@ -88,7 +88,7 @@ ObjPool::create(trace::PmRuntime &rt, const char *layout,
     rt.persistBarrier(&h->uuid, offsetof(PoolHeader, checksum) -
                                     offsetof(PoolHeader, uuid));
 
-    rt.store(h->checksum, headerChecksum(*h));
+    rt.store(h->checksum, headerChecksum(rt.peek(*h)));
     rt.persistBarrier(&h->checksum, sizeof(h->checksum));
 
     return pool;
@@ -100,13 +100,13 @@ ObjPool::valid(trace::PmRuntime &rt, const char *layout)
     pm::PmPool &pm = rt.pool();
     const auto *h = static_cast<const PoolHeader *>(
         pm.toHost(pm.base() + headerOff));
-    if (h->magic != poolMagic)
+    if (rt.peek(h->magic) != poolMagic) // rejected on the magic alone
         return false;
-    if (h->checksum != headerChecksum(*h))
+    const PoolHeader c = rt.peek(*h);
+    if (c.checksum != headerChecksum(c) ||
+        std::strncmp(c.layout, layout, sizeof(c.layout)) != 0)
         return false;
-    if (std::strncmp(h->layout, layout, sizeof(h->layout)) != 0)
-        return false;
-    if (h->poolSize != pm.size())
+    if (c.poolSize != pm.size())
         return false;
     return true;
 }

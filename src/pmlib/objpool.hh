@@ -59,7 +59,11 @@ class ObjPool
     static ObjPool openOrCreate(trace::PmRuntime &rt, const char *layout,
                                 std::size_t root_size);
 
-    /** @return whether @p rt's pool holds a valid header for @p layout. */
+    /**
+     * @return whether @p rt's pool holds a valid header for @p layout.
+     * The header is read untraced, as pmemobj_open validates it, but
+     * through PmRuntime::peek, so it is in the read footprint.
+     */
     static bool valid(trace::PmRuntime &rt, const char *layout);
 
     trace::PmRuntime &runtime() { return rt; }

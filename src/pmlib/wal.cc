@@ -227,10 +227,10 @@ Wal::recover(trace::SrcLoc loc)
 {
     trace::PmRuntime &rt = pool.runtime();
     WalHeader *h = hdr();
-    // Bookkeeping read, deliberately untraced: format() persists the
-    // magic last, so an unformatted or half-created area is rejected
-    // wholesale before any classified read happens.
-    if (h->magic != walMagic)
+    // Bookkeeping read, deliberately untraced (peeked): format()
+    // persists the magic last, so an unformatted or half-created area
+    // is rejected wholesale before any classified read happens.
+    if (rt.peek(h->magic) != walMagic)
         return false;
 
     std::uint64_t g = rt.load(h->ckptGen, loc); // commit var: benign

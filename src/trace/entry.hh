@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/logging.hh"
@@ -147,6 +148,20 @@ struct TraceEntry
 
     bool has(EntryFlags f) const { return (flags & f) != 0; }
 };
+
+/**
+ * Whether two entries record the same operation: every field, the
+ * written bytes included (labels by content, locations by file and
+ * line).
+ */
+inline bool
+sameEntry(const TraceEntry &a, const TraceEntry &b)
+{
+    return a.op == b.op && a.flags == b.flags && a.size == b.size &&
+           a.addr == b.addr && a.aux == b.aux && a.seq == b.seq &&
+           a.loc == b.loc && std::string_view(a.label) == b.label &&
+           a.data == b.data;
+}
 
 } // namespace xfd::trace
 

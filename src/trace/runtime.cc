@@ -1,5 +1,7 @@
 #include "trace/runtime.hh"
 
+#include <algorithm>
+
 #include "trace/mutation.hh"
 
 namespace xfd::trace
@@ -174,6 +176,23 @@ PmRuntime::push(TraceEntry e)
 }
 
 void
+PmRuntime::noteUntracedRead(const void *p, std::size_t n)
+{
+    if (!untracedReads)
+        return;
+    // Clip to the pool: a volatile source is not a PM read.
+    auto lo = reinterpret_cast<std::uintptr_t>(p);
+    auto base = reinterpret_cast<std::uintptr_t>(pmPool.data());
+    std::uintptr_t b = std::max(lo, base);
+    std::uintptr_t e = std::min(lo + n, base + pmPool.size());
+    if (b >= e)
+        return;
+    std::lock_guard<std::mutex> guard(emitLock);
+    untracedReads->push_back(
+        {pmPool.base() + (b - base), pmPool.base() + (e - base)});
+}
+
+void
 PmRuntime::emit(Op op, Addr a, std::size_t n, SrcLoc loc,
                 const char *label)
 {
@@ -221,6 +240,7 @@ PmRuntime::copyToPm(void *dst, const void *src, std::size_t n, SrcLoc loc)
     Addr a = pmPool.toAddr(dst);
     if (!pmPool.contains(a, n))
         panic("copyToPm overruns pool");
+    noteUntracedRead(src, n);
     if (elideSame && std::memcmp(dst, src, n) == 0) {
         emitSameValueWrite(Op::Write, a, n, loc);
         return;
@@ -239,6 +259,7 @@ PmRuntime::ntCopyToPm(void *dst, const void *src, std::size_t n,
     Addr a = pmPool.toAddr(dst);
     if (!pmPool.contains(a, n))
         panic("ntCopyToPm overruns pool");
+    noteUntracedRead(src, n);
     if (elideSame && std::memcmp(dst, src, n) == 0) {
         emitSameValueWrite(Op::NtWrite, a, n, loc);
         return;

@@ -107,6 +107,19 @@ class PmRuntime
     void setEntryCap(std::size_t cap) { entryCap = cap; }
 
     /**
+     * Append every PM range this execution reads without emitting a
+     * Read entry — peek() and the in-pool sources of copyToPm /
+     * ntCopyToPm — to @p sink (nullptr stops recording). With the
+     * trace's Read entries these ranges are the execution's complete
+     * read footprint: its behaviour is a function of those bytes.
+     */
+    void
+    recordUntracedReads(std::vector<AddrRange> *sink)
+    {
+        untracedReads = sink;
+    }
+
+    /**
      * Batch trace emission through a fixed-slot ring. Enabled by the
      * campaign driver for its single-owner-thread stages: the thread
      * that called setBatching(true) stages entries lock-free and the
@@ -208,11 +221,29 @@ class PmRuntime
         emitWrite(Op::NtWrite, a, &field, sizeof(T), loc);
     }
 
-    /** Traced memcpy into PM. */
+    /**
+     * Untraced PM load, for library bookkeeping that stays out of the
+     * trace (and so out of every finding) but still decides what the
+     * stage does: pool-header validation, allocator introspection.
+     * The range joins the read footprint (recordUntracedReads).
+     */
+    template <typename T>
+    T
+    peek(const T &field)
+    {
+        static_assert(std::is_trivially_copyable_v<T>);
+        noteUntracedRead(&field, sizeof(T));
+        return field;
+    }
+
+    /**
+     * Traced memcpy into PM. A source inside the pool is a PM read
+     * with no Read entry; it joins the read footprint.
+     */
     void copyToPm(void *dst, const void *src, std::size_t n,
                   SrcLoc loc = here());
 
-    /** Traced non-temporal memcpy into PM. */
+    /** Traced non-temporal memcpy into PM (sources as copyToPm). */
     void ntCopyToPm(void *dst, const void *src, std::size_t n,
                     SrcLoc loc = here());
 
@@ -357,6 +388,9 @@ class PmRuntime
 
     void push(TraceEntry e);
 
+    /** Record the in-pool part of host range [p, p+n) as read. */
+    void noteUntracedRead(const void *p, std::size_t n);
+
     /** Retire the emit ring into the buffer; emitLock must be held. */
     void retireLocked();
 
@@ -421,6 +455,9 @@ class PmRuntime
     /** Same-value write elision (setSameValueElision). */
     bool elideSame = false;
     std::atomic<std::uint64_t> elided{0};
+
+    /** Untraced-read sink (recordUntracedReads); guarded by emitLock. */
+    std::vector<AddrRange> *untracedReads = nullptr;
 };
 
 /** RAII region-of-interest marker. */

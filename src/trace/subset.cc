@@ -53,6 +53,24 @@ SubsetMask::setAll()
     }
 }
 
+SubsetMask &
+SubsetMask::operator|=(const SubsetMask &o)
+{
+    for (std::size_t i = 0; i < words.size() && i < o.words.size(); i++)
+        words[i] |= o.words[i];
+    return *this;
+}
+
+bool
+SubsetMask::agreesOn(const SubsetMask &o, const SubsetMask &care) const
+{
+    for (std::size_t i = 0; i < words.size(); i++) {
+        if ((words[i] ^ o.words[i]) & care.words[i])
+            return false;
+    }
+    return true;
+}
+
 bool
 SubsetMask::all() const
 {

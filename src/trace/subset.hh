@@ -46,6 +46,15 @@ class SubsetMask
     /** Number of set bits. */
     std::size_t count() const;
 
+    /** Set every bit set in @p o (same width). */
+    SubsetMask &operator|=(const SubsetMask &o);
+
+    /**
+     * Whether this mask and @p o (same width) agree on every bit set
+     * in @p care.
+     */
+    bool agreesOn(const SubsetMask &o, const SubsetMask &care) const;
+
     /**
      * Fixed-width hex spelling, most significant nibble first
      * (ceil(size/4) digits; "" for an empty mask). Stable across

@@ -70,8 +70,8 @@ class Impl
   public:
     Impl(trace::PmRuntime &rt, pmlib::ObjPool &op, const BugMask &bugs)
         : rt(rt), op(op),
-          // Volatile bookkeeping read: zero on a half-created pool.
-          area(static_cast<Addr>(op.root<WRoot>()->walArea)),
+          // Untraced bookkeeping read: zero on a half-created pool.
+          area(static_cast<Addr>(rt.peek(op.root<WRoot>()->walArea))),
           wal(op, area ? area : op.rootAddr(), logCapacity, pageSize,
               maxPages, walOptions(bugs))
     {

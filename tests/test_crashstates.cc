@@ -5,15 +5,20 @@
  * fingerprints serial vs. parallel and across both campaign backends
  * (the sampler stream is keyed by equivalence class, not by
  * schedule); equivalence-class pruning actually skips a substantial
- * share of the enumerated subsets; and the oracle re-runs what the
- * detector pruned, agreeing with the kept representative on every
- * candidate (agreement 1.0).
+ * share of the enumerated subsets; read-equivalent candidates (same
+ * point, same bytes where recovery looked, same commit writes) reuse
+ * an execution, and only those; and the oracle re-runs what the
+ * detector pruned or skipped, agreeing with the candidate that ran in
+ * its place (agreement 1.0).
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 
 #include "bugsuite/registry.hh"
 #include "harness.hh"
@@ -111,11 +116,216 @@ TEST(CrashStatesPruning, EquivalenceClassesSkipSubstantialShare)
         const core::CampaignStats &s = res.stats;
         ASSERT_GT(s.crashStatesEnumerated, 0u);
         EXPECT_EQ(s.crashStatesEnumerated,
-                  s.crashStatesExplored + s.crashStatesPruned);
+                  s.crashStatesExplored + s.crashStatesPruned +
+                      s.crashStatesReadEquivalent);
         EXPECT_GE(s.crashStatesPruned * 100,
                   s.crashStatesEnumerated * 40)
             << s.crashStatesPruned << " of " << s.crashStatesEnumerated
             << " enumerated subsets pruned";
+    }
+}
+
+TEST(CrashStatesReadEquivalence, AccountingIdentityOnEveryWorkload)
+{
+    // Every enumerated partial candidate is executed, pruned or
+    // skipped as read-equivalent, and only executions run recovery.
+    for (const std::string &name : workloads::workloadNames()) {
+        for (const char *mode : {"sample:16", "exhaustive"}) {
+            SCOPED_TRACE(name + " " + mode);
+            RunOptions opt;
+            opt.detector.crashStates = mode;
+            core::CampaignResult res =
+                xfdtest::runWorkload(name, smallConfig(name), opt);
+            const core::CampaignStats &s = res.stats;
+            EXPECT_GT(s.crashStatesEnumerated, 0u);
+            EXPECT_EQ(s.crashStatesEnumerated,
+                      s.crashStatesExplored + s.crashStatesPruned +
+                          s.crashStatesReadEquivalent);
+            EXPECT_EQ(s.postExecutions,
+                      s.failurePoints + s.crashStatesExplored);
+            EXPECT_EQ(s.crashReadEquivalent.size(),
+                      s.crashStatesReadEquivalent);
+            EXPECT_EQ(s.restore.deltaRestores, s.postExecutions);
+        }
+    }
+}
+
+/**
+ * One failure point whose frontier holds two unflushed stores, to x
+ * (bit 0) and y (bit 1); recovery reads only x. With @p y_commit, y
+ * is a registered commit variable (the hashmap_atomic count-window
+ * pattern: a commit write recovery need not read).
+ */
+core::CampaignResult
+twoWritePoint(bool y_commit, core::CampaignObserver *obs)
+{
+    constexpr std::size_t x_off = 4096;
+    constexpr std::size_t y_off = 8192;
+    RunOptions opt;
+    opt.detector.crashStates = "exhaustive";
+    opt.observer = obs;
+    return xfdtest::runCampaign(
+        [=](PmRuntime &rt) {
+            auto *x = rt.pool().at<std::uint64_t>(x_off);
+            auto *y = rt.pool().at<std::uint64_t>(y_off);
+            if (y_commit)
+                rt.addCommitVar(*y);
+            trace::RoiScope roi(rt);
+            rt.store(*x, std::uint64_t{1});
+            rt.store(*y, std::uint64_t{2});
+            rt.sfence();
+        },
+        [=](PmRuntime &rt) {
+            auto *x = rt.pool().at<std::uint64_t>(x_off);
+            trace::RoiScope roi(rt);
+            (void)rt.load(*x);
+        },
+        opt);
+}
+
+/** (rep mask, skipped mask) hex pairs of a campaign's skips. */
+std::set<std::pair<std::string, std::string>>
+skips(const core::CampaignResult &res)
+{
+    std::set<std::pair<std::string, std::string>> out;
+    for (const auto &r : res.stats.crashReadEquivalent)
+        out.emplace(r.repMask.toHex(), r.mask.toHex());
+    return out;
+}
+
+TEST(CrashStatesReadEquivalence, UnreadWriteReusesReadWriteExecutes)
+{
+    core::CampaignObserver obs;
+    core::CampaignResult res = twoWritePoint(false, &obs);
+    const core::CampaignStats &s = res.stats;
+    ASSERT_EQ(s.failurePoints, 1u);
+    // Partial masks 1 (x only), 2 (y only) and 0. Mask 1 agrees with
+    // the anchor (3) on x, the one bit its recovery read. Masks 0 and
+    // 2 differ from it on x: the first of them executes, and the
+    // other agrees with it on x.
+    EXPECT_EQ(s.crashStatesEnumerated, 3u);
+    EXPECT_EQ(s.crashStatesExplored, 1u);
+    EXPECT_EQ(s.crashStatesReadEquivalent, 2u);
+    EXPECT_EQ(s.postExecutions, 2u);
+    std::set<std::pair<std::string, std::string>> got = skips(res);
+    EXPECT_TRUE(got.count({"3", "1"}));
+    EXPECT_TRUE(got.count({"0", "2"}) || got.count({"2", "0"}));
+
+    // The unpersisted x races on every candidate: the skipped ones
+    // report it too, under their own persisted mask, exactly as if
+    // they had executed.
+    ASSERT_EQ(res.bugs.size(), 1u) << res.summary();
+    EXPECT_EQ(res.bugs[0].type, core::BugType::CrossFailureRace);
+    EXPECT_EQ(res.bugs[0].occurrences, 4u);
+    std::multiset<std::string> masks;
+    for (const auto &ev : obs.timeline.events()) {
+        if (std::string(ev.cat) != "finding")
+            continue;
+        for (const auto &[k, v] : ev.args) {
+            if (k == "persisted_mask")
+                masks.insert(v);
+        }
+    }
+    EXPECT_EQ(masks, (std::multiset<std::string>{"0", "1", "2", "3"}));
+}
+
+TEST(CrashStatesReadEquivalence, CommitVariableWriteExecutes)
+{
+    // The same point with y a commit variable: dropping y decides
+    // whether commit-window verdicts are sound, so no mask may stand
+    // in for one that differs from it on y, read or not.
+    core::CampaignResult res = twoWritePoint(true, nullptr);
+    const core::CampaignStats &s = res.stats;
+    ASSERT_EQ(s.failurePoints, 1u);
+    EXPECT_EQ(s.crashStatesEnumerated, 3u);
+    EXPECT_EQ(s.crashStatesExplored, 3u);
+    EXPECT_EQ(s.crashStatesReadEquivalent, 0u);
+    EXPECT_EQ(s.postExecutions, 4u);
+}
+
+TEST(CrashStatesReadEquivalence, ThreadsGiveIdenticalFindings)
+{
+    auto report = [](const core::CampaignResult &res) {
+        std::ostringstream os;
+        core::writeReportJson(res, os);
+        std::string doc = os.str();
+        return doc.substr(doc.find("\"findings\""));
+    };
+    std::vector<std::pair<std::string, workloads::WorkloadConfig>> runs;
+    for (const std::string name : {"btree", "hashmap_tx", "ringlog"})
+        runs.emplace_back(name, smallConfig(name));
+    for (const auto &c : bugsuite::bugCasesFor("ringlog")) {
+        if (c.crashStates.empty())
+            continue;
+        workloads::WorkloadConfig wcfg;
+        wcfg.initOps = c.initOps;
+        wcfg.testOps = c.testOps;
+        wcfg.postOps = c.postOps;
+        wcfg.bugs.enable(c.id);
+        runs.emplace_back("ringlog", wcfg);
+    }
+    for (const auto &[name, wcfg] : runs) {
+        SCOPED_TRACE(name);
+        RunOptions opt;
+        opt.detector.crashStates = "sample:16";
+        core::CampaignResult serial =
+            xfdtest::runWorkload(name, wcfg, opt);
+        opt.threads = 4;
+        core::CampaignResult threaded =
+            xfdtest::runWorkload(name, wcfg, opt);
+        EXPECT_EQ(serial.fingerprint(), threaded.fingerprint());
+        EXPECT_EQ(report(serial), report(threaded));
+        EXPECT_EQ(serial.stats.crashStatesEnumerated,
+                  threaded.stats.crashStatesEnumerated);
+    }
+}
+
+TEST(CrashStatesReadEquivalence, CountsRepeatPerSchedule)
+{
+    // Serial repeats reproduce every count. Threaded runs agree on the
+    // findings and on the counts the schedule cannot move: which
+    // point of a group runs a (group, mask) is first-come, and only
+    // that point can skip it as read-equivalent, so the executed /
+    // read-equivalent split and everything that follows it may vary.
+    auto counts = [](const core::CampaignResult &r, bool all) {
+        const core::CampaignStats &s = r.stats;
+        std::vector<std::size_t> v{
+            s.failurePoints, s.preTraceEntries, s.crashStatesEnumerated,
+            s.crashStatesPruned,
+            s.crashStatesExplored + s.crashStatesReadEquivalent};
+        for (obs::Phase p : {obs::Phase::TraceCapture, obs::Phase::Plan,
+                             obs::Phase::LintPrune})
+            v.push_back(s.phases.count[static_cast<std::size_t>(p)]);
+        if (all) {
+            v.insert(v.end(),
+                     {s.crashStatesExplored, s.crashStatesReadEquivalent,
+                      s.postExecutions, s.postTraceEntries,
+                      s.checksPerformed, s.checksSkipped,
+                      s.restore.deltaRestores, s.restore.pagesRestored});
+            for (obs::Phase p : {obs::Phase::Restore,
+                                 obs::Phase::RecoveryExec,
+                                 obs::Phase::Classify})
+                v.push_back(s.phases.count[static_cast<std::size_t>(p)]);
+        }
+        return v;
+    };
+    for (const std::string name : {"btree", "rbtree", "ringlog"}) {
+        SCOPED_TRACE(name);
+        RunOptions opt;
+        opt.detector.crashStates = "sample:16";
+        core::CampaignResult a =
+            xfdtest::runWorkload(name, smallConfig(name), opt);
+        core::CampaignResult b =
+            xfdtest::runWorkload(name, smallConfig(name), opt);
+        EXPECT_EQ(counts(a, true), counts(b, true));
+        opt.threads = 4;
+        core::CampaignResult c =
+            xfdtest::runWorkload(name, smallConfig(name), opt);
+        core::CampaignResult d =
+            xfdtest::runWorkload(name, smallConfig(name), opt);
+        EXPECT_EQ(c.fingerprint(), d.fingerprint());
+        EXPECT_EQ(counts(a, false), counts(c, false));
+        EXPECT_EQ(counts(c, false), counts(d, false));
     }
 }
 
@@ -136,6 +346,8 @@ TEST(CrashStatesOracle, PrunedCandidatesRecheckedAtFullAgreement)
 
     EXPECT_GT(rep.crashPrunedRechecked, 0u) << rep.summary();
     EXPECT_EQ(rep.crashPrunedDisagreements, 0u) << rep.summary();
+    EXPECT_GT(rep.readEquivalentRechecked, 0u) << rep.summary();
+    EXPECT_EQ(rep.readEquivalentDisagreements, 0u) << rep.summary();
     EXPECT_EQ(rep.partialDisagreements, 0u) << rep.summary();
     EXPECT_DOUBLE_EQ(rep.agreementRate(), 1.0);
     EXPECT_TRUE(rep.clean()) << rep.summary();
