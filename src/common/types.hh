@@ -19,6 +19,17 @@ using Addr = std::uint64_t;
 constexpr std::size_t cacheLineSize = 64;
 
 /**
+ * Whether @p n bytes is a shadow cell size. The detector, the oracle
+ * and the lint frontier all track persistence per cell of 1, 2, 4 or
+ * 8 bytes.
+ */
+constexpr bool
+isCellSize(unsigned long long n)
+{
+    return n == 1 || n == 2 || n == 4 || n == 8;
+}
+
+/**
  * Deterministic base address for emulated pools. Mirrors the paper's use
  * of PMEM_MMAP_HINT=0x10000000000 to derandomize PM mappings so that
  * addresses are stable between the pre- and post-failure executions.

@@ -54,16 +54,8 @@ writeBug(obs::JsonWriter &w, const BugReport &b, std::size_t idx)
 } // namespace
 
 void
-writeStatsJson(const CampaignResult &res,
-               const obs::StatsRegistry *stats, std::ostream &os)
-{
-    writeStatsJson(res, nullptr, stats, os);
-}
-
-void
 writeStatsJson(const CampaignResult &res, const DetectorConfig *cfg,
-               const obs::StatsRegistry *stats, std::ostream &os,
-               const std::vector<JsonSection> &extra)
+               std::ostream &os, const std::vector<JsonSection> &extra)
 {
     const CampaignStats &s = res.stats;
     obs::JsonWriter w(os);
@@ -101,6 +93,8 @@ writeStatsJson(const CampaignResult &res, const DetectorConfig *cfg,
     w.field("post_seconds", s.postSeconds());
     w.field("backend_seconds", s.backendSeconds());
     w.field("total_seconds", s.totalSeconds());
+    w.key("post_exec_latency_us");
+    s.postExecLatencyUs.writeJson(w);
     if (s.crashStatesEnumerated) {
         w.key("crash_states").beginObject();
         w.field("enumerated",
@@ -138,10 +132,33 @@ writeStatsJson(const CampaignResult &res, const DetectorConfig *cfg,
     w.endObject();
     w.endObject();
 
-    if (stats) {
-        w.key("stats");
-        stats->writeJson(w);
+    // Shadow-PM persistence-FSM edges (paper Fig. 9), every one.
+    w.key("shadow_fsm").beginObject();
+    w.key("edge").beginObject();
+    for (std::size_t f = 0; f < ShadowFsmCounters::numStates; f++) {
+        for (std::size_t t = 0; t < ShadowFsmCounters::numStates; t++) {
+            w.field(strprintf("%s_to_%s",
+                              persistStateName(static_cast<PersistState>(f)),
+                              persistStateName(static_cast<PersistState>(t))),
+                    s.shadowFsm.edge[f][t]);
+        }
     }
+    w.endObject();
+    w.field("redundant_flushes", s.shadowFsm.redundantFlushes);
+    w.field("fences", s.shadowFsm.fences);
+    w.field("ordering_fences", s.shadowFsm.orderingFences);
+    w.endObject();
+
+    // Per-op trace volumes, every op.
+    w.key("trace").beginObject();
+    for (const auto &[stage, ops] :
+         {std::pair{"pre", &s.preOps}, std::pair{"post", &s.postOps}}) {
+        w.key(stage).beginObject();
+        for (std::size_t i = 0; i < trace::opCount; i++)
+            w.field(trace::opName(static_cast<trace::Op>(i)), (*ops)[i]);
+        w.endObject();
+    }
+    w.endObject();
 
     for (const auto &section : extra) {
         w.key(section.key);

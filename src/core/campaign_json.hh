@@ -6,11 +6,10 @@
  * Two documents:
  *
  *  - stats JSON  ("xfd-stats-v1"): the campaign timing/volume
- *    breakdown (identical values to summary()), restore volume, bug
- *    counts by type — the one copy of every CampaignStats number —
- *    plus, when an observer collected one, the stats registry with
- *    what has no structured home (shadow-FSM edges, per-op trace
- *    volumes, the post-execution latency histogram);
+ *    breakdown (identical values to summary()), the post-execution
+ *    latency histogram, restore volume, bug counts by type, the
+ *    shadow-FSM edge counts and per-op trace volumes — the one copy
+ *    of every CampaignStats number;
  *  - report JSON ("xfd-report-v1"): the deduplicated findings with
  *    source locations — diff-friendly, so serial and parallel
  *    campaigns over the same program export byte-identical reports.
@@ -25,7 +24,6 @@
 #include <vector>
 
 #include "core/driver.hh"
-#include "obs/stats.hh"
 
 namespace xfd::core
 {
@@ -45,17 +43,12 @@ struct JsonSection
 /**
  * Write the stats document for @p res. @p cfg (may be null) adds a
  * "config" echo of the detector knobs the campaign ran with, driven
- * by the config_flags descriptor table; @p stats (may be null) is the
- * registry collected by the campaign's observer; @p extra sections
- * are appended after the built-in ones.
+ * by the config_flags descriptor table; @p extra sections are
+ * appended after the built-in ones.
  */
 void writeStatsJson(const CampaignResult &res, const DetectorConfig *cfg,
-                    const obs::StatsRegistry *stats, std::ostream &os,
+                    std::ostream &os,
                     const std::vector<JsonSection> &extra = {});
-
-/** Overload without the config echo (kept for existing callers). */
-void writeStatsJson(const CampaignResult &res,
-                    const obs::StatsRegistry *stats, std::ostream &os);
 
 /** Write the findings document for @p res. */
 void writeReportJson(const CampaignResult &res, std::ostream &os);

@@ -170,15 +170,6 @@ struct DetectorConfig
     static constexpr std::size_t deltaPageSize = pm::PmPool::pageSize;
 
     /**
-     * Collect observability counters (shadow-FSM transition counts,
-     * per-op trace volumes, latency histograms). Increments are plain
-     * adds, but perf-sensitive callers can turn them off; defining
-     * XFD_STATS_NOOP (CMake option XFD_DISABLE_STATS) compiles them
-     * out entirely.
-     */
-    bool collectStats = true;
-
-    /**
      * Mutation campaign (src/mutate): empty = off. "all" enables
      * every operator, "quick" the fast drop_flush/drop_fence pair;
      * otherwise a comma-separated operator list. When set, xfdetect

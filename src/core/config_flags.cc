@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "common/logging.hh"
+#include "common/types.hh"
 #include "obs/json.hh"
 
 namespace xfd::core
@@ -18,7 +19,7 @@ namespace xfd::core
  * constant together with the table.
  */
 static_assert(sizeof(DetectorConfig) ==
-                  80 + 9 * sizeof(std::string),
+                  72 + 9 * sizeof(std::string),
               "DetectorConfig changed: add a ConfigFlagDesc row for "
               "the new field, then update this size tripwire");
 
@@ -55,6 +56,17 @@ badSpelling(std::string DetectorConfig::*field, const std::string &v)
                          v.c_str());
     }
     return {};
+}
+
+/** Why @p v is not a shadow cell size (1, 2, 4 or 8), or "". */
+std::string
+badCellSize(unsigned long long v)
+{
+    if (isCellSize(v))
+        return {};
+    return strprintf("flag --granularity: bad cell size \"%llu\" "
+                     "(expected 1, 2, 4 or 8)",
+                     v);
 }
 
 std::vector<ConfigFlagDesc>
@@ -146,8 +158,6 @@ buildTable()
          "(eADR/CXL: stores are durable on arrival, flushes are "
          "no-ops and flush-omission is not a bug class)",
          "pm_model", &C::pmModel, nullptr);
-    sw("--no-stats", "skip stat collection", "collect_stats",
-       &C::collectStats, false);
     strf("--mutate", "[=<ops>]",
          "run a scored fault-injection campaign; <ops> is \"all\" "
          "(default), \"quick\", or a comma list of drop_flush, "
@@ -270,11 +280,9 @@ applyDetectorFlag(const ConfigFlagDesc &d, DetectorConfig &cfg,
         return strprintf("flag %s: \"%s\" is not a number in [0, %llu]",
                          d.flag, value, max);
     }
-    if (d.uintField == &DetectorConfig::granularity && v != 1 && v != 2 &&
-        v != 4 && v != 8) {
-        return strprintf("flag %s: bad cell size \"%s\" (expected 1, 2, "
-                         "4 or 8)",
-                         d.flag, value);
+    if (d.uintField == &DetectorConfig::granularity) {
+        if (std::string err = badCellSize(v); !err.empty())
+            return err;
     }
     if (d.uintField)
         cfg.*(d.uintField) = static_cast<unsigned>(v);
@@ -292,6 +300,8 @@ checkDetectorConfig(const DetectorConfig &cfg)
         if (!err.empty())
             return err;
     }
+    if (std::string err = badCellSize(cfg.granularity); !err.empty())
+        return err;
     if (cfg.crashStatesOn() && cfg.crashImageMode) {
         return "--crash-states already explores realistic partial "
                "images; it cannot be combined with --crash-image";

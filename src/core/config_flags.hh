@@ -87,9 +87,10 @@ const ConfigFlagDesc *findDetectorFlag(const char *flag);
 
 /**
  * Why @p cfg cannot run a campaign: a backend, pmModel or crashStates
- * value that is no documented spelling, or crashStates combined with
- * crashImageMode. Driver::runParallel throws std::invalid_argument
- * with this message and xfdetect exits 2 with it.
+ * value that is no documented spelling, a granularity the flag parser
+ * rejects, or crashStates combined with crashImageMode.
+ * Driver::runParallel throws std::invalid_argument with this message
+ * and xfdetect exits 2 with it.
  * @return the reason, or an empty string when @p cfg is runnable.
  */
 [[nodiscard]] std::string checkDetectorConfig(const DetectorConfig &cfg);

@@ -6,10 +6,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <iterator>
 #include <latch>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "common/logging.hh"
 #include "core/config_flags.hh"
@@ -73,64 +75,6 @@ frontierOf(const ShadowPM &shadow, CampaignStats &stats)
     obs::ScopedPhase timer(&stats.phases, obs::Phase::Plan);
     timer.setCount(0);
     return shadow.frontier();
-}
-
-/**
- * Register what the stats document has no structured section for:
- * shadow-FSM edge counts (from the deterministic full-trace replay,
- * so serial and parallel campaigns register identical values), per-op
- * trace volumes, and the post-execution latency histogram.
- */
-void
-exportRegistry(obs::StatsRegistry &reg,
-               const std::array<std::uint64_t, trace::opCount> &pre_ops,
-               const std::array<std::uint64_t, trace::opCount> &post_ops,
-               const ShadowFsmCounters &fsm,
-               const std::vector<double> &post_latency)
-{
-    auto set = [&](const std::string &name, const char *desc,
-                   std::uint64_t v) {
-        reg.scalar(name, desc).set(static_cast<double>(v));
-    };
-    // Shadow-PM persistency-FSM edge traversals (Fig. 6).
-    for (std::size_t f = 0; f < ShadowFsmCounters::numStates; f++) {
-        for (std::size_t t = 0; t < ShadowFsmCounters::numStates; t++) {
-            if (!fsm.edge[f][t])
-                continue;
-            set(strprintf("shadow_fsm.edge.%s_to_%s",
-                          persistStateName(static_cast<PersistState>(f)),
-                          persistStateName(static_cast<PersistState>(t))),
-                "shadow-PM state transitions over the pre-trace",
-                fsm.edge[f][t]);
-        }
-    }
-    set("shadow_fsm.redundant_flushes",
-        "flushes of lines with no modified data", fsm.redundantFlushes);
-    set("shadow_fsm.fences", "fences replayed", fsm.fences);
-    set("shadow_fsm.ordering_fences",
-        "fences that persisted at least one pending line",
-        fsm.orderingFences);
-
-    // Per-op trace volumes.
-    for (std::size_t i = 0; i < trace::opCount; i++) {
-        const char *op = trace::opName(static_cast<trace::Op>(i));
-        if (pre_ops[i]) {
-            set(strprintf("trace.pre.%s", op),
-                "pre-failure trace entries of this op", pre_ops[i]);
-        }
-        if (post_ops[i]) {
-            set(strprintf("trace.post.%s", op),
-                "post-failure trace entries of this op (all "
-                "executions)",
-                post_ops[i]);
-        }
-    }
-
-    obs::Histogram &h = reg.histogram(
-        "campaign.post_exec_latency_us",
-        "post-failure stage latency per failure point (us)");
-    for (double sec : post_latency)
-        h.sample(sec * 1e6);
 }
 
 } // namespace
@@ -228,6 +172,33 @@ struct Driver::CrashStateCtx
     std::vector<std::map<trace::SubsetMask, std::uint32_t>> seen;
 };
 
+void
+CampaignStats::merge(CampaignStats &&o)
+{
+    postExecutions += o.postExecutions;
+    postTraceEntries += o.postTraceEntries;
+    crashStatesEnumerated += o.crashStatesEnumerated;
+    crashStatesExplored += o.crashStatesExplored;
+    crashStatesPruned += o.crashStatesPruned;
+    crashStatesReadEquivalent += o.crashStatesReadEquivalent;
+    crashPruned.insert(crashPruned.end(),
+                       std::make_move_iterator(o.crashPruned.begin()),
+                       std::make_move_iterator(o.crashPruned.end()));
+    crashReadEquivalent.insert(
+        crashReadEquivalent.end(),
+        std::make_move_iterator(o.crashReadEquivalent.begin()),
+        std::make_move_iterator(o.crashReadEquivalent.end()));
+    checksPerformed += o.checksPerformed;
+    checksSkipped += o.checksSkipped;
+    for (std::size_t i = 0; i < trace::opCount; i++)
+        postOps[i] += o.postOps[i];
+    postExecLatencyUs.merge(o.postExecLatencyUs);
+    restore.merge(o.restore);
+    // Phase counts are serial/parallel-invariant; with workers the
+    // summed seconds are CPU time.
+    phases.merge(o.phases);
+}
+
 std::size_t
 CampaignResult::count(BugType t) const
 {
@@ -308,8 +279,7 @@ CampaignResult::fingerprint() const
 }
 
 std::optional<BugReport>
-runRecovery(pm::PmPool &pool, const ProgramFn &post, RecoveryRun &out,
-            std::array<std::uint64_t, trace::opCount> *ops)
+runRecovery(pm::PmPool &pool, const ProgramFn &post, RecoveryRun &out)
 {
     // Callers reuse one record per cursor: it keeps its capacity, so
     // a trace does not regrow from empty.
@@ -337,17 +307,11 @@ runRecovery(pm::PmPool &pool, const ProgramFn &post, RecoveryRun &out,
         failure.emplace();
         failure->addr = bad.addr;
         failure->size = static_cast<std::uint32_t>(bad.size);
-        failure->note =
-            strprintf("post-failure crash: wild PM access at %#llx",
-                      static_cast<unsigned long long>(bad.addr));
+        failure->note = strprintf("post-failure crash: %s", bad.what());
     }
     if (failure)
         failure->type = BugType::RecoveryFailure;
-    rt.setBatching(false); // flush the ring before reading counts
-    if (ops) {
-        for (std::size_t i = 0; i < trace::opCount; i++)
-            (*ops)[i] += rt.opCounts()[i];
-    }
+    rt.setBatching(false); // flush the ring into out.trace
     return failure;
 }
 
@@ -543,10 +507,11 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
                            const trace::TraceBuffer &pre,
                            const ProgramFn &post, std::uint32_t fp,
                            std::uint32_t group, BugSink &sink,
-                           CampaignStats &stats, const WorkerObs &wobs)
+                           CampaignStats &stats,
+                           const obs::PhaseSinks &sinks)
 {
-    obs::Timeline *tl = wobs.sinks.timeline;
-    int track = wobs.sinks.track;
+    obs::Timeline *tl = sinks.timeline;
+    int track = sinks.track;
     obs::SpanScope fp_span(tl, tl ? strprintf("fp#%u", fp)
                                   : std::string(),
                            "fp", track);
@@ -557,8 +522,8 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
     BugSink local;
 
     {
-        obs::ScopedPhase timer(&stats.phases, obs::Phase::Restore,
-                               wobs.sinks, "reconstruct", "backend");
+        obs::ScopedPhase timer(&stats.phases, obs::Phase::Restore, sinks,
+                               "reconstruct", "backend");
         // Performance bugs are collected by the dedicated full-trace
         // advance, not here (workers would double-report them).
         {
@@ -568,8 +533,8 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
         obs::SpanScope s3(tl, "restore-pool", "backend", track);
         restoreAnchor(cur, exec_pool, cur.image, fp, stats.restore);
     }
-    if (wobs.sinks.live)
-        wobs.sinks.live->count("failure_points");
+    if (sinks.live)
+        sinks.live->count("failure_points");
 
     // This point's write frontier: the in-flight (not durably
     // persisted) write seqs as of fp, ascending — the causal
@@ -596,7 +561,7 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
         own.setAll();
     PointCandidates *point = kept ? &*kept : nullptr;
     runCandidate(cur, exec_pool, pre, post, fp, cf, own, local, stats,
-                 wobs, point, point != nullptr);
+                 sinks, point, point != nullptr);
 
     // Partial candidates merge into the same per-point sink, each
     // annotated with its own persisted mask, before the hook fires.
@@ -610,14 +575,14 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
                             "crash-states", track);
         for (std::size_t i = 0; i < masks.size(); i++) {
             if (reuseCandidate(cur, exec_pool, pre, post, fp, cf,
-                               masks[i], *kept, local, stats, wobs))
+                               masks[i], *kept, local, stats, sinks))
                 continue;
             stats.crashStatesExplored++;
             runCandidate(cur, exec_pool, pre, post, fp, cf, masks[i],
-                         local, stats, wobs, point,
+                         local, stats, sinks, point,
                          i + 1 < masks.size());
-            if (wobs.sinks.live)
-                wobs.sinks.live->count("crash_candidates");
+            if (sinks.live)
+                sinks.live->count("crash_candidates");
         }
     }
 
@@ -650,7 +615,7 @@ Driver::runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
                      const trace::TraceBuffer &pre, const ProgramFn &post,
                      std::uint32_t fp, const CellFrontier &cf,
                      const trace::SubsetMask &mask, BugSink &sink,
-                     CampaignStats &stats, const WorkerObs &wobs,
+                     CampaignStats &stats, const obs::PhaseSinks &sinks,
                      PointCandidates *point, bool keep)
 {
     // The commit-variable timestamps assume recovery observes the
@@ -661,7 +626,7 @@ Driver::runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
     bool suppress_semantic = cfg.crashImageMode;
     if (!mask.all()) {
         obs::ScopedPhase timer(&stats.phases, obs::Phase::Restore,
-                               {nullptr, 0, wobs.sinks.live});
+                               {nullptr, 0, sinks.live});
         restoreCandidate(cur, exec_pool, pre, fp, cf, mask,
                          stats.restore);
         // Any other partial mask is a --crash-states candidate, whose
@@ -676,26 +641,25 @@ Driver::runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
     std::optional<BugReport> failure;
     {
         // The interval covers the runtime's construction (its emit
-        // ring).
+        // ring) and counting the trace's ops.
         obs::ScopedPhase timer(&stats.phases, obs::Phase::RecoveryExec,
-                               wobs.sinks, "post-exec", "post");
-        failure = runRecovery(exec_pool, post, cur.post, wobs.postOps);
-        double post_s = timer.stop();
+                               sinks, "post-exec", "post");
+        failure = runRecovery(exec_pool, post, cur.post);
+        trace::countOps(cur.post.trace, stats.postOps);
+        stats.postExecLatencyUs.sample(timer.stop() * 1e6);
         if (failure) {
             BugReport r = *failure;
             r.writer = pre[fp].loc;
             r.failurePoint = fp;
             cand.report(std::move(r));
         }
-        if (wobs.postLatency)
-            wobs.postLatency->push_back(post_s);
         stats.postExecutions++;
         stats.postTraceEntries += cur.post.trace.size();
     }
     // The interval covers turning the trace into findings: the replay,
     // their provenance and the merge.
-    obs::ScopedPhase timer(&stats.phases, obs::Phase::Classify,
-                           wobs.sinks, "replay", "backend");
+    obs::ScopedPhase timer(&stats.phases, obs::Phase::Classify, sinks,
+                           "replay", "backend");
     replayPost(cur, pre, cur.post.trace, fp, cand, suppress_semantic);
 
     // Provenance: the point's frontier, plus which of its writes this
@@ -704,7 +668,7 @@ Driver::runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
         b.frontierSeqs = cf.seqs;
         b.persistedMask = mask;
     });
-    recordFindings(wobs, fp, cf.seqs, mask, cand);
+    recordFindings(sinks, fp, cf.seqs, mask, cand);
     sink.merge(cand);
     if (keep) {
         PointCandidates::Executed &e = point->executed.emplace_back();
@@ -726,7 +690,7 @@ Driver::reuseCandidate(PreCursor &cur, pm::PmPool &exec_pool,
                        const CellFrontier &cf,
                        const trace::SubsetMask &mask,
                        const PointCandidates &point, BugSink &sink,
-                       CampaignStats &stats, const WorkerObs &wobs)
+                       CampaignStats &stats, const obs::PhaseSinks &sinks)
 {
     const PointCandidates::Executed *rep;
     {
@@ -742,7 +706,7 @@ Driver::reuseCandidate(PreCursor &cur, pm::PmPool &exec_pool,
         stats.crashReadEquivalent.push_back({fp, rep->mask, mask});
         BugSink cand = rep->findings;
         cand.annotate([&](BugReport &b) { b.persistedMask = mask; });
-        recordFindings(wobs, fp, cf.seqs, mask, cand);
+        recordFindings(sinks, fp, cf.seqs, mask, cand);
         sink.merge(cand);
     }
     if (!deltaValidate())
@@ -827,11 +791,11 @@ Driver::restoreCandidate(PreCursor &cur, pm::PmPool &exec_pool,
 }
 
 void
-Driver::recordFindings(const WorkerObs &wobs, std::uint32_t fp,
+Driver::recordFindings(const obs::PhaseSinks &sinks, std::uint32_t fp,
                        const std::vector<std::uint32_t> &frontier,
                        const trace::SubsetMask &mask, const BugSink &sink)
 {
-    obs::Timeline *tl = wobs.sinks.timeline;
+    obs::Timeline *tl = sinks.timeline;
     if (!tl)
         return;
     for (const auto &b : sink.bugs()) {
@@ -849,7 +813,7 @@ Driver::recordFindings(const WorkerObs &wobs, std::uint32_t fp,
         args.emplace_back("frontier", std::move(seqs));
         args.emplace_back("persisted_mask", mask.toHex());
         tl->recordInstant(strprintf("finding@fp#%u", fp), "finding",
-                          wobs.sinks.track, tl->nowUs(), std::move(args));
+                          sinks.track, tl->nowUs(), std::move(args));
     }
 }
 
@@ -965,7 +929,6 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
 
     // Step 1: pre-failure stage, traced.
     trace::TraceBuffer pre_trace;
-    std::array<std::uint64_t, trace::opCount> pre_ops{};
     {
         trace::PmRuntime rt(pool, pre_trace, trace::Stage::PreFailure);
         rt.setBatching(true);
@@ -976,9 +939,9 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
             pre(rt);
         } catch (const trace::StageComplete &) {
         }
-        rt.setBatching(false); // flush the ring before reading counts
+        rt.setBatching(false); // flush the ring into pre_trace
+        trace::countOps(pre_trace, result.stats.preOps);
         timer.stop();
-        pre_ops = rt.opCounts();
         result.stats.sameValueElided = rt.sameValueElided();
     }
     result.stats.preTraceEntries = pre_trace.size();
@@ -1091,13 +1054,6 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
         cursors.back().pendingPages = sync_pages;
     }
 
-    // Per-worker observability sinks, merged deterministically
-    // (worker order) into the observer after the join.
-    std::deque<std::vector<double>> post_latency(threads);
-    std::deque<std::array<std::uint64_t, trace::opCount>>
-        post_ops(threads);
-    for (auto &a : post_ops)
-        a.fill(0);
     std::vector<int> tracks(threads, 0);
     if (tl && threads > 1) {
         for (unsigned t = 0; t < threads; t++)
@@ -1126,8 +1082,7 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
                                                  pool.base());
             exec_pool = local.get();
         }
-        WorkerObs wobs{{tl, tracks[t], live}, &post_latency[t],
-                       &post_ops[t]};
+        const obs::PhaseSinks sinks{tl, tracks[t], live};
         // All workers start pulling together — otherwise the first
         // spawned thread can drain a short queue before its peers
         // finish setting up their pool replicas.
@@ -1148,7 +1103,7 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
                 break;
             handleFailurePoint(cursors[t], *exec_pool, pre_trace, post,
                                schedule[i].fp, schedule[i].group,
-                               item_sinks[i], stats[t], wobs);
+                               item_sinks[i], stats[t], sinks);
             bool progress = observer && observer->wantsProgress();
             if (progress || live) {
                 std::size_t before = seen.size();
@@ -1176,6 +1131,8 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
             }
         }
         cursors[t].shadow.endPostReplay();
+        stats[t].checksPerformed = cursors[t].shadow.checksPerformed();
+        stats[t].checksSkipped = cursors[t].shadow.checksSkipped();
         if (threads > 1)
             setThreadLogLabel("");
     };
@@ -1203,36 +1160,13 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
     BugSink merged;
     for (auto &s : item_sinks)
         merged.merge(s);
-    for (unsigned t = 0; t < threads; t++) {
-        result.stats.postExecutions += stats[t].postExecutions;
-        result.stats.postTraceEntries += stats[t].postTraceEntries;
-        result.stats.crashStatesEnumerated +=
-            stats[t].crashStatesEnumerated;
-        result.stats.crashStatesExplored +=
-            stats[t].crashStatesExplored;
-        result.stats.crashStatesPruned += stats[t].crashStatesPruned;
-        result.stats.crashStatesReadEquivalent +=
-            stats[t].crashStatesReadEquivalent;
-        for (auto &p : stats[t].crashPruned)
-            result.stats.crashPruned.push_back(std::move(p));
-        for (auto &r : stats[t].crashReadEquivalent)
-            result.stats.crashReadEquivalent.push_back(std::move(r));
-        result.stats.checksPerformed +=
-            cursors[t].shadow.checksPerformed();
-        result.stats.checksSkipped +=
-            cursors[t].shadow.checksSkipped();
-        result.stats.restore.merge(stats[t].restore);
-        // Phase counts are serial/parallel-invariant; with workers the
-        // summed seconds are CPU time.
-        phases.merge(stats[t].phases);
-    }
+    for (CampaignStats &worker_stats : stats)
+        result.stats.merge(std::move(worker_stats));
     csCtx = nullptr;
 
-    // Performance bugs come from one full pre-trace replay. The FSM
-    // counters exported to the observer come from this cursor: it
-    // covers the whole trace exactly once, so serial and parallel
-    // campaigns register identical values.
-    ShadowFsmCounters fsm;
+    // Performance bugs come from one full pre-trace replay, and so do
+    // the FSM counters: this cursor covers the whole trace exactly
+    // once, so serial and parallel campaigns count identical values.
     {
         PreCursor full(pool.range(), cfg, initial, false);
         {
@@ -1255,25 +1189,11 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
                           uncounted);
         }
         validatePool(full.image, pool, "final pool image", trace_end);
-        fsm = full.shadow.fsmCounters();
+        result.stats.shadowFsm = full.shadow.fsmCounters();
     }
     deltaStore = nullptr;
 
     result.bugs = merged.bugs();
-
-    if (observer && cfg.collectStats && obs::statsCompiledIn) {
-        std::array<std::uint64_t, trace::opCount> post_ops_total{};
-        std::vector<double> latency_all;
-        for (unsigned t = 0; t < threads; t++) {
-            for (std::size_t i = 0; i < trace::opCount; i++)
-                post_ops_total[i] += post_ops[t][i];
-            latency_all.insert(latency_all.end(),
-                               post_latency[t].begin(),
-                               post_latency[t].end());
-        }
-        exportRegistry(observer->stats, pre_ops, post_ops_total, fsm,
-                       latency_all);
-    }
     return result;
 }
 

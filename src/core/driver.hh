@@ -42,6 +42,7 @@
 #include "core/failure_planner.hh"
 #include "core/observer.hh"
 #include "core/shadow_pm.hh"
+#include "obs/histogram.hh"
 #include "obs/phase_profiler.hh"
 #include "pm/cow.hh"
 #include "pm/delta.hh"
@@ -57,7 +58,10 @@ namespace xfd::core
 /** A traced program stage: receives the tracing runtime. */
 using ProgramFn = std::function<void(trace::PmRuntime &)>;
 
-/** Timing and volume statistics for one campaign. */
+/**
+ * Timing and volume statistics for one campaign: the one home of
+ * every campaign number the stats document exports.
+ */
 struct CampaignStats
 {
     std::size_t failurePoints = 0;
@@ -120,6 +124,22 @@ struct CampaignStats
     std::size_t postTraceEntries = 0;
     std::size_t checksPerformed = 0;
     std::size_t checksSkipped = 0;
+    /**
+     * Shadow-PM persistence-FSM edge counts (paper Fig. 9) of the
+     * perf-scan replay, the one cursor that covers the whole
+     * pre-failure trace exactly once: serial and threaded campaigns
+     * count the same.
+     */
+    ShadowFsmCounters shadowFsm;
+    /** Per-op entry counts of the pre-failure trace. */
+    trace::OpCounts preOps{};
+    /** Per-op entry counts of every post-failure trace. */
+    trace::OpCounts postOps{};
+    /**
+     * Post-failure stage latency in µs, one sample per execution: the
+     * recovery_exec interval of each.
+     */
+    obs::Histogram postExecLatencyUs;
     /** Worker threads used (1 = serial). */
     unsigned threads = 1;
     /** Exec-pool restore volume (write-log page deltas). */
@@ -162,6 +182,16 @@ struct CampaignStats
     {
         return preSeconds() + postSeconds() + backendSeconds();
     }
+
+    /**
+     * Fold one worker's stats into these: every number a worker
+     * counts (executions, post-trace volume, checks, crash-state
+     * counts and records, restore volume, phases, latency). The
+     * numbers a campaign sets once — plan counts, pre-trace volume,
+     * shadowFsm, threads, poolBytes — stay as they are. The
+     * crash-state records move out of @p o.
+     */
+    void merge(CampaignStats &&o);
 };
 
 /**
@@ -248,17 +278,15 @@ struct RecoveryRun
 
 /**
  * Run the post-failure stage @p post once on @p pool, recording into
- * @p out (cleared first) under the 2^20-entry runaway cap, and add
- * the execution's per-op entry counts to @p ops when non-null. The
- * one recovery executor of the detector and the crash-state oracle.
+ * @p out (cleared first) under the 2^20-entry runaway cap. The one
+ * recovery executor of the detector and the crash-state oracle.
  * @return the RecoveryFailure finding when recovery aborted
  *         (PostFailureAbort) or touched PM outside the pool
  *         (pm::BadPmAccess), without writer or failure point;
  *         nothing when the stage completed.
  */
 std::optional<BugReport>
-runRecovery(pm::PmPool &pool, const ProgramFn &post, RecoveryRun &out,
-            std::array<std::uint64_t, trace::opCount> *ops = nullptr);
+runRecovery(pm::PmPool &pool, const ProgramFn &post, RecoveryRun &out);
 
 /** Orchestrates detection campaigns over a PM pool. */
 class Driver
@@ -297,10 +325,9 @@ class Driver
 
     /**
      * Attach observability sinks: phase/failure-point spans land on
-     * @p o's timeline, stat counters are aggregated into its registry
-     * at campaign end (when cfg.collectStats), and o->hooks receives
-     * the campaign events. Pass nullptr to detach. The observer
-     * must outlive subsequent run()/runParallel() calls.
+     * @p o's timeline, its live registry is fed while enabled, and
+     * o->hooks receives the campaign events. Pass nullptr to detach.
+     * The observer must outlive subsequent run()/runParallel() calls.
      */
     void setObserver(CampaignObserver *o) { observer = o; }
 
@@ -369,21 +396,6 @@ class Driver
     void advance(PreCursor &cur, const trace::TraceBuffer &pre,
                  std::uint32_t to, BugSink *perf_sink);
 
-    /** Per-worker observability context threaded through the chunk. */
-    struct WorkerObs
-    {
-        /**
-         * This worker's timeline track (timeline null when no
-         * observer is attached) and live registry (null unless live
-         * output is on).
-         */
-        obs::PhaseSinks sinks;
-        /** Post-failure-stage seconds, one entry per execution. */
-        std::vector<double> *postLatency = nullptr;
-        /** Per-op post-trace entry counts, accumulated per point. */
-        std::array<std::uint64_t, trace::opCount> *postOps = nullptr;
-    };
-
     /**
      * The candidates of the failure point in flight that later masks
      * may reuse (--crash-states): the bits whose writes overlap a
@@ -440,7 +452,8 @@ class Driver
                             const trace::TraceBuffer &pre,
                             const ProgramFn &post, std::uint32_t fp,
                             std::uint32_t group, BugSink &sink,
-                            CampaignStats &stats, const WorkerObs &wobs);
+                            CampaignStats &stats,
+                            const obs::PhaseSinks &sinks);
 
     /**
      * Restore @p exec_pool to @p image, the working (footnote-3)
@@ -471,7 +484,7 @@ class Driver
                       const ProgramFn &post, std::uint32_t fp,
                       const CellFrontier &cf,
                       const trace::SubsetMask &mask, BugSink &sink,
-                      CampaignStats &stats, const WorkerObs &wobs,
+                      CampaignStats &stats, const obs::PhaseSinks &sinks,
                       PointCandidates *point, bool keep);
 
     /**
@@ -489,7 +502,8 @@ class Driver
                         const CellFrontier &cf,
                         const trace::SubsetMask &mask,
                         const PointCandidates &point, BugSink &sink,
-                        CampaignStats &stats, const WorkerObs &wobs);
+                        CampaignStats &stats,
+                        const obs::PhaseSinks &sinks);
 
     /**
      * Materialize a non-anchor candidate on @p exec_pool: restore it
@@ -505,7 +519,8 @@ class Driver
      * One Chrome-trace finding instant per finding in @p sink, with
      * its provenance (frontier, persisted mask) as args.
      */
-    static void recordFindings(const WorkerObs &wobs, std::uint32_t fp,
+    static void recordFindings(const obs::PhaseSinks &sinks,
+                               std::uint32_t fp,
                                const std::vector<std::uint32_t> &frontier,
                                const trace::SubsetMask &mask,
                                const BugSink &sink);

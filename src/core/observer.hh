@@ -2,13 +2,10 @@
  * @file
  * Campaign observability context.
  *
- * A CampaignObserver owns the observability channels of one
- * detection campaign:
+ * A CampaignObserver owns the observability channels of one or more
+ * detection campaigns (the campaign numbers themselves live in each
+ * CampaignResult's stats):
  *
- *  - stats:    the gem5-style registry the driver fills at campaign
- *              end with what the stats document has no structured
- *              section for (shadow-FSM edges, per-op trace volumes,
- *              the post-execution latency histogram),
  *  - timeline: per-phase and per-failure-point spans (exportable as
  *              JSONL or Chrome trace_event),
  *  - live:     the per-second sliding-window registry behind
@@ -30,7 +27,6 @@
 
 #include "core/bug_report.hh"
 #include "obs/live.hh"
-#include "obs/stats.hh"
 #include "obs/timeline.hh"
 #include "trace/buffer.hh"
 
@@ -95,7 +91,6 @@ class CampaignHooks
 /** Observability sinks for one (or more) detection campaigns. */
 struct CampaignObserver
 {
-    obs::StatsRegistry stats;
     obs::Timeline timeline;
 
     /**

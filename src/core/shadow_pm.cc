@@ -20,11 +20,11 @@ persistStateName(PersistState s)
 }
 
 ShadowPM::ShadowPM(AddrRange pool, const DetectorConfig &c, bool t)
-    : poolRange(pool), cfg(c), gran(c.granularity),
-      collect(c.collectStats), eadr(c.eadrOn()), tails(t)
+    : poolRange(pool), cfg(c), gran(c.granularity), eadr(c.eadrOn()),
+      tails(t)
 {
-    if (gran == 0 || (gran & (gran - 1)) != 0 || gran > cacheLineSize)
-        fatal("shadow granularity must be a power of two <= 64");
+    if (!isCellSize(gran))
+        fatal("shadow granularity must be 1, 2, 4 or 8");
     cellTotal = (pool.size() + gran - 1) / gran;
     pages.resize((cellTotal + cellsPerPage - 1) / cellsPerPage);
 }
@@ -162,8 +162,7 @@ ShadowPM::preFlush(Addr line, std::uint32_t seq, bool repair)
         }
         // Fig. 9 yellow edges: flushing a line with nothing modified
         // (clean, already pending, or already persisted) is redundant.
-        if (obs::statsCompiledIn && collect)
-            fsm.redundantFlushes++;
+        fsm.redundantFlushes++;
         return true;
     }
     for (std::uint64_t idx = first; idx < end;) {
@@ -229,11 +228,9 @@ ShadowPM::preFence()
         noteDecided(span.first, span.end);
     }
     pendingCells.clear();
-    if (obs::statsCompiledIn && collect) {
-        fsm.fences++;
-        if (retired)
-            fsm.orderingFences++;
-    }
+    fsm.fences++;
+    if (retired)
+        fsm.orderingFences++;
     // The global timestamp increments after each ordering point (§5.4).
     ts++;
 }

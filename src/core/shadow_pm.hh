@@ -44,7 +44,6 @@
 #include "common/types.hh"
 #include "core/bug_report.hh"
 #include "core/config.hh"
-#include "obs/stats.hh"
 #include "trace/entry.hh"
 
 namespace xfd::core
@@ -408,21 +407,17 @@ class ShadowPM
     /** Report cells [first, end) as decided. */
     void noteDecided(std::uint64_t first, std::uint64_t end);
 
-    /** FSM edge bookkeeping; compiles to nothing under XFD_STATS_NOOP. */
+    /** FSM edge bookkeeping. */
     void
     noteEdge(PersistState from, PersistState to)
     {
-        if (obs::statsCompiledIn && collect) {
-            fsm.edge[static_cast<std::size_t>(from)]
-                    [static_cast<std::size_t>(to)]++;
-        }
+        fsm.edge[static_cast<std::size_t>(from)]
+                [static_cast<std::size_t>(to)]++;
     }
 
     AddrRange poolRange;
     const DetectorConfig &cfg;
     unsigned gran;
-    /** Cached cfg.collectStats (hot-path branch on a plain bool). */
-    bool collect;
     /**
      * Cached cfg.eadrOn(). Under the flush-free eADR/CXL model every
      * store is durable on arrival: writes land directly in Persisted,

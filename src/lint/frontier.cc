@@ -348,8 +348,8 @@ FrontierState::FrontierState(unsigned granularity, bool flushFree)
     : gran(granularity), eadr(flushFree),
       interner(std::make_shared<Interner>())
 {
-    if (gran == 0 || (gran & (gran - 1)) != 0 || gran > cacheLineSize)
-        fatal("lint granularity must be a power of two <= 64");
+    if (!isCellSize(gran))
+        fatal("lint granularity must be 1, 2, 4 or 8");
     interner->names->gran = gran;
     interner->value(""); // id 0: no commit write yet
 }

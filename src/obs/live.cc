@@ -99,14 +99,7 @@ LatencyWindow::note(double v, std::int64_t now_sec)
         v = 0;
     auto cap = static_cast<std::int64_t>(frames.size());
     Frame &f = frames[static_cast<std::size_t>(head % cap)];
-    // Same bucketing as obs::Histogram: i = floor(log2(v)), bucket 0
-    // absorbs [0, 2).
-    std::size_t i = 0;
-    if (v >= 2) {
-        i = static_cast<std::size_t>(std::log2(v));
-        i = std::min<std::size_t>(i, bucketCount - 1);
-    }
-    f.buckets[i]++;
+    f.buckets[log2Bucket(v, bucketCount)]++;
     f.count++;
     f.sum += v;
     f.maxVal = std::max(f.maxVal, v);

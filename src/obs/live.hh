@@ -2,13 +2,13 @@
  * @file
  * Live (per-second, sliding-window) campaign telemetry.
  *
- * The stats registry and timeline are end-of-campaign artifacts; the
+ * The stats document and timeline are end-of-campaign artifacts; the
  * live layer answers "what is the campaign doing *right now*":
  *
  *  - RateWindow     — a ring of per-second counter buckets, queried
  *    as a rate over the last 1/10/60 seconds;
  *  - LatencyWindow  — per-second frames of log2-bucketed samples
- *    (same bucketing as obs::Histogram), merged over the window at
+ *    (obs::log2Bucket, as obs::Histogram), merged over the window at
  *    snapshot time for count/sum/max and quantile estimates;
  *  - LiveMetrics    — a named registry of both plus gauges, fed from
  *    the driver's per-failure-point loop through the observer, and
@@ -42,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/histogram.hh"
 #include "obs/json.hh"
 
 namespace xfd::obs
@@ -92,10 +93,10 @@ class RateWindow
 
 /**
  * Sliding window of log2-bucketed samples: one frame per second,
- * merged over the last k seconds at query time. Bucket i counts
- * samples in [2^i, 2^(i+1)) with bucket 0 absorbing [0, 2) —
- * identical to obs::Histogram, so live and end-of-campaign
- * histograms of the same quantity agree bucket-for-bucket.
+ * merged over the last k seconds at query time. Samples bucket
+ * through obs::log2Bucket, as obs::Histogram's do, so live and
+ * end-of-campaign histograms of the same quantity agree
+ * bucket-for-bucket.
  */
 class LatencyWindow
 {

@@ -19,8 +19,8 @@ CrashStateOracle::CrashStateOracle(const trace::TraceBuffer &p,
       execPool(initial.size(), initial.base()), working(initial),
       durable(initial)
 {
-    if (gran == 0 || (gran & (gran - 1)) != 0 || gran > cacheLineSize)
-        fatal("oracle granularity must be a power of two <= 64");
+    if (!isCellSize(gran))
+        fatal("oracle granularity must be 1, 2, 4 or 8");
     // 2^frontier subsets are enumerated below the limit; keep the
     // shift well-defined.
     cfg.frontierLimit = std::min<std::size_t>(cfg.frontierLimit, 20);

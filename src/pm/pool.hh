@@ -15,6 +15,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <exception>
 #include <memory>
 #include <set>
 
@@ -31,12 +33,24 @@ class PmImage;
  * read after a failure) does not resolve inside the pool — the
  * emulation's equivalent of the segmentation fault the paper's
  * Figure 1 example can suffer during resumption. The detection driver
- * catches it and records the post-failure crash.
+ * catches it and records the post-failure crash; what() is
+ * "wild PM access at <addr>".
  */
-struct BadPmAccess
+struct BadPmAccess : std::exception
 {
+    BadPmAccess(Addr a, std::size_t n) : addr(a), size(n)
+    {
+        std::snprintf(msg, sizeof msg, "wild PM access at %#llx",
+                      static_cast<unsigned long long>(a));
+    }
+
+    const char *what() const noexcept override { return msg; }
+
     Addr addr;
     std::size_t size;
+
+  private:
+    char msg[40];
 };
 
 /**

@@ -33,6 +33,13 @@ TraceBuffer::clear()
     payload = 0;
 }
 
+void
+countOps(const TraceBuffer &buf, OpCounts &counts)
+{
+    for (const auto &e : buf)
+        counts[static_cast<std::size_t>(e.op)]++;
+}
+
 const char *
 opName(Op op)
 {

@@ -10,7 +10,9 @@
 #ifndef XFD_TRACE_BUFFER_HH
 #define XFD_TRACE_BUFFER_HH
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "trace/entry.hh"
@@ -56,6 +58,12 @@ class TraceBuffer
     std::vector<TraceEntry> entries;
     std::size_t payload = 0;
 };
+
+/** Entry counts per op, indexed by static_cast<std::size_t>(Op). */
+using OpCounts = std::array<std::uint64_t, opCount>;
+
+/** Add the per-op entry counts of @p buf to @p counts. */
+void countOps(const TraceBuffer &buf, OpCounts &counts);
 
 } // namespace xfd::trace
 

@@ -24,12 +24,6 @@ PmRuntime::retireLocked()
     if (ring && ringTail) {
         trace.appendBatch(ring->data(), ringTail);
         ringTail = 0;
-        if (obs::statsCompiledIn) {
-            for (std::size_t i = 0; i < opCount; i++) {
-                emitted[i] += ringEmitted[i];
-                ringEmitted[i] = 0;
-            }
-        }
     }
     ringBase = trace.size();
 }
@@ -119,8 +113,6 @@ PmRuntime::push(TraceEntry e)
             f |= flagSkipDetection;
         e.flags |= f;
         auto stage = [this](TraceEntry &&x) {
-            if (obs::statsCompiledIn)
-                ringEmitted[static_cast<std::size_t>(x.op)]++;
             (*ring)[ringTail++] = std::move(x);
             if (ringTail == ringSlots)
                 ringRetire();
@@ -157,22 +149,17 @@ PmRuntime::push(TraceEntry e)
         fatal("pre-failure trace exceeded %zu entries", entryCap);
     }
     e.flags |= currentFlags();
-    auto append = [this](TraceEntry &&x) {
-        if (obs::statsCompiledIn)
-            emitted[static_cast<std::size_t>(x.op)]++;
-        trace.append(std::move(x));
-    };
     if (mutHook && stg == Stage::PreFailure) {
         bool keep = mutHook->onEmit(e);
         std::vector<TraceEntry> extra;
         mutHook->onInsert(e, keep, extra);
         if (keep)
-            append(std::move(e));
+            trace.append(std::move(e));
         for (auto &x : extra)
-            append(std::move(x));
+            trace.append(std::move(x));
         return;
     }
-    append(std::move(e));
+    trace.append(std::move(e));
 }
 
 void

@@ -31,7 +31,6 @@
 #include <type_traits>
 #include <unordered_map>
 
-#include "obs/stats.hh"
 #include "pm/pool.hh"
 #include "trace/buffer.hh"
 
@@ -128,7 +127,7 @@ class PmRuntime
      * entry. Any other thread keeps the locked per-entry slow path
      * (and forces a retire first, preserving cross-thread order).
      * Disabling — or destroying the runtime — flushes staged entries;
-     * disable before reading buffer() or opCounts() mid-run.
+     * disable before reading buffer() mid-run.
      */
     void setBatching(bool on);
 
@@ -158,18 +157,6 @@ class PmRuntime
      */
     void setMutationHook(MutationHook *h) { mutHook = h; }
     MutationHook *mutationHook() const { return mutHook; }
-
-    /**
-     * Per-op counts of the entries this runtime emitted — the
-     * trace-entry volume statistic the campaign observer aggregates.
-     * Index with static_cast<std::size_t>(Op); maintained inside the
-     * emission lock (one add), compiled out under XFD_STATS_NOOP.
-     */
-    const std::array<std::uint64_t, opCount> &
-    opCounts() const
-    {
-        return emitted;
-    }
 
     /**
      * @name Data operations
@@ -428,8 +415,6 @@ class PmRuntime
     MutationHook *mutHook = nullptr;
     std::size_t entryCap = 64u << 20;
     std::mutex emitLock;
-    /** Per-op emission counters (guarded by emitLock). */
-    std::array<std::uint64_t, opCount> emitted{};
 
     /** Emit-ring capacity; sized so a retire amortizes the lock and
      * reservation without holding many payload vectors alive. */
@@ -437,7 +422,7 @@ class PmRuntime
 
     /**
      * Fixed-slot emit ring (allocated on first setBatching(true)).
-     * Only the owner thread touches ring/ringTail/ringEmitted without
+     * Only the owner thread touches ring/ringTail without
      * the lock; ringBase caches trace.size() as of the last retire so
      * the owner's entry-cap check never reads the buffer unlocked.
      * Owner-thread scope flags come from ownerScopes (unordered_map
@@ -447,7 +432,6 @@ class PmRuntime
     std::unique_ptr<std::array<TraceEntry, ringSlots>> ring;
     std::size_t ringTail = 0;
     std::size_t ringBase = 0;
-    std::array<std::uint64_t, opCount> ringEmitted{};
     bool batching = false;
     std::thread::id ringOwner;
     ThreadScopes *ownerScopes = nullptr;

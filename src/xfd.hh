@@ -172,14 +172,6 @@ class Campaign
         return *this;
     }
 
-    /** Toggle observability counters (default on). */
-    Campaign &
-    collectStats(bool on)
-    {
-        cfg.collectStats = on;
-        return *this;
-    }
-
     /**
      * Enable the static lint pass: "all" or a comma list of rule ids
      * (XL01..XL08) or names. Reporting only; see lint::runLint.

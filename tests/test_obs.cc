@@ -1,9 +1,10 @@
 /**
  * @file
- * Observability layer tests: JSON writer round-trips, stats registry
- * golden output, Chrome-trace/JSONL export structure, progress
+ * Observability layer tests: JSON writer round-trips, histogram
+ * bucketing and merging, Chrome-trace/JSONL export structure, progress
  * formatting, and end-to-end campaign export — including that serial
- * and parallel campaigns export identical findings and stats.
+ * and parallel campaigns export identical findings and stats, and
+ * that a stats document describes exactly one campaign.
  */
 
 #include <gtest/gtest.h>
@@ -28,7 +29,7 @@
 #include "mutate/campaign.hh"
 #include "obs/json.hh"
 #include "obs/progress.hh"
-#include "obs/stats.hh"
+#include "obs/histogram.hh"
 #include "obs/timeline.hh"
 #include "testutil_json.hh"
 #include "workloads/workload.hh"
@@ -81,58 +82,42 @@ TEST(JsonWriter, DoubleFormattingRoundTrips)
     }
 }
 
-TEST(StatsRegistry, GoldenScalarJson)
+TEST(Histogram, PowerOfTwoBucketsMergeAndJson)
 {
-    obs::StatsRegistry reg;
-    obs::Scalar &n = reg.scalar("a.count", "things counted");
-    n += 2;
-    ++n;
-    obs::Scalar &d = reg.scalar("a.total", "things overall");
-    d.set(6);
+    obs::Histogram a, b;
+    for (double v : {0.0, 1.0, 2.0})
+        a.sample(v);
+    for (double v : {3.0, 4.0, 1024.0})
+        b.sample(v);
+    obs::Histogram h = a;
+    h.merge(b);
+    h.merge(obs::Histogram{});
+
+    EXPECT_EQ(h.count, 6u);
+    EXPECT_EQ(h.buckets[0], 2u);  // [0, 2)
+    EXPECT_EQ(h.buckets[1], 2u);  // [2, 4)
+    EXPECT_EQ(h.buckets[2], 1u);  // [4, 8)
+    EXPECT_EQ(h.buckets[10], 1u); // [1024, 2048)
+    EXPECT_DOUBLE_EQ(h.mean(), 1034.0 / 6);
+
+    // Merging into an empty histogram takes the other's range.
+    obs::Histogram c;
+    c.merge(b);
+    EXPECT_EQ(c.minVal, 3);
+    EXPECT_EQ(c.maxVal, 1024);
+
+    // The one bucketing function (LatencyWindow's too): negatives and
+    // [0, 2) in bucket 0, everything past the last bucket in it.
+    EXPECT_EQ(obs::log2Bucket(-5, 32), 0u);
+    EXPECT_EQ(obs::log2Bucket(1.99, 32), 0u);
+    EXPECT_EQ(obs::log2Bucket(2, 32), 1u);
+    EXPECT_EQ(obs::log2Bucket(1000, 32), 9u);
+    EXPECT_EQ(obs::log2Bucket(1e30, 32), 31u);
 
     std::ostringstream os;
     obs::JsonWriter w(os);
-    reg.writeJson(w);
-    EXPECT_EQ(os.str(),
-              "{\"a.count\":{\"type\":\"scalar\","
-              "\"desc\":\"things counted\",\"value\":3},"
-              "\"a.total\":{\"type\":\"scalar\","
-              "\"desc\":\"things overall\",\"value\":6}}");
-}
-
-TEST(StatsRegistry, ReRegistrationReturnsExisting)
-{
-    obs::StatsRegistry reg;
-    obs::Scalar &a = reg.scalar("x", "first");
-    a.set(7);
-    obs::Scalar &b = reg.scalar("x", "second registration ignored");
-    EXPECT_EQ(&a, &b);
-    EXPECT_EQ(reg.size(), 1u);
-    EXPECT_EQ(reg.value("x"), 7);
-    EXPECT_EQ(reg.value("missing"), 0);
-    EXPECT_NE(reg.find("x"), nullptr);
-    EXPECT_EQ(reg.find("missing"), nullptr);
-}
-
-TEST(StatsRegistry, HistogramPowerOfTwoBuckets)
-{
-    obs::StatsRegistry reg;
-    obs::Histogram &h = reg.histogram("lat", "latency");
-    for (double v : {0.0, 1.0, 2.0, 3.0, 4.0, 1024.0})
-        h.sample(v);
-
-    EXPECT_EQ(h.count(), 6u);
-    EXPECT_EQ(h.bucketCount(0), 2u);  // [0, 2)
-    EXPECT_EQ(h.bucketCount(1), 2u);  // [2, 4)
-    EXPECT_EQ(h.bucketCount(2), 1u);  // [4, 8)
-    EXPECT_EQ(h.bucketCount(10), 1u); // [1024, 2048)
-
-    std::ostringstream os;
-    obs::JsonWriter w(os);
-    reg.writeJson(w);
-    Json doc = parseJson(os.str());
-    const Json &hist = doc.at("lat");
-    EXPECT_EQ(hist.at("type").str, "histogram");
+    h.writeJson(w);
+    Json hist = parseJson(os.str());
     EXPECT_EQ(hist.at("count").num, 6);
     EXPECT_EQ(hist.at("min").num, 0);
     EXPECT_EQ(hist.at("max").num, 1024);
@@ -256,17 +241,45 @@ runObserved(const std::string &workload, unsigned threads,
     return xfdtest::runWorkload(workload, cfg, opt);
 }
 
+/** Sum of the numbers in the JSON object @p o. */
+double
+sumOf(const Json &o)
+{
+    double sum = 0;
+    for (const auto &kv : o.obj)
+        sum += kv.second.num;
+    return sum;
+}
+
+/**
+ * A stats document describes one campaign: one latency sample per
+ * post-failure execution, and per-op volumes that add up to the
+ * trace entry counts. Every FSM edge and every op is present.
+ */
+void
+expectOneCampaign(const Json &doc)
+{
+    const Json &camp = doc.at("campaign");
+    EXPECT_EQ(camp.at("post_exec_latency_us").at("count").num,
+              camp.at("post_executions").num);
+    EXPECT_EQ(sumOf(doc.at("trace").at("post")),
+              camp.at("post_trace_entries").num);
+    EXPECT_EQ(sumOf(doc.at("trace").at("pre")),
+              camp.at("pre_trace_entries").num);
+    const std::size_t states = core::ShadowFsmCounters::numStates;
+    EXPECT_EQ(doc.at("shadow_fsm").at("edge").obj.size(), states * states);
+    EXPECT_EQ(doc.at("trace").at("pre").obj.size(), trace::opCount);
+    EXPECT_EQ(doc.at("trace").at("post").obj.size(), trace::opCount);
+    EXPECT_EQ(doc.find("stats"), nullptr);
+}
+
 TEST(CampaignExport, StatsDocumentMatchesCampaignStats)
 {
-    if (!obs::statsCompiledIn)
-        GTEST_SKIP() << "stats compiled out (XFD_STATS_NOOP)";
     core::CampaignObserver obs;
     auto res = runObserved("btree", 1, obs);
 
-    // The structured section is the one copy of the campaign numbers;
-    // the registry holds only what has no structured home.
     std::ostringstream os;
-    core::writeStatsJson(res, &obs.stats, os);
+    core::writeStatsJson(res, nullptr, os);
     Json doc = parseJson(os.str());
     const Json &camp = doc.at("campaign");
     EXPECT_EQ(camp.at("failure_points").num,
@@ -279,27 +292,70 @@ TEST(CampaignExport, StatsDocumentMatchesCampaignStats)
               static_cast<double>(res.stats.checksSkipped));
     EXPECT_EQ(camp.at("pre_seconds").num, res.stats.preSeconds());
     EXPECT_EQ(camp.at("total_seconds").num, res.stats.totalSeconds());
-    for (const auto &kv : doc.at("stats").obj)
-        EXPECT_TRUE(xfdtest::isRegistryKey(kv.first)) << kv.first;
-
-    const obs::StatsRegistry &reg = obs.stats;
+    expectOneCampaign(doc);
 
     // Shadow-FSM edges: a btree campaign writes, flushes and fences.
-    EXPECT_GT(reg.value("shadow_fsm.edge.Modified_to_WritebackPending"),
-              0);
-    EXPECT_GT(reg.value("shadow_fsm.edge.WritebackPending_to_Persisted"),
-              0);
-    EXPECT_GT(reg.value("shadow_fsm.fences"), 0);
+    const Json &fsm = doc.at("shadow_fsm");
+    using core::PersistState;
+    EXPECT_GT(fsm.at("edge").at("Modified_to_WritebackPending").num, 0);
+    EXPECT_GT(fsm.at("edge").at("WritebackPending_to_Persisted").num, 0);
+    EXPECT_EQ(fsm.at("edge").at("WritebackPending_to_Persisted").num,
+              static_cast<double>(res.stats.shadowFsm.edgeCount(
+                  PersistState::WritebackPending,
+                  PersistState::Persisted)));
+    EXPECT_GT(fsm.at("fences").num, 0);
+    EXPECT_EQ(fsm.at("fences").num,
+              static_cast<double>(res.stats.shadowFsm.fences));
 
-    // Per-op trace volumes cover the whole pre-trace.
-    EXPECT_GT(reg.value("trace.pre.WRITE"), 0);
-    EXPECT_GT(reg.value("trace.post.READ"), 0);
+    // Per-op trace volumes.
+    EXPECT_GT(doc.at("trace").at("pre").at("WRITE").num, 0);
+    EXPECT_GT(doc.at("trace").at("post").at("READ").num, 0);
+    EXPECT_EQ(doc.at("trace").at("post").at("READ").num,
+              static_cast<double>(res.stats.postOps[static_cast<std::size_t>(
+                  trace::Op::Read)]));
+}
 
-    // One latency sample per post-failure execution.
-    const auto *h = dynamic_cast<const obs::Histogram *>(
-        reg.find("campaign.post_exec_latency_us"));
-    ASSERT_NE(h, nullptr);
-    EXPECT_EQ(h->count(), res.stats.postExecutions);
+TEST(CampaignExport, ReusedObserverDocumentDescribesOneCampaign)
+{
+    // Two campaigns through one observer: the second result's document
+    // counts the second campaign only.
+    workloads::WorkloadConfig cfg;
+    cfg.initOps = 5;
+    cfg.testOps = 5;
+    cfg.postOps = 1;
+    auto w = workloads::makeWorkload("btree", cfg);
+    core::CampaignObserver obs;
+    auto campaign =
+        Campaign::forProgram([&](trace::PmRuntime &rt) { w->pre(rt); },
+                             [&](trace::PmRuntime &rt) { w->post(rt); })
+            .observer(&obs);
+    auto first = campaign.run();
+    auto second = campaign.threads(2).run();
+    ASSERT_GT(first.stats.postExecutions, 0u);
+    EXPECT_EQ(second.stats.postExecutions, first.stats.postExecutions);
+
+    std::ostringstream os;
+    core::writeStatsJson(second, nullptr, os);
+    expectOneCampaign(parseJson(os.str()));
+}
+
+TEST(CampaignExport, EverySectionWithoutAnObserver)
+{
+    workloads::WorkloadConfig cfg;
+    cfg.initOps = 2;
+    cfg.testOps = 2;
+    auto res = xfdtest::runWorkload("btree", cfg);
+    EXPECT_GT(res.stats.postExecutions, 0u);
+
+    std::ostringstream os;
+    core::writeStatsJson(res, nullptr, os);
+    Json doc = parseJson(os.str());
+    EXPECT_EQ(doc.at("schema").str, "xfd-stats-v1");
+    EXPECT_EQ(doc.find("config"), nullptr);
+    expectOneCampaign(doc);
+    EXPECT_GT(doc.at("shadow_fsm").at("edge")
+                  .at("Modified_to_WritebackPending").num,
+              0);
 }
 
 TEST(CampaignExport, StatsJsonDocumentIsValid)
@@ -308,7 +364,7 @@ TEST(CampaignExport, StatsJsonDocumentIsValid)
     auto res = runObserved("btree", 1, obs);
 
     std::ostringstream os;
-    core::writeStatsJson(res, &obs.stats, os);
+    core::writeStatsJson(res, nullptr, os);
     Json doc = parseJson(os.str());
     EXPECT_EQ(doc.at("schema").str, "xfd-stats-v1");
     const Json &camp = doc.at("campaign");
@@ -332,10 +388,8 @@ TEST(CampaignExport, StatsJsonDocumentIsValid)
     EXPECT_EQ(restore.at("bytes_copied").num,
               static_cast<double>(res.stats.restore.bytesCopied()));
     EXPECT_EQ(restore.obj.size(), 4u);
-    if (obs::statsCompiledIn) {
-        EXPECT_NE(doc.at("stats").find("campaign.post_exec_latency_us"),
-                  nullptr);
-    }
+    EXPECT_EQ(camp.at("post_exec_latency_us").at("count").num,
+              static_cast<double>(res.stats.postExecutions));
 }
 
 TEST(CampaignExport, StatsJsonCarriesBatchAndElisionCounts)
@@ -373,7 +427,7 @@ TEST(CampaignExport, StatsJsonEchoesEveryConfigFlag)
     dcfg.crashImageMode = true;
     dcfg.maxFailurePoints = 256;
     std::ostringstream os;
-    core::writeStatsJson(res, &dcfg, &obs.stats, os);
+    core::writeStatsJson(res, &dcfg, os);
     Json doc = parseJson(os.str());
 
     const Json &conf = doc.at("config");
@@ -387,9 +441,9 @@ TEST(CampaignExport, StatsJsonEchoesEveryConfigFlag)
     EXPECT_EQ(conf.find("delta_page_size"), nullptr);
     EXPECT_EQ(conf.find("delta_checkpoint_interval"), nullptr);
 
-    // The three-argument overload omits the echo.
+    // A null config omits the echo.
     std::ostringstream os2;
-    core::writeStatsJson(res, &obs.stats, os2);
+    core::writeStatsJson(res, nullptr, os2);
     EXPECT_EQ(parseJson(os2.str()).find("config"), nullptr);
 }
 
@@ -497,13 +551,15 @@ TEST(ConfigFlags, CampaignRunRejectsWhatTheFlagsReject)
 {
     // The library checks its config before the pre-failure stage, with
     // the message xfdetect prints for the same config.
-    std::vector<core::DetectorConfig> configs(5);
+    std::vector<core::DetectorConfig> configs(7);
     configs[0].backend = "full";
     configs[1].backend = "batchd";
     configs[2].pmModel = "eADR";
     configs[3].crashStates = "sample:0";
     configs[4].crashStates = "sample:8";
     configs[4].crashImageMode = true;
+    configs[5].granularity = 3;
+    configs[6].granularity = 16;
     for (const auto &dcfg : configs) {
         std::string want = core::checkDetectorConfig(dcfg);
         ASSERT_NE(want, "");
@@ -642,18 +698,26 @@ TEST(CampaignExport, SerialAndParallelExportIdentically)
     core::writeReportJson(par, par_report);
     EXPECT_EQ(serial_report.str(), par_report.str());
 
-    // Identical check accounting and FSM counters.
+    // Identical check accounting, FSM counters, trace volumes and
+    // latency sample counts.
     EXPECT_EQ(serial.stats.checksPerformed, par.stats.checksPerformed);
     EXPECT_EQ(serial.stats.checksSkipped, par.stats.checksSkipped);
     EXPECT_EQ(serial.stats.postExecutions, par.stats.postExecutions);
-    for (const char *key :
-         {"shadow_fsm.edge.Unmodified_to_Modified",
-          "shadow_fsm.edge.Modified_to_WritebackPending",
-          "shadow_fsm.edge.WritebackPending_to_Persisted",
-          "shadow_fsm.fences", "trace.pre.WRITE", "trace.post.READ"}) {
-        EXPECT_EQ(serial_obs.stats.value(key), par_obs.stats.value(key))
-            << key;
+    const core::ShadowFsmCounters &sf = serial.stats.shadowFsm;
+    const core::ShadowFsmCounters &pf = par.stats.shadowFsm;
+    EXPECT_GT(sf.fences, 0u);
+    for (std::size_t f = 0; f < core::ShadowFsmCounters::numStates; f++) {
+        for (std::size_t t = 0; t < core::ShadowFsmCounters::numStates;
+             t++)
+            EXPECT_EQ(sf.edge[f][t], pf.edge[f][t]) << f << "->" << t;
     }
+    EXPECT_EQ(sf.redundantFlushes, pf.redundantFlushes);
+    EXPECT_EQ(sf.fences, pf.fences);
+    EXPECT_EQ(sf.orderingFences, pf.orderingFences);
+    EXPECT_EQ(serial.stats.preOps, par.stats.preOps);
+    EXPECT_EQ(serial.stats.postOps, par.stats.postOps);
+    EXPECT_EQ(serial.stats.postExecLatencyUs.count,
+              par.stats.postExecLatencyUs.count);
 }
 
 TEST(CampaignExport, ParallelWorkersGetDistinctTimelineTracks)
@@ -702,31 +766,6 @@ TEST(CampaignExport, ProgressCallbackCoversEveryFailurePoint)
     EXPECT_EQ(ticks.calls, res.stats.failurePoints + 1);
     EXPECT_EQ(ticks.lastDone, res.stats.failurePoints);
     EXPECT_EQ(ticks.lastTotal, res.stats.failurePoints);
-}
-
-TEST(CampaignExport, NoStatsWhenCollectionDisabled)
-{
-    workloads::WorkloadConfig cfg;
-    cfg.initOps = 2;
-    cfg.testOps = 2;
-    auto w = workloads::makeWorkload("btree", cfg);
-    pm::PmPool pool(1 << 22);
-    core::DetectorConfig dcfg;
-    dcfg.collectStats = false;
-    core::Driver driver(pool, dcfg);
-    core::CampaignObserver obs;
-    driver.setObserver(&obs);
-    auto res = driver.run([&](trace::PmRuntime &rt) { w->pre(rt); },
-                          [&](trace::PmRuntime &rt) { w->post(rt); });
-    EXPECT_GT(res.stats.postExecutions, 0u);
-    EXPECT_TRUE(obs.stats.empty());
-
-    // The stats document still works without a registry.
-    std::ostringstream os;
-    core::writeStatsJson(res, nullptr, os);
-    Json doc = parseJson(os.str());
-    EXPECT_EQ(doc.find("stats"), nullptr);
-    EXPECT_EQ(doc.at("schema").str, "xfd-stats-v1");
 }
 
 } // namespace

@@ -81,6 +81,25 @@ TEST(PmPool, TypedAccess)
     EXPECT_EQ(*pool.at<std::uint64_t>(64), 0xdeadbeefu);
 }
 
+TEST(PmPool, WildAccessIsAStdException)
+{
+    // A host that catches only std::exception sees the wild access,
+    // with the text a finding note carries.
+    PmPool pool(4096);
+    Addr wild = pool.base() + 4096;
+    try {
+        pool.toHost(wild, 8);
+        ADD_FAILURE() << "no exception";
+    } catch (const std::exception &e) {
+        EXPECT_STREQ(e.what(), "wild PM access at 0x10000001000");
+        const auto *bad = dynamic_cast<const pm::BadPmAccess *>(&e);
+        ASSERT_NE(bad, nullptr);
+        EXPECT_EQ(bad->addr, wild);
+        EXPECT_EQ(bad->size, 8u);
+    }
+    EXPECT_STREQ(pm::BadPmAccess(0, 0).what(), "wild PM access at 0");
+}
+
 TEST(PmPool, RejectsZeroSizeAndUnalignedBase)
 {
     EXPECT_THROW({ PmPool pool(0); }, std::invalid_argument);

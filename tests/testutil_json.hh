@@ -222,20 +222,6 @@ parseJson(const std::string &text)
     return JsonParser(text).parse();
 }
 
-/**
- * Whether @p key belongs to a family the xfd-stats-v1 "stats" object
- * may hold: the numbers with no structured section (shadow-FSM edges,
- * per-op trace volumes, the post-execution latency histogram).
- */
-inline bool
-isRegistryKey(const std::string &key)
-{
-    return key.starts_with("shadow_fsm.") ||
-           key.starts_with("trace.pre.") ||
-           key.starts_with("trace.post.") ||
-           key == "campaign.post_exec_latency_us";
-}
-
 } // namespace xfdtest
 
 #endif // XFD_TESTS_TESTUTIL_JSON_HH

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include <fstream>
-#include <map>
 
 #include "bugsuite/registry.hh"
 #include "core/config_flags.hh"
@@ -74,7 +73,8 @@ usage()
         "needed)\n"
         "  --stats-json <f>       write campaign stats (timing, "
         "shadow-FSM edges,\n"
-        "                         latency histogram) as JSON to <f>\n"
+        "                         trace volumes, latency histogram) "
+        "as JSON to <f>\n"
         "  --trace-events <f>     write per-phase spans in Chrome "
         "trace_event format\n"
         "                         to <f> (load in chrome://tracing)\n"
@@ -291,13 +291,13 @@ main(int argc, char **argv)
                          analyze_trace_path.c_str());
             return 2;
         }
-        trace::Reader reader(in); // sniffs v1/v2 framing
+        trace::Reader reader(in); // checks magic and format version
         trace::LoadedTrace loaded = reader.read();
         const trace::TraceBuffer &buf = loaded.buffer();
-        std::map<std::string, std::size_t> histogram;
+        trace::OpCounts histogram{};
+        trace::countOps(buf, histogram);
         Addr lo = ~static_cast<Addr>(0), hi = 0;
         for (const auto &e : buf) {
-            histogram[trace::opName(e.op)]++;
             if (e.isWrite() || e.op == trace::Op::Read) {
                 lo = std::min(lo, e.addr);
                 hi = std::max(hi, e.addr + e.size);
@@ -307,8 +307,13 @@ main(int argc, char **argv)
                     "(format v%u)\n",
                     buf.size(), buf.payloadBytes(),
                     loaded.formatVersion());
-        for (const auto &[name, n] : histogram)
-            std::printf("  %-14s %8zu\n", name.c_str(), n);
+        for (std::size_t i = 0; i < trace::opCount; i++) {
+            if (histogram[i]) {
+                std::printf("  %-14s %8llu\n",
+                            trace::opName(static_cast<trace::Op>(i)),
+                            static_cast<unsigned long long>(histogram[i]));
+            }
+        }
         if (!loaded.allocSites().empty()) {
             std::printf("allocation sites: %zu\n",
                         loaded.allocSites().size());
@@ -607,9 +612,7 @@ main(int argc, char **argv)
         std::ofstream out;
         if (!open_out(stats_json_path, out))
             return 2;
-        core::writeStatsJson(res, &dcfg,
-                             obs.stats.empty() ? nullptr : &obs.stats,
-                             out, extra);
+        core::writeStatsJson(res, &dcfg, out, extra);
         inform("wrote campaign stats to %s", stats_json_path.c_str());
     }
     if (!trace_events_path.empty()) {
