@@ -1,6 +1,7 @@
 #include "core/shadow_pm.hh"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/logging.hh"
 
@@ -24,7 +25,7 @@ ShadowPM::ShadowPM(AddrRange pool, const DetectorConfig &c, bool t)
       tails(t)
 {
     if (!isCellSize(gran))
-        fatal("shadow granularity must be 1, 2, 4 or 8");
+        throw std::invalid_argument("shadow granularity must be 1, 2, 4 or 8");
     cellTotal = (pool.size() + gran - 1) / gran;
     pages.resize((cellTotal + cellsPerPage - 1) / cellsPerPage);
 }

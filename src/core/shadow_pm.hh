@@ -158,6 +158,9 @@ class ShadowPM
      * are clamped away. @p tails also keeps the write tails and the
      * decided-cell reports below — the detector's replay cursors do;
      * the end-of-campaign perf scan and FSM-only users do not.
+     *
+     * @throws std::invalid_argument unless cfg.granularity is a cell
+     * size (1, 2, 4 or 8).
      */
     ShadowPM(AddrRange pool, const DetectorConfig &cfg,
              bool tails = false);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "common/logging.hh"
@@ -52,23 +53,33 @@ struct WordsHash
     }
 };
 
-/** Interned prefix identity: file ids, lines and class characters. */
-struct PrefixKey
+/**
+ * A prefix as its source locations point to it: file-name pointers,
+ * lines and class characters (null site file = "root").
+ */
+struct PrefixPtr
 {
-    std::uint64_t writer;
-    std::uint64_t site;
+    const char *writerFile;
+    const char *siteFile;
+    std::uint32_t writerLine;
+    std::uint32_t siteLine;
     std::uint32_t flags;
 
-    bool operator==(const PrefixKey &) const = default;
+    bool operator==(const PrefixPtr &) const = default;
 };
 
-struct PrefixKeyHash
+struct PrefixPtrHash
 {
     std::size_t
-    operator()(const PrefixKey &k) const
+    operator()(const PrefixPtr &k) const
     {
-        std::uint64_t h = (k.writer * 0x9e3779b97f4a7c15ull) ^ k.site;
-        h = (h ^ k.flags) * 0xff51afd7ed558ccdull;
+        std::uint64_t h =
+            reinterpret_cast<std::uintptr_t>(k.writerFile) *
+                0x9e3779b97f4a7c15ull ^
+            reinterpret_cast<std::uintptr_t>(k.siteFile);
+        h = (h ^ (std::uint64_t{k.writerLine} << 32 | k.siteLine)) *
+            0xff51afd7ed558ccdull;
+        h = (h ^ k.flags) * 0xc4ceb9fe1a85ec53ull;
         return h ^ (h >> 32);
     }
 };
@@ -170,11 +181,12 @@ struct SignatureNode
 struct FrontierState::Interner
 {
     std::shared_ptr<SigNames> names = std::make_shared<SigNames>();
-    /** File names by content, plus a by-address cache of lookups. */
-    std::unordered_map<std::string, std::uint32_t> fileByName;
-    std::vector<const std::string *> fileNames;
-    std::unordered_map<const char *, std::uint32_t> fileByPtr;
-    std::unordered_map<PrefixKey, std::uint32_t, PrefixKeyHash> prefixByKey;
+    /**
+     * Prefix ids by rendered text, plus a by-pointer cache of lookups:
+     * applied entries' file names outlive the state (its cells keep
+     * the pointers), so a pointer tuple names one text.
+     */
+    std::unordered_map<PrefixPtr, std::uint32_t, PrefixPtrHash> prefixByPtr;
     std::unordered_map<std::string, std::uint32_t> prefixByText;
     std::unordered_map<std::string, std::uint32_t> valueByText;
     std::unordered_map<std::vector<std::uint64_t>,
@@ -183,19 +195,6 @@ struct FrontierState::Interner
     /** Scratch reused by every signature() call. */
     std::vector<Elem> elems;
     std::vector<std::uint64_t> words;
-
-    std::uint32_t
-    file(const char *f)
-    {
-        auto it = fileByPtr.find(f);
-        if (it != fileByPtr.end() && *fileNames[it->second] == f)
-            return it->second;
-        auto [nit, fresh] = fileByName.try_emplace(f, fileNames.size());
-        if (fresh)
-            fileNames.push_back(&nit->first);
-        fileByPtr[f] = nit->second;
-        return nit->second;
-    }
 
     std::uint32_t
     value(std::string v)
@@ -217,15 +216,13 @@ struct FrontierState::Interner
     prefix(const trace::SrcLoc &writer, char f1, char f2,
            const trace::SrcLoc *site)
     {
-        PrefixKey key{std::uint64_t{file(writer.file)} << 32 | writer.line,
-                      site ? std::uint64_t{file(site->file)} << 32 |
-                                 site->line
-                           : std::numeric_limits<std::uint64_t>::max(),
+        PrefixPtr key{writer.file, site ? site->file : nullptr,
+                      writer.line, site ? site->line : 0,
                       static_cast<std::uint32_t>(
                           static_cast<unsigned char>(f1) << 8 |
                           static_cast<unsigned char>(f2))};
-        auto it = prefixByKey.find(key);
-        if (it != prefixByKey.end())
+        auto it = prefixByPtr.find(key);
+        if (it != prefixByPtr.end())
             return it->second;
         std::string text = strprintf("%s:%u:", writer.file, writer.line);
         text += f1;
@@ -238,7 +235,7 @@ struct FrontierState::Interner
             text, static_cast<std::uint32_t>(names->prefixes.size()));
         if (fresh)
             names->prefixes.push_back({std::move(text), site == nullptr});
-        prefixByKey.emplace(key, tit->second);
+        prefixByPtr.emplace(key, tit->second);
         return tit->second;
     }
 
@@ -344,12 +341,13 @@ FrontierSignature::str() const
     return out;
 }
 
-FrontierState::FrontierState(unsigned granularity, bool flushFree)
-    : gran(granularity), eadr(flushFree),
+FrontierState::FrontierState(unsigned granularity, bool flushFree,
+                             bool persistedHistory)
+    : gran(granularity), eadr(flushFree), history(persistedHistory),
       interner(std::make_shared<Interner>())
 {
     if (!isCellSize(gran))
-        fatal("lint granularity must be 1, 2, 4 or 8");
+        throw std::invalid_argument("lint granularity must be 1, 2, 4 or 8");
     interner->names->gran = gran;
     interner->value(""); // id 0: no commit write yet
 }
@@ -376,7 +374,8 @@ FrontierState::forget(std::uint64_t lo, std::uint64_t hi)
 {
     carve(modified, lo, hi);
     carve(pending, lo, hi);
-    carve(persisted, lo, hi);
+    if (history)
+        carve(persisted, lo, hi);
 }
 
 void
@@ -385,8 +384,11 @@ FrontierState::assign(std::uint64_t lo, std::uint64_t hi, FrontierCell c)
     forget(lo, hi);
     // No query reads a persisted cell's writer seq; dropping it lets
     // neighbouring writes of one statement coalesce.
-    if (c.st == CellState::Persisted)
+    if (c.st == CellState::Persisted) {
+        if (!history)
+            return;
         c.writerSeq = 0;
+    }
     place(spansIn(c.st), lo, hi, c);
 }
 
@@ -541,11 +543,13 @@ FrontierState::applyFlush(Addr line)
 void
 FrontierState::applyFence()
 {
-    for (const auto &[lo, s] : pending) {
-        FrontierCell c = s.cell;
-        c.st = CellState::Persisted;
-        c.writerSeq = 0;
-        place(persisted, lo, s.end, c);
+    if (history) {
+        for (const auto &[lo, s] : pending) {
+            FrontierCell c = s.cell;
+            c.st = CellState::Persisted;
+            c.writerSeq = 0;
+            place(persisted, lo, s.end, c);
+        }
     }
     pending.clear();
     ts++;
@@ -592,6 +596,10 @@ FrontierState::apply(const trace::TraceEntry &e)
         break;
       }
       case Op::CommitVar: {
+        if (!history) {
+            throw std::logic_error(
+                "lint frontier: commit variable without persisted history");
+        }
         AddrRange r{e.addr, e.addr + e.size};
         for (const auto &cv : commitVars) {
             if (cv.var == r)

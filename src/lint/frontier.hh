@@ -92,7 +92,11 @@ struct FrontierCell
     bool uninit = false;
 };
 
-/** The dataflow state machine. */
+/**
+ * The dataflow state machine. The strings an applied entry's source
+ * locations point to must outlive the state: cells keep the pointers,
+ * and the signature interner caches prefix ids by them.
+ */
 class FrontierState
 {
   public:
@@ -102,9 +106,19 @@ class FrontierState
      * directly in Persisted, flushes are no-ops, and fences only
      * advance the timestamp. Must match the campaign's --pm-model for
      * prune verdicts to stay sound.
+     *
+     * @p persistedHistory false keeps no Persisted spans: writes stop
+     * carving them and fences stop filing retired spans into them. A
+     * signature reads persisted spans only through a commit variable,
+     * so it stays exact while none is registered; the rule queries
+     * (lineHasState(Persisted), lineTracked) need the history, and
+     * applying a CommitVar entry without it throws std::logic_error.
+     *
+     * @throws std::invalid_argument unless @p granularity is a cell
+     * size (1, 2, 4 or 8).
      */
-    explicit FrontierState(unsigned granularity,
-                           bool flushFree = false);
+    explicit FrontierState(unsigned granularity, bool flushFree = false,
+                           bool persistedHistory = true);
 
     /** Advance the state past @p e. */
     void apply(const trace::TraceEntry &e);
@@ -240,6 +254,8 @@ class FrontierState
     unsigned gran;
     /** eADR/CXL flush-free semantics (see the constructor). */
     bool eadr;
+    /** Persisted spans are kept (see the constructor). */
+    bool history;
     /** Cells by state; each cell is in at most one map. */
     SpanMap modified;
     SpanMap pending;

@@ -262,10 +262,14 @@ LintReport runLint(const trace::TraceBuffer &pre, const LintConfig &cfg,
  * Compute only the prunability verdicts for @p points (ascending seq
  * order, as produced by core::planFailurePoints) at @p granularity:
  * one frontier walk that keys each point on (file, line, function,
- * signature). @p flushFree selects the eADR frontier semantics and
- * must match the campaign's persistency model. @p renderKeys fills
+ * signature), as an interned location id plus an interned signature
+ * id. @p flushFree selects the eADR frontier semantics and must match
+ * the campaign's persistency model. @p renderKeys fills
  * PruneVerdicts::keys, rendering one signature string per group;
  * without it the walk renders none.
+ *
+ * @throws std::invalid_argument when a planned point is not in @p pre
+ * or @p granularity is not a cell size.
  */
 PruneVerdicts computePruneVerdicts(const trace::TraceBuffer &pre,
                                    const std::vector<std::uint32_t> &points,

@@ -15,7 +15,7 @@
  * representative's findings.
  */
 
-#include <map>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "common/logging.hh"
@@ -24,6 +24,34 @@
 
 namespace xfd::lint
 {
+
+namespace
+{
+
+/** An ordering-point location as the trace points to it. */
+struct LocPtr
+{
+    const char *file;
+    const char *func;
+    unsigned line;
+
+    bool operator==(const LocPtr &) const = default;
+};
+
+struct LocPtrHash
+{
+    std::size_t
+    operator()(const LocPtr &k) const
+    {
+        std::uint64_t h =
+            reinterpret_cast<std::uintptr_t>(k.file) * 0x9e3779b97f4a7c15ull ^
+            reinterpret_cast<std::uintptr_t>(k.func);
+        h = (h ^ k.line) * 0xff51afd7ed558ccdull;
+        return h ^ (h >> 32);
+    }
+};
+
+} // namespace
 
 PruneVerdicts
 computePruneVerdicts(const trace::TraceBuffer &pre,
@@ -34,21 +62,43 @@ computePruneVerdicts(const trace::TraceBuffer &pre,
     if (points.empty())
         return v;
 
-    FrontierState st(granularity, flushFree);
-    // Ordering-point location -> interned signature id -> group id.
-    std::map<std::string, std::unordered_map<std::uint32_t, std::uint32_t>>
-        seen;
+    // Persisted spans reach a signature only through a commit variable,
+    // so without one before the last point the walk keeps none.
+    bool history = false;
+    for (const auto &e : pre) {
+        if (e.seq == points.back())
+            break;
+        if (e.op == trace::Op::CommitVar) {
+            history = true;
+            break;
+        }
+    }
+    FrontierState st(granularity, flushFree, history);
+
+    // Location ids by rendered text (SrcLoc::str(), rendered once per
+    // pointer tuple), and (location id, interned signature id) -> group.
+    using LocEntry = std::pair<const std::string, std::uint32_t>;
+    std::unordered_map<std::string, std::uint32_t> locByText;
+    std::unordered_map<LocPtr, const LocEntry *, LocPtrHash> locByPtr;
+    std::unordered_map<std::uint64_t, std::uint32_t> seen;
     v.group.reserve(points.size());
 
     std::size_t next = 0;
     for (const auto &e : pre) {
-        if (next < points.size() && e.seq == points[next]) {
+        if (e.seq == points[next]) {
+            auto [lit, freshPtr] = locByPtr.try_emplace(
+                LocPtr{e.loc.file, e.loc.func, e.loc.line}, nullptr);
+            if (freshPtr) {
+                auto id = static_cast<std::uint32_t>(locByText.size());
+                lit->second = &*locByText.try_emplace(e.loc.str(), id).first;
+            }
+            const auto &[where, loc] = *lit->second;
             // The failure preempts this entry, so the signature is
             // the state *before* it applies.
-            std::string where = e.loc.str();
             FrontierSignature sig = st.signature();
-            auto [it, fresh] = seen[where].try_emplace(
-                sig.id(), static_cast<std::uint32_t>(v.kept.size()));
+            auto [it, fresh] = seen.try_emplace(
+                std::uint64_t{loc} << 32 | sig.id(),
+                static_cast<std::uint32_t>(v.kept.size()));
             if (fresh) {
                 v.kept.push_back(e.seq);
                 if (renderKeys)
@@ -58,18 +108,15 @@ computePruneVerdicts(const trace::TraceBuffer &pre,
                     PruneVerdicts::Pruned{e.seq, v.kept[it->second]});
             }
             v.group.push_back(it->second);
-            next++;
+            if (++next == points.size())
+                return v;
         }
         st.apply(e);
-        if (next >= points.size())
-            break;
     }
-    if (next < points.size()) {
-        fatal("lint prune: %zu planned point(s) not found in the "
-              "trace (first missing seq %u)",
-              points.size() - next, points[next]);
-    }
-    return v;
+    throw std::invalid_argument(strprintf(
+        "lint prune: %zu planned point(s) not found in the trace (first "
+        "missing seq %u)",
+        points.size() - next, points[next]));
 }
 
 } // namespace xfd::lint

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 
 #include "common/logging.hh"
 #include "pm/delta.hh"
@@ -20,7 +21,7 @@ CrashStateOracle::CrashStateOracle(const trace::TraceBuffer &p,
       durable(initial)
 {
     if (!isCellSize(gran))
-        fatal("oracle granularity must be 1, 2, 4 or 8");
+        throw std::invalid_argument("oracle granularity must be 1, 2, 4 or 8");
     // 2^frontier subsets are enumerated below the limit; keep the
     // shift well-defined.
     cfg.frontierLimit = std::min<std::size_t>(cfg.frontierLimit, 20);

@@ -146,6 +146,8 @@ class CrashStateOracle
      *                match the campaign's (workloads chase absolute
      *                persistent pointers)
      * @param cfg     enumeration + mirrored detector knobs
+     * @throws std::invalid_argument unless the detector granularity is
+     *         a cell size (1, 2, 4 or 8)
      */
     CrashStateOracle(const trace::TraceBuffer &pre,
                      const pm::PmImage &initial,

@@ -276,27 +276,29 @@ class RefFrontier
     std::int32_t ts = 0;
 };
 
-/** The string-keyed grouping computePruneVerdicts used to do. */
+/**
+ * The string-keyed grouping computePruneVerdicts used to do, given
+ * each point's reference signature: one group per distinct
+ * (SrcLoc::str(), signature) in first-seen order, keyed
+ * SrcLoc::str() + '|' + signature.
+ */
 lint::PruneVerdicts
 refVerdicts(const TraceBuffer &pre, const std::vector<std::uint32_t> &points,
-            unsigned gran, bool flushFree)
+            const std::vector<std::string> &sigs)
 {
     lint::PruneVerdicts v;
-    RefFrontier st(gran, flushFree);
-    std::map<std::string, std::map<std::string, std::uint32_t>> seen;
-    std::size_t next = 0;
-    for (const auto &e : pre) {
-        if (next < points.size() && e.seq == points[next]) {
-            auto [it, fresh] =
-                seen[strprintf("%s:%u", e.loc.file, e.loc.line)].emplace(
-                    st.signature(), e.seq);
-            if (fresh)
-                v.kept.push_back(e.seq);
-            else
-                v.pruned.push_back({e.seq, it->second});
-            next++;
+    std::map<std::pair<std::string, std::string>, std::uint32_t> seen;
+    for (std::size_t i = 0; i < points.size(); i++) {
+        std::string where = pre[points[i]].loc.str();
+        auto [it, fresh] = seen.try_emplace(
+            {where, sigs[i]}, static_cast<std::uint32_t>(v.kept.size()));
+        if (fresh) {
+            v.kept.push_back(points[i]);
+            v.keys.push_back(where + '|' + sigs[i]);
+        } else {
+            v.pruned.push_back({points[i], v.kept[it->second]});
         }
-        st.apply(e);
+        v.group.push_back(it->second);
     }
     return v;
 }
@@ -304,7 +306,8 @@ refVerdicts(const TraceBuffer &pre, const std::vector<std::uint32_t> &points,
 /**
  * At every point of @p points: the interned signature renders the
  * reference string, equal ids mean equal strings (and back), and the
- * prune verdicts match the reference's.
+ * prune verdicts (kept, pruned, group ids and rendered keys) match
+ * the reference's.
  */
 void
 expectMatchesReference(const TraceBuffer &pre,
@@ -318,6 +321,7 @@ expectMatchesReference(const TraceBuffer &pre,
     RefFrontier ref(gran, flushFree);
     std::map<std::string, std::uint32_t> idOf;
     std::map<std::uint32_t, std::string> strOf;
+    std::vector<std::string> refSigs;
     std::size_t next = 0;
     for (const auto &e : pre) {
         if (next < points.size() && e.seq == points[next]) {
@@ -329,6 +333,7 @@ expectMatchesReference(const TraceBuffer &pre,
             EXPECT_EQ(freshStr, freshId) << "at seq " << e.seq;
             EXPECT_EQ(i->second, sig.id()) << "at seq " << e.seq;
             EXPECT_EQ(s->second, want) << "at seq " << e.seq;
+            refSigs.push_back(std::move(want));
             next++;
         }
         st.apply(e);
@@ -336,14 +341,22 @@ expectMatchesReference(const TraceBuffer &pre,
     }
     ASSERT_EQ(next, points.size());
 
-    lint::PruneVerdicts got =
-        lint::computePruneVerdicts(pre, points, gran, flushFree);
-    lint::PruneVerdicts want = refVerdicts(pre, points, gran, flushFree);
-    EXPECT_EQ(got.kept, want.kept);
-    ASSERT_EQ(got.pruned.size(), want.pruned.size());
-    for (std::size_t i = 0; i < got.pruned.size(); i++) {
-        EXPECT_EQ(got.pruned[i].fp, want.pruned[i].fp);
-        EXPECT_EQ(got.pruned[i].keptRep, want.pruned[i].keptRep);
+    lint::PruneVerdicts want = refVerdicts(pre, points, refSigs);
+    for (bool renderKeys : {false, true}) {
+        SCOPED_TRACE(renderKeys ? "keys rendered" : "no keys");
+        lint::PruneVerdicts got = lint::computePruneVerdicts(
+            pre, points, gran, flushFree, renderKeys);
+        EXPECT_EQ(got.kept, want.kept);
+        ASSERT_EQ(got.pruned.size(), want.pruned.size());
+        for (std::size_t i = 0; i < got.pruned.size(); i++) {
+            EXPECT_EQ(got.pruned[i].fp, want.pruned[i].fp);
+            EXPECT_EQ(got.pruned[i].keptRep, want.pruned[i].keptRep);
+        }
+        EXPECT_EQ(got.group, want.group);
+        if (renderKeys)
+            EXPECT_EQ(got.keys, want.keys);
+        else
+            EXPECT_TRUE(got.keys.empty());
     }
 }
 
@@ -745,24 +758,41 @@ TEST(FrontierSigPm, DrainDirtyPagesMatchesMarkedSet)
  * payload-elided same-value and image-only), non-temporal stores,
  * flushes, fences, allocations and frees, commit variables and
  * commit ranges, from a handful of source locations (one file name
- * reachable through two pointers). Returns the trace and the planned
- * points, a random ascending subset of its seqs.
+ * and one function name each reachable through two pointers). A third
+ * of the traces register no commit variable, and a third register
+ * their first one halfway, after fenced writes and before the last
+ * planned point; the rest may register one at any entry. Returns the
+ * trace and the planned points, a random ascending subset of its seqs.
  */
 std::pair<TraceBuffer, std::vector<std::uint32_t>>
-randomTrace(Rng &rng, const std::string &dupFile)
+randomTrace(Rng &rng, const std::string &dupFile, const std::string &dupFunc)
 {
     const char *files[] = {"a.cc", "b.cc", dupFile.c_str()};
+    const char *funcs[] = {"f", "g", dupFunc.c_str()};
     auto loc = [&] {
         return trace::SrcLoc{files[rng.below(3)],
-                             static_cast<unsigned>(1 + rng.below(4)), "f"};
+                             static_cast<unsigned>(1 + rng.below(4)),
+                             funcs[rng.below(3)]};
     };
     const Addr base = 0x10000;
     auto addr = [&] { return base + rng.below(512); };
     TraceBuilder t;
     std::vector<std::pair<Addr, std::uint32_t>> live;
     std::vector<AddrRange> vars;
+    enum class Vars { Anywhere, None, Halfway };
+    const auto when = static_cast<Vars>(rng.below(3));
     std::size_t n = 40 + rng.below(160);
     for (std::size_t i = 0; i < n; i++) {
+        if (when == Vars::Halfway && vars.empty() && i >= n / 2) {
+            Addr a = addr();
+            t.add(Op::Write, a, 8, loc(), std::vector<std::uint8_t>(8, 1));
+            t.add(Op::Clwb, a & ~Addr{63}, 64, loc());
+            t.add(Op::Sfence, 0, 0, loc());
+            a = addr();
+            t.add(Op::CommitVar, a, 8, loc());
+            vars.push_back({a, a + 8});
+            continue;
+        }
         std::uint64_t pick = rng.below(100);
         if (pick < 30) {
             std::uint32_t len = 1 + rng.below(24);
@@ -803,6 +833,8 @@ randomTrace(Rng &rng, const std::string &dupFile)
                       static_cast<std::uint32_t>(rng.below(32)), loc());
             }
         } else if (pick < 92) {
+            if (when != Vars::Anywhere && vars.empty())
+                continue;
             Addr a = !vars.empty() && rng.below(3) == 0
                          ? vars[rng.below(vars.size())].begin
                          : addr();
@@ -823,6 +855,8 @@ randomTrace(Rng &rng, const std::string &dupFile)
         if (rng.below(3) == 0)
             points.push_back(s);
     }
+    if (when == Vars::Halfway)
+        points.push_back(t.add(Op::Sfence, 0, 0, loc()));
     return {std::move(t.buf), std::move(points)};
 }
 
@@ -831,8 +865,9 @@ fuzzOne(std::uint64_t seed)
 {
     SCOPED_TRACE(testing::Message() << "XFD_FUZZ_SEED=" << seed);
     Rng rng(seed);
-    const std::string dup = "a.cc";
-    auto [buf, points] = randomTrace(rng, dup);
+    const std::string dupFile = "a.cc";
+    const std::string dupFunc = "g";
+    auto [buf, points] = randomTrace(rng, dupFile, dupFunc);
     for (unsigned gran : {1u, 2u, 8u}) {
         for (bool flushFree : {false, true})
             expectMatchesReference(buf, points, gran, flushFree, "random");

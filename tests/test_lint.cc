@@ -11,6 +11,7 @@
 
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 
@@ -437,6 +438,42 @@ TEST(LintPrune, AllocationRegionsDisambiguateAliasingStores)
     EXPECT_EQ(v.kept.size(), 2u);
     ASSERT_EQ(v.pruned.size(), 1u);
     EXPECT_EQ(v.pruned.front().keptRep, fenceSeqs(buf).front());
+}
+
+TEST(LintPrune, MissingPlannedPointIsAnError)
+{
+    TraceBuffer buf;
+    buf.append(mk(Op::Write, base, 8, 10));
+    buf.append(mk(Op::Sfence, 0, 0, 12));
+    try {
+        lint::computePruneVerdicts(buf, {1, 5, 9}, 1, false);
+        FAIL() << "a point outside the trace was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(), "lint prune: 2 planned point(s) not found "
+                               "in the trace (first missing seq 5)");
+    }
+}
+
+TEST(LintFrontier, NonCellGranularityIsAnError)
+{
+    try {
+        lint::FrontierState st(3);
+        FAIL() << "granularity 3 was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(), "lint granularity must be 1, 2, 4 or 8");
+    }
+}
+
+TEST(LintFrontier, CommitVariableNeedsPersistedHistory)
+{
+    // Without persisted spans a commit variable's inconsistent set
+    // would read empty, so the state refuses the registration.
+    lint::FrontierState st(1, false, false);
+    st.apply(mk(Op::Write, base, 8, 10));
+    st.apply(mk(Op::Clwb, base, 64, 11));
+    st.apply(mk(Op::Sfence, 0, 0, 12));
+    EXPECT_THROW(st.apply(mk(Op::CommitVar, base + 64, 8, 13)),
+                 std::logic_error);
 }
 
 // ---------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 
 #include "bugsuite/registry.hh"
 #include "harness.hh"
@@ -126,6 +127,20 @@ TEST(OracleMode, ParseSpecs)
     EXPECT_FALSE(oracle::parseOracleMode("sample:x", ex, n, &err));
     EXPECT_FALSE(oracle::parseOracleMode("bogus", ex, n, &err));
     EXPECT_NE(err.find("bogus"), std::string::npos);
+}
+
+TEST(OracleMode, NonCellGranularityIsAnError)
+{
+    trace::TraceBuffer pre;
+    pm::PmImage initial(defaultPoolBase, std::vector<std::uint8_t>(4096));
+    oracle::OracleConfig ocfg;
+    ocfg.detector.granularity = 3;
+    try {
+        oracle::CrashStateOracle orc(pre, initial, ocfg);
+        FAIL() << "granularity 3 was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(), "oracle granularity must be 1, 2, 4 or 8");
+    }
 }
 
 TEST(OracleDiff, AllWorkloadsAgreeAtExhaustiveTier)

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/shadow_pm.hh"
 
 namespace
@@ -36,6 +38,16 @@ struct ShadowTest : ::testing::Test
     DetectorConfig cfg;
     ShadowPM shadow;
 };
+
+TEST(ShadowConfig, NonCellGranularityIsAnError)
+{
+    try {
+        ShadowPM shadow({base, base + 4096}, cfgWithGran(3));
+        FAIL() << "granularity 3 was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(), "shadow granularity must be 1, 2, 4 or 8");
+    }
+}
 
 // ---------------------------------------------------------------
 // Persistence FSM (Fig. 9)
