@@ -2,13 +2,14 @@
  * @file
  * Lint pruning payoff. Per workload: the planned failure-point count,
  * the share the static pass proves redundant, the cost of the lint
- * pass itself, and the end-to-end campaign wall-clock with and
- * without signature batching. A wal_btree --test sweep then times
- * batched planning (core::planBatches) per planned point as the
- * trace grows: its 4 KiB page images make it the workload where a
- * signature that walks history would show. Emits BENCH_lint.json for
- * regression tracking; XFD_BENCH_QUICK shrinks the op counts and
- * repetitions for CI.
+ * pass itself (best of the repetitions), and the end-to-end campaign
+ * wall-clock with and without signature batching. A wal_btree --test
+ * sweep then times batched planning (core::planBatches) per planned
+ * point as the trace grows, and the grouping a --crash-states
+ * campaign runs (core::groupFailurePoints under sample:16): its 4 KiB
+ * page images make it the workload where a signature that walks
+ * history would show. Emits BENCH_lint.json for regression tracking;
+ * XFD_BENCH_QUICK shrinks the op counts and repetitions for CI.
  */
 
 #include <chrono>
@@ -26,6 +27,23 @@ using namespace xfd::bench;
 
 namespace
 {
+
+/** Best wall seconds of @p reps calls of @p fn. */
+template <typename Fn>
+double
+bestOf(unsigned reps, Fn &&fn)
+{
+    double best = 0;
+    for (unsigned i = 0; i < reps; i++) {
+        auto t0 = std::chrono::steady_clock::now();
+        fn();
+        std::chrono::duration<double> dt =
+            std::chrono::steady_clock::now() - t0;
+        if (i == 0 || dt.count() < best)
+            best = dt.count();
+    }
+    return best;
+}
 
 struct Row
 {
@@ -60,7 +78,7 @@ runOne(const std::string &name, const workloads::WorkloadConfig &wcfg,
     row.workload = name;
 
     // The static pass alone: trace the pre-failure stage once, plan,
-    // and time runLint over the trace.
+    // and time runLint over the trace (best of reps, as the sweep).
     auto w = workloads::makeWorkload(name, wcfg);
     pm::PmPool pool(benchPoolSize);
     trace::TraceBuffer pre;
@@ -71,16 +89,14 @@ runOne(const std::string &name, const workloads::WorkloadConfig &wcfg,
     core::DetectorConfig dcfg;
     core::FailurePlan plan = core::planFailurePoints(pre, dcfg);
 
-    auto t0 = std::chrono::steady_clock::now();
     lint::LintConfig lcfg;
-    lint::LintReport lrep = lint::runLint(pre, lcfg, &plan.points);
-    std::chrono::duration<double> dt =
-        std::chrono::steady_clock::now() - t0;
+    lint::LintReport lrep;
+    row.lintSeconds = bestOf(
+        reps, [&] { lrep = lint::runLint(pre, lcfg, &plan.points); });
 
     row.points = plan.points.size();
     row.pruned = lrep.prune.pruned.size();
     row.diagnostics = lrep.diagnostics.size();
-    row.lintSeconds = dt.count();
 
     // The payoff: the same campaign with and without pruning.
     core::DetectorConfig off;
@@ -101,6 +117,8 @@ struct SweepRow
     std::size_t groups = 0;
     /** Best of the repetitions. */
     double planSeconds = 0;
+    /** core::groupFailurePoints under sample:16, best of the reps. */
+    double groupSeconds = 0;
 
     double
     usPerPoint() const
@@ -131,16 +149,15 @@ sweepOne(unsigned testOps, unsigned reps)
     SweepRow row;
     row.testOps = testOps;
     row.points = points.size();
-    for (unsigned i = 0; i < reps; i++) {
-        auto t0 = std::chrono::steady_clock::now();
-        core::BatchPlan bp = core::planBatches(
-            pre, points, dcfg.granularity, dcfg.eadrOn());
-        std::chrono::duration<double> dt =
-            std::chrono::steady_clock::now() - t0;
-        if (i == 0 || dt.count() < row.planSeconds)
-            row.planSeconds = dt.count();
-        row.groups = bp.groups.size();
-    }
+    row.planSeconds = bestOf(reps, [&] {
+        row.groups = core::planBatches(pre, points, dcfg.granularity,
+                                       dcfg.eadrOn())
+                         .groups.size();
+    });
+    core::DetectorConfig cs;
+    cs.crashStates = "sample:16";
+    row.groupSeconds = bestOf(
+        reps, [&] { (void)core::groupFailurePoints(pre, points, cs); });
     return row;
 }
 
@@ -180,12 +197,13 @@ main()
         sweep.push_back(sweepOne(t, reps));
     std::printf("\nwal_btree batched planning (init 5, best of %u)\n",
                 reps);
-    std::printf("%8s %8s %8s %12s %12s\n", "test", "points", "groups",
-                "plan(ms)", "us/point");
+    std::printf("%8s %8s %8s %12s %12s %14s\n", "test", "points",
+                "groups", "plan(ms)", "us/point", "cs-group(ms)");
     rule();
     for (const SweepRow &r : sweep) {
-        std::printf("%8u %8zu %8zu %12.3f %12.2f\n", r.testOps, r.points,
-                    r.groups, r.planSeconds * 1e3, r.usPerPoint());
+        std::printf("%8u %8zu %8zu %12.3f %12.2f %14.3f\n", r.testOps,
+                    r.points, r.groups, r.planSeconds * 1e3,
+                    r.usPerPoint(), r.groupSeconds * 1e3);
     }
     double growth = sweep.front().usPerPoint() > 0
                         ? sweep.back().usPerPoint() /
@@ -220,6 +238,7 @@ main()
             w.field("groups", static_cast<std::uint64_t>(r.groups));
             w.field("plan_batches_ms", r.planSeconds * 1e3);
             w.field("lint_us_per_point", r.usPerPoint());
+            w.field("group_crash_states_ms", r.groupSeconds * 1e3);
             w.endObject();
         }
         w.endArray();

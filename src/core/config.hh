@@ -267,24 +267,18 @@ struct DetectorConfig
     bool elideSameValueWrites = false;
 
     /**
-     * Live telemetry (src/obs/live): per-second sliding-window rate
-     * counters and latency windows fed from the campaign loop,
-     * snapshottable mid-run. Off by default — a campaign without
-     * --live/--live-port/--live-jsonl pays nothing beyond one atomic
-     * load per failure point.
-     */
-    bool liveTelemetry = false;
-
-    /**
-     * Serve live telemetry over HTTP on 127.0.0.1:<port> (Prometheus
-     * text /metrics, JSON /snapshot). 0 = no server. Implies
-     * liveTelemetry.
+     * Serve live telemetry (src/obs/live: per-second sliding-window
+     * rate counters and latency windows fed from the campaign loop)
+     * over HTTP on 127.0.0.1:<port> (Prometheus text /metrics, JSON
+     * /snapshot). 0 = no server. A campaign without --live-port or
+     * --live-jsonl pays nothing beyond one atomic load per failure
+     * point.
      */
     std::size_t livePort = 0;
 
     /**
      * Stream one live-snapshot JSON line per second (plus one final
-     * line) to this file. Empty = off. Implies liveTelemetry.
+     * line) to this file. Empty = off.
      */
     std::string liveJsonlPath;
 
@@ -292,8 +286,7 @@ struct DetectorConfig
     bool
     liveRequested() const
     {
-        return liveTelemetry || livePort != 0 ||
-               !liveJsonlPath.empty();
+        return livePort != 0 || !liveJsonlPath.empty();
     }
 
     /**

@@ -211,11 +211,6 @@ buildTable()
        "already in memory (Jaaru-style; cannot change any crash "
        "image, but also hides findings anchored on such writes)",
        "elide_same_value_writes", &C::elideSameValueWrites, true);
-    sw("--live",
-       "feed the live per-second telemetry registry during the "
-       "campaign (off by default; implied by --live-port and "
-       "--live-jsonl)",
-       "live_telemetry", &C::liveTelemetry, true);
     sizef("--live-port", "<port>",
           "serve live telemetry on 127.0.0.1:<port>: Prometheus "
           "text /metrics and JSON /snapshot",
@@ -248,6 +243,22 @@ findDetectorFlag(const char *flag)
 }
 
 std::string
+parseFlagNumber(const char *flag, const char *value, unsigned long long max,
+                unsigned long long &out)
+{
+    errno = 0;
+    unsigned long long v = std::strtoull(value, nullptr, 10);
+    std::size_t digits = std::strspn(value, "0123456789");
+    if (digits == 0 || value[digits] != '\0' || errno == ERANGE ||
+        v > max) {
+        return strprintf("flag %s: \"%s\" is not a number in [0, %llu]",
+                         flag, value, max);
+    }
+    out = v;
+    return {};
+}
+
+std::string
 applyDetectorFlag(const ConfigFlagDesc &d, DetectorConfig &cfg,
                   const char *value)
 {
@@ -267,18 +278,13 @@ applyDetectorFlag(const ConfigFlagDesc &d, DetectorConfig &cfg,
         return {};
     }
 
-    // Numeric rows: base-10 digits only, within the field's range.
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(value, &end, 10);
-    std::size_t digits = std::strspn(value, "0123456789");
+    unsigned long long v = 0;
     unsigned long long max = d.uintField
                                  ? std::numeric_limits<unsigned>::max()
                                  : std::numeric_limits<std::size_t>::max();
-    if (digits == 0 || value[digits] != '\0' || errno == ERANGE ||
-        v > max) {
-        return strprintf("flag %s: \"%s\" is not a number in [0, %llu]",
-                         d.flag, value, max);
+    if (std::string err = parseFlagNumber(d.flag, value, max, v);
+        !err.empty()) {
+        return err;
     }
     if (d.uintField == &DetectorConfig::granularity) {
         if (std::string err = badCellSize(v); !err.empty())

@@ -73,6 +73,17 @@ const std::vector<ConfigFlagDesc> &detectorFlagTable();
 const ConfigFlagDesc *findDetectorFlag(const char *flag);
 
 /**
+ * Parse @p value, the argument of @p flag, as base-10 digits (no sign,
+ * space or suffix) whose value is at most @p max, into @p out.
+ * @return why @p value was rejected (@p out is then unchanged), or
+ *         an empty string.
+ */
+[[nodiscard]] std::string parseFlagNumber(const char *flag,
+                                          const char *value,
+                                          unsigned long long max,
+                                          unsigned long long &out);
+
+/**
  * Apply one parsed flag to @p cfg. @p value is the argument string
  * for value-taking rows, ignored for switches. Numeric values must be
  * base-10 digits in the field's range; --granularity takes 1, 2, 4 or

@@ -153,16 +153,13 @@ Driver::PointCandidates::match(const trace::SubsetMask &mask) const
 }
 
 /**
- * Campaign-global crash-state context: parsed --crash-states knobs,
- * the plan's per-group sampler streams, and the equivalence-class
- * pruning set all workers share.
+ * Campaign-global crash-state context: parsed --crash-states knobs and
+ * the equivalence-class pruning set all workers share.
  */
 struct Driver::CrashStateCtx
 {
     bool exhaustive = false;
     std::size_t sampleCount = 0;
-    /** Per group id (PointGroups::streams): the sampler stream. */
-    std::vector<std::uint64_t> streams;
     std::mutex lock;
     /**
      * The pruning set, keyed on (group id, mask): per group id, each
@@ -844,7 +841,7 @@ Driver::planCrashStates(const trace::TraceBuffer &pre, std::uint32_t fp,
     eopt.frontierLimit = cfg.oracleFrontierLimit;
     eopt.sampleCount = csCtx->sampleCount;
     eopt.seed = cfg.crashStatesSeed;
-    eopt.stream = csCtx->streams[group];
+    eopt.stream = group;
     auto en = cset.enumerate(eopt);
     std::size_t enumerated = en.masks.size() - 1;
     stats.crashStatesEnumerated += enumerated;
@@ -906,8 +903,7 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
         observer && observer->timeline.enabled() ? &observer->timeline
                                                  : nullptr;
     // The live registry costs one atomic load here; campaigns without
-    // a live output (--live/--live-port/--live-jsonl) never touch it
-    // again.
+    // a live output (--live-port/--live-jsonl) never touch it again.
     obs::LiveMetrics *live =
         observer && observer->live.enabled() ? &observer->live
                                              : nullptr;
@@ -1000,10 +996,8 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
                  groups.groupOf.empty() ? 0 : groups.groupOf[i]});
         }
     }
-    if (csCtx) {
-        cs_ctx.streams = std::move(groups.streams);
-        cs_ctx.seen.resize(cs_ctx.streams.size());
-    }
+    if (csCtx)
+        cs_ctx.seen.resize(groups.batches.groups.size());
     result.stats.failurePoints = schedule.size();
     result.stats.orderingCandidates = plan.candidates;
     result.stats.elidedPoints = plan.elided;

@@ -537,9 +537,9 @@ class Driver
     /**
      * Plan partial crash-state candidates at failure point @p fp
      * (--crash-states=sample:<n>|exhaustive): enumerate the legal
-     * persisted subsets of frontier @p cf on equivalence group
-     * @p group's sampler stream and prune them against the group's
-     * campaign-global seen set. Executes nothing; accounts
+     * persisted subsets of frontier @p cf on the sampler stream
+     * equivalence group id @p group names and prune them against the
+     * group's campaign-global seen set. Executes nothing; accounts
      * enumeration and pruning in @p stats and bills its time to the
      * plan phase.
      * @return the masks to execute, in enumeration order.
@@ -560,10 +560,9 @@ class Driver
 
     /**
      * Campaign-global crash-state exploration context (parsed mode
-     * knobs, per-group sampler streams and the equivalence-class
-     * pruning set shared by every worker). Set by runParallel() while
-     * a --crash-states campaign is in flight, cleared before it
-     * returns; null otherwise.
+     * knobs and the equivalence-class pruning set shared by every
+     * worker). Set by runParallel() while a --crash-states campaign
+     * is in flight, cleared before it returns; null otherwise.
      */
     struct CrashStateCtx;
     CrashStateCtx *csCtx = nullptr;

@@ -112,19 +112,11 @@ groupFailurePoints(const trace::TraceBuffer &pre,
                    const std::vector<std::uint32_t> &points,
                    const DetectorConfig &cfg)
 {
-    bool sample = cfg.crashStatesOn() && !cfg.eadrOn();
     lint::PruneVerdicts v = lint::computePruneVerdicts(
-        pre, points, cfg.granularity, cfg.eadrOn(), sample);
+        pre, points, cfg.granularity, cfg.eadrOn());
     PointGroups g;
     g.batches = batchesOf(points, v);
     g.groupOf = std::move(v.group);
-    g.streams.reserve(v.keys.size());
-    for (const std::string &key : v.keys) {
-        std::uint64_t h = 1469598103934665603ull; // FNV-1a 64
-        for (char ch : key)
-            h = (h ^ static_cast<unsigned char>(ch)) * 1099511628211ull;
-        g.streams.push_back(h);
-    }
     return g;
 }
 

@@ -106,7 +106,7 @@ BatchPlan planBatches(const trace::TraceBuffer &pre,
  * share a source location (file, line, function) and the lint
  * frontier signature before them is equal. The batched backend folds
  * each group into its representative; --crash-states samples and
- * prunes per group.
+ * prunes per group, on the sampler stream its group id names.
  */
 struct PointGroups
 {
@@ -117,12 +117,6 @@ struct PointGroups
      * its group's first point, so the schedule is ascending.
      */
     BatchPlan batches;
-    /**
-     * Per group id, the crash-state sampler stream: FNV-1a 64 of
-     * SrcLoc::str() + '|' + the signature's str(). Filled only for
-     * --crash-states under clwb (under eADR every frontier is empty).
-     */
-    std::vector<std::uint64_t> streams;
 };
 
 /**

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "common/logging.hh"
@@ -14,29 +15,15 @@ namespace
 {
 
 /**
- * One canonical signature element: an interned string prefix plus the
- * allocation offsets [lo, hi) it is rendered with, stepping by the
- * granularity (lo == hi == 0 for a "root" prefix, which takes none).
+ * One canonical signature element: an interned prefix plus the
+ * allocation offsets [lo, hi) it covers, stepping by the granularity
+ * (lo == hi == 0 for a "root" prefix, which takes none).
  */
 struct Elem
 {
     std::uint32_t prefix;
     std::uint64_t lo;
     std::uint64_t hi;
-};
-
-/** Text interned nodes render from; append-only. */
-struct SigNames
-{
-    struct Prefix
-    {
-        std::string text;
-        /** "...@root": rendered without an offset. */
-        bool root;
-    };
-    unsigned gran = 1;
-    std::vector<Prefix> prefixes;
-    std::vector<std::string> values;
 };
 
 struct WordsHash
@@ -163,24 +150,9 @@ const char hexDigits[] = "0123456789abcdef";
 
 } // namespace
 
-/** Interned signature contents plus its lazily rendered string. */
-struct SignatureNode
-{
-    std::uint32_t id = 0;
-    /**
-     * Canonical words: in-flight count then (prefix, lo, hi) per
-     * element, the same for the inconsistent set, then the commit
-     * variable count and (value id << 8 | state char) per variable.
-     */
-    std::vector<std::uint64_t> words;
-    std::shared_ptr<const SigNames> names;
-    /** str(), once rendered (never empty: it always holds the '|'). */
-    mutable std::string text;
-};
-
 struct FrontierState::Interner
 {
-    std::shared_ptr<SigNames> names = std::make_shared<SigNames>();
+    unsigned gran = 1;
     /**
      * Prefix ids by rendered text, plus a by-pointer cache of lookups:
      * applied entries' file names outlive the state (its cells keep
@@ -189,9 +161,15 @@ struct FrontierState::Interner
     std::unordered_map<PrefixPtr, std::uint32_t, PrefixPtrHash> prefixByPtr;
     std::unordered_map<std::string, std::uint32_t> prefixByText;
     std::unordered_map<std::string, std::uint32_t> valueByText;
-    std::unordered_map<std::vector<std::uint64_t>,
-                       std::shared_ptr<SignatureNode>, WordsHash>
-        nodes;
+    /**
+     * Signature ids by canonical words: in-flight count then (prefix,
+     * lo, hi) per element, the same for the inconsistent set, then
+     * the commit variable count and (value id << 8 | state char) per
+     * variable.
+     */
+    std::unordered_map<std::vector<std::uint64_t>, std::uint32_t,
+                       WordsHash>
+        sigIds;
     /** Scratch reused by every signature() call. */
     std::vector<Elem> elems;
     std::vector<std::uint64_t> words;
@@ -199,12 +177,8 @@ struct FrontierState::Interner
     std::uint32_t
     value(std::string v)
     {
-        auto [it, fresh] = valueByText.try_emplace(std::move(v), 0);
-        if (fresh) {
-            it->second = static_cast<std::uint32_t>(names->values.size());
-            names->values.push_back(it->first);
-        }
-        return it->second;
+        auto id = static_cast<std::uint32_t>(valueByText.size());
+        return valueByText.try_emplace(std::move(v), id).first->second;
     }
 
     /**
@@ -231,19 +205,17 @@ struct FrontierState::Interner
         text += '@';
         text += site ? strprintf("%s:%u+", site->file, site->line)
                      : std::string("root");
-        auto [tit, fresh] = prefixByText.try_emplace(
-            text, static_cast<std::uint32_t>(names->prefixes.size()));
-        if (fresh)
-            names->prefixes.push_back({std::move(text), site == nullptr});
-        prefixByPtr.emplace(key, tit->second);
-        return tit->second;
+        auto id = static_cast<std::uint32_t>(prefixByText.size());
+        id = prefixByText.try_emplace(std::move(text), id).first->second;
+        prefixByPtr.emplace(key, id);
+        return id;
     }
 
     /** Append the canonical form of elems to words, then clear elems. */
     void
     flushElems()
     {
-        const std::uint64_t phase = names->gran - 1;
+        const std::uint64_t phase = gran - 1;
         std::sort(elems.begin(), elems.end(),
                   [phase](const Elem &a, const Elem &b) {
                       if (a.prefix != b.prefix)
@@ -274,72 +246,13 @@ struct FrontierState::Interner
         elems.clear();
     }
 
-    std::shared_ptr<const SignatureNode>
+    std::uint32_t
     intern()
     {
-        auto it = nodes.find(words);
-        if (it == nodes.end()) {
-            auto node = std::make_shared<SignatureNode>();
-            node->id = static_cast<std::uint32_t>(nodes.size());
-            node->words = words;
-            node->names = names;
-            it = nodes.emplace(words, std::move(node)).first;
-        }
-        return it->second;
+        auto id = static_cast<std::uint32_t>(sigIds.size());
+        return sigIds.try_emplace(words, id).first->second;
     }
 };
-
-std::uint32_t
-FrontierSignature::id() const
-{
-    return node ? node->id : 0;
-}
-
-const std::string &
-FrontierSignature::str() const
-{
-    static const std::string none;
-    if (!node)
-        return none;
-    if (!node->text.empty())
-        return node->text;
-    const SigNames &nm = *node->names;
-    const std::vector<std::uint64_t> &w = node->words;
-    std::string &out = node->text;
-    std::size_t i = 0;
-    auto section = [&] {
-        std::vector<std::string> parts;
-        std::uint64_t n = w[i++];
-        for (std::uint64_t k = 0; k < n; k++, i += 3) {
-            const SigNames::Prefix &p = nm.prefixes[w[i]];
-            if (p.root) {
-                parts.push_back(p.text);
-                continue;
-            }
-            for (std::uint64_t off = w[i + 1]; off < w[i + 2];
-                 off += nm.gran) {
-                parts.push_back(p.text + std::to_string(off));
-            }
-        }
-        std::sort(parts.begin(), parts.end());
-        parts.erase(std::unique(parts.begin(), parts.end()),
-                    parts.end());
-        for (const std::string &s : parts) {
-            out += s;
-            out += ';';
-        }
-    };
-    section();
-    out += '|';
-    section();
-    std::uint64_t vars = w[i++];
-    for (std::uint64_t v = 0; v < vars; v++, i++) {
-        out += strprintf("#%llu=%s:%c", static_cast<unsigned long long>(v),
-                         nm.values[w[i] >> 8].c_str(),
-                         static_cast<char>(w[i] & 0xff));
-    }
-    return out;
-}
 
 FrontierState::FrontierState(unsigned granularity, bool flushFree,
                              bool persistedHistory)
@@ -348,7 +261,7 @@ FrontierState::FrontierState(unsigned granularity, bool flushFree,
 {
     if (!isCellSize(gran))
         throw std::invalid_argument("lint granularity must be 1, 2, 4 or 8");
-    interner->names->gran = gran;
+    interner->gran = gran;
     interner->value(""); // id 0: no commit write yet
 }
 
@@ -688,7 +601,7 @@ FrontierState::signature() const
     // region, not their address, so loop iterations that touch
     // *different* addresses through the *same* code sign alike. Each
     // range becomes a few (prefix, offset run) elements, canonicalized
-    // and interned; the per-cell strings exist only in str().
+    // and interned, so no per-cell string is ever built.
     Interner &in = *interner;
     in.words.clear();
     using AllocEntry =
@@ -786,9 +699,7 @@ FrontierState::signature() const
                            static_cast<unsigned char>(st));
     }
 
-    FrontierSignature sig;
-    sig.node = in.intern();
-    return sig;
+    return FrontierSignature(in.intern());
 }
 
 void

@@ -25,7 +25,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -35,40 +34,26 @@ namespace xfd::lint
 {
 
 class FrontierState;
-/** Interned signature contents (defined in frontier.cc). */
-struct SignatureNode;
 
 /**
- * Interned frontier signature: a cheap value whose equality is the
- * prune relation. Values are interned per FrontierState (content
- * keyed, so two equal values share one node and compare by pointer);
- * copies of a state share its table. Values from unrelated states do
- * not compare meaningfully — only str() crosses between instances.
- * Like the state itself, a value is for one thread at a time: str()
- * caches its rendering on first call.
+ * Interned frontier signature: a dense id whose equality is the prune
+ * relation. Ids are interned per FrontierState (content keyed, in
+ * first-seen order, so two equal signatures share one id); copies of
+ * a state share its table. Ids from unrelated states do not compare
+ * meaningfully.
  */
 class FrontierSignature
 {
   public:
-    FrontierSignature() = default;
-
-    bool operator==(const FrontierSignature &o) const
-    {
-        return node == o.node;
-    }
+    bool operator==(const FrontierSignature &) const = default;
 
     /** Dense per-table id in first-seen order (a hash key). */
-    std::uint32_t id() const;
-
-    /**
-     * The canonical string form (see FrontierState::signature()),
-     * rendered on first use and cached on the interned node.
-     */
-    const std::string &str() const;
+    std::uint32_t id() const { return sigId; }
 
   private:
     friend class FrontierState;
-    std::shared_ptr<const SignatureNode> node;
+    explicit FrontierSignature(std::uint32_t id) : sigId(id) {}
+    std::uint32_t sigId;
 };
 
 /** Persistency state of a tracked cell (untracked = Unmodified). */
@@ -165,13 +150,12 @@ class FrontierState
      * ordering-point source location yield the same post-failure
      * finding keys.
      *
-     * The canonical string (FrontierSignature::str()) joins the sorted
-     * in-flight set ("file:line:UC@region;" each), '|', the sorted
-     * inconsistent set ("file:line:S@region;"), then "#i=value:state"
-     * per commit variable. The returned value is interned instead:
-     * one call costs O(in-flight ranges + commit-covered persisted
-     * ranges), allocates no per-cell string, and equal values mean
-     * equal strings.
+     * Each commit variable adds its last written value and the
+     * persistency state of its first cell. The returned value is
+     * interned: one call costs O(in-flight ranges + commit-covered
+     * persisted ranges), allocates no per-cell string, and two values
+     * are equal exactly when the two sets and the commit variables'
+     * values and states are.
      */
     FrontierSignature signature() const;
 

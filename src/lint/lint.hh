@@ -212,11 +212,6 @@ struct PruneVerdicts
     std::vector<Pruned> pruned;
     /** Per input point, its group id: kept[group[i]] stands for it. */
     std::vector<std::uint32_t> group;
-    /**
-     * Per group id, when requested: SrcLoc::str() + '|' + the
-     * signature's str().
-     */
-    std::vector<std::string> keys;
 
     double
     pruneRatio() const
@@ -264,17 +259,14 @@ LintReport runLint(const trace::TraceBuffer &pre, const LintConfig &cfg,
  * one frontier walk that keys each point on (file, line, function,
  * signature), as an interned location id plus an interned signature
  * id. @p flushFree selects the eADR frontier semantics and must match
- * the campaign's persistency model. @p renderKeys fills
- * PruneVerdicts::keys, rendering one signature string per group;
- * without it the walk renders none.
+ * the campaign's persistency model.
  *
  * @throws std::invalid_argument when a planned point is not in @p pre
  * or @p granularity is not a cell size.
  */
 PruneVerdicts computePruneVerdicts(const trace::TraceBuffer &pre,
                                    const std::vector<std::uint32_t> &points,
-                                   unsigned granularity, bool flushFree,
-                                   bool renderKeys = false);
+                                   unsigned granularity, bool flushFree);
 
 /** Multi-line human-readable report (the lint scoreboard). */
 std::string renderText(const LintReport &rep);

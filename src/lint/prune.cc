@@ -56,7 +56,7 @@ struct LocPtrHash
 PruneVerdicts
 computePruneVerdicts(const trace::TraceBuffer &pre,
                      const std::vector<std::uint32_t> &points,
-                     unsigned granularity, bool flushFree, bool renderKeys)
+                     unsigned granularity, bool flushFree)
 {
     PruneVerdicts v;
     if (points.empty())
@@ -77,9 +77,8 @@ computePruneVerdicts(const trace::TraceBuffer &pre,
 
     // Location ids by rendered text (SrcLoc::str(), rendered once per
     // pointer tuple), and (location id, interned signature id) -> group.
-    using LocEntry = std::pair<const std::string, std::uint32_t>;
     std::unordered_map<std::string, std::uint32_t> locByText;
-    std::unordered_map<LocPtr, const LocEntry *, LocPtrHash> locByPtr;
+    std::unordered_map<LocPtr, std::uint32_t, LocPtrHash> locByPtr;
     std::unordered_map<std::uint64_t, std::uint32_t> seen;
     v.group.reserve(points.size());
 
@@ -87,22 +86,19 @@ computePruneVerdicts(const trace::TraceBuffer &pre,
     for (const auto &e : pre) {
         if (e.seq == points[next]) {
             auto [lit, freshPtr] = locByPtr.try_emplace(
-                LocPtr{e.loc.file, e.loc.func, e.loc.line}, nullptr);
+                LocPtr{e.loc.file, e.loc.func, e.loc.line}, 0);
             if (freshPtr) {
                 auto id = static_cast<std::uint32_t>(locByText.size());
-                lit->second = &*locByText.try_emplace(e.loc.str(), id).first;
+                lit->second = locByText.try_emplace(e.loc.str(), id)
+                                  .first->second;
             }
-            const auto &[where, loc] = *lit->second;
             // The failure preempts this entry, so the signature is
             // the state *before* it applies.
-            FrontierSignature sig = st.signature();
             auto [it, fresh] = seen.try_emplace(
-                std::uint64_t{loc} << 32 | sig.id(),
+                std::uint64_t{lit->second} << 32 | st.signature().id(),
                 static_cast<std::uint32_t>(v.kept.size()));
             if (fresh) {
                 v.kept.push_back(e.seq);
-                if (renderKeys)
-                    v.keys.push_back(where + '|' + sig.str());
             } else {
                 v.pruned.push_back(
                     PruneVerdicts::Pruned{e.seq, v.kept[it->second]});

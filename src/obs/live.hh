@@ -25,7 +25,7 @@
  * aligned with external logs.
  *
  * Disabled metrics (the default — campaigns run with telemetry off
- * unless --live/--live-port/--live-jsonl asks for it) cost one
+ * unless --live-port or --live-jsonl asks for it) cost one
  * relaxed atomic load per feed call.
  */
 

@@ -304,16 +304,18 @@ runDifferentialCampaign(pm::PmPool &pool, const core::ProgramFn &pre,
             }
         }
 
-        // Run the point on the detector's sampler stream for its
-        // equivalence group, and hand the oracle the masks the
+        // Run the point on the detector's sampler stream, its
+        // equivalence group id, and hand the oracle the masks the
         // detector's findings were first exposed on, so a verdict
         // exists at every one of them even if enumeration drifts.
+        std::uint64_t stream = 0;
         const std::uint64_t *streamPtr = nullptr;
         std::vector<trace::SubsetMask> detMasks;
         const std::vector<trace::SubsetMask> *extraMasks = nullptr;
         auto reit = readEquivalentAt.find(fp);
         if (csOn) {
-            streamPtr = &groups.streams[groups.groupOf[i]];
+            stream = groups.groupOf[i];
+            streamPtr = &stream;
             auto mit = detectorByFpMask.find(detectorFp);
             if (mit != detectorByFpMask.end()) {
                 for (const auto &[m, classes] : mit->second)

@@ -169,7 +169,7 @@ class CrashStateOracle
      * @p stream (may be null) overrides the sampler stream identity.
      * The oracle defaults to the failure point; the driver's
      * --crash-states mode samples per candidate equivalence class, so
-     * the differential harness passes the driver's class hash here to
+     * the differential harness passes the point's group id here to
      * reproduce the exact detector mask sequence.
      */
     FpOracleResult runFailurePoint(

@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <set>
+#include <vector>
 
 #include "common/logging.hh"
 #include "pmlib/objpool.hh"
@@ -178,17 +179,33 @@ class Impl
 
     RbNode *resolve(pm::PPtr<RbNode> p) { return p.get(rt.pool()); }
 
+    /**
+     * Pre-order walk from @p p, loading each node's fields, its left
+     * subtree, then its right child. The stack is explicit so that a
+     * child-pointer cycle in a crash image runs into the post-trace
+     * cap (a recovery failure) instead of overflowing the host stack.
+     */
     void
     scanNode(pm::PPtr<RbNode> p)
     {
-        if (p.null())
-            return;
-        RbNode *n = resolve(p);
-        (void)rt.load(n->key);
-        (void)rt.load(n->val);
-        (void)rt.load(n->red);
-        scanNode(rt.load(n->left));
-        scanNode(rt.load(n->right));
+        // Nodes whose right child is still to be loaded.
+        std::vector<RbNode *> pending;
+        for (;;) {
+            if (!p.null()) {
+                RbNode *n = resolve(p);
+                (void)rt.load(n->key);
+                (void)rt.load(n->val);
+                (void)rt.load(n->red);
+                pending.push_back(n);
+                p = rt.load(n->left);
+                continue;
+            }
+            if (pending.empty())
+                return;
+            RbNode *n = pending.back();
+            pending.pop_back();
+            p = rt.load(n->right);
+        }
     }
 
     /** TX_ADD a whole node once per transaction. */

@@ -172,30 +172,11 @@ class Campaign
         return *this;
     }
 
-    /**
-     * Enable the static lint pass: "all" or a comma list of rule ids
-     * (XL01..XL08) or names. Reporting only; see lint::runLint.
-     */
-    Campaign &
-    lintRules(const std::string &rules)
-    {
-        cfg.lintRules = rules;
-        return *this;
-    }
-
     /** Elide same-value stores at trace-emit time (default off). */
     Campaign &
     elideSameValueWrites(bool on = true)
     {
         cfg.elideSameValueWrites = on;
-        return *this;
-    }
-
-    /** Feed the live per-second telemetry registry (see --live). */
-    Campaign &
-    live(bool on = true)
-    {
-        cfg.liveTelemetry = on;
         return *this;
     }
 

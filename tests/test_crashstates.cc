@@ -3,8 +3,9 @@
  * Determinism and conformance tier for the --crash-states detection
  * mode: a fixed sampler seed yields byte-identical finding
  * fingerprints serial vs. parallel and across both campaign backends
- * (the sampler stream is keyed by equivalence class, not by
- * schedule); equivalence-class pruning actually skips a substantial
+ * (the sampler stream is the equivalence group's id, not a function of
+ * the schedule or of source paths); equivalence-class pruning actually
+ * skips a substantial
  * share of the enumerated subsets; read-equivalent candidates (same
  * point, same bytes where recovery looked, same commit writes) reuse
  * an execution, and only those; and the oracle re-runs what the
@@ -19,6 +20,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "bugsuite/registry.hh"
 #include "harness.hh"
@@ -95,6 +97,47 @@ TEST(CrashStatesDeterminism, PlantedBugFingerprintStable)
     EXPECT_FALSE(want.empty());
     EXPECT_EQ(want, run("delta", 4));
     EXPECT_EQ(want, run("batched", 1));
+}
+
+/**
+ * A program whose every PM operation names source file @p file: four
+ * iterations of six flushed writes to distinct cells and a fence.
+ */
+core::ProgramFn
+sixCellProgram(const char *file)
+{
+    return [file](PmRuntime &rt) {
+        trace::RoiScope roi(rt);
+        for (std::uint64_t i = 0; i < 4; i++) {
+            for (unsigned c = 0; c < 6; c++) {
+                auto *cell = rt.pool().at<std::uint64_t>((i * 6 + c) * 64);
+                rt.store(*cell, i + 1, {file, 10 + c, "program"});
+                rt.clwb(cell, 8, {file, 20, "program"});
+            }
+            rt.sfence({file, 30, "program"});
+        }
+    };
+}
+
+TEST(CrashStatesDeterminism, SampledMasksIgnoreTheCheckoutPath)
+{
+    // One program under two checkout prefixes samples the same masks.
+    // Recovery reads nothing, so every admitted partial mask is
+    // skipped as read-equivalent, and crashReadEquivalent lists them
+    // in order.
+    auto admitted = [](const char *file) {
+        RunOptions opt;
+        opt.detector.crashStates = "sample:4";
+        core::CampaignResult res = xfdtest::runCampaign(
+            sixCellProgram(file), [](PmRuntime &) {}, opt);
+        std::vector<std::pair<std::uint32_t, std::string>> out;
+        for (const auto &r : res.stats.crashReadEquivalent)
+            out.emplace_back(r.fp, r.mask.toHex());
+        return out;
+    };
+    auto want = admitted("/a/pm_program.cc");
+    EXPECT_FALSE(want.empty());
+    EXPECT_EQ(want, admitted("/a/much/longer/checkout/pm_program.cc"));
 }
 
 TEST(CrashStatesPruning, EquivalenceClassesSkipSubstantialShare)

@@ -3,20 +3,20 @@
  * Interned frontier signatures against the per-byte reference.
  *
  * lint::FrontierState stores cells as coalesced ranges and interns its
- * signature; FrontierSignature::str() must still render the canonical
- * string the per-byte walk produced, byte for byte, and the prune
- * verdicts (hence batch groups, folded points and crash-state stream
- * keys) must not move. This file keeps that per-byte walk as the
+ * signature as an id; equal ids must go with equal canonical strings
+ * of the per-byte walk, and back, and the prune verdicts (hence batch
+ * groups, folded points and the crash-state groups whose ids seed the
+ * sampler) must not move. This file keeps that per-byte walk as the
  * reference and checks it at every planned point of every workload's
  * pre-trace (both persistency models, granularity 1 and 8) and of
  * seeded random traces; the FrontierSigFuzz cases replay one seed via
  * XFD_FUZZ_SEED. A second reference keeps the driver's former
- * per-cursor group derivation (a frontier walk per cursor, the group
- * string and its FNV-1a 64 sampler stream); the plan's groups,
- * representatives and streams (core::groupFailurePoints) must match
- * it on every workload and registry entry. Golden campaign counts
- * recorded before the rework pin the end-to-end effect, and the
- * page-set scans in pm/ are checked against byte-wise references.
+ * per-cursor group derivation (a full-history frontier walk per
+ * cursor, keyed on the location text and signature id); the plan's
+ * groups and representatives (core::groupFailurePoints) must match it
+ * on every workload and registry entry. Golden campaign counts recorded before the rework
+ * pin the end-to-end effect, and the page-set scans in pm/ are
+ * checked against byte-wise references.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +26,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bugsuite/registry.hh"
@@ -279,8 +280,7 @@ class RefFrontier
 /**
  * The string-keyed grouping computePruneVerdicts used to do, given
  * each point's reference signature: one group per distinct
- * (SrcLoc::str(), signature) in first-seen order, keyed
- * SrcLoc::str() + '|' + signature.
+ * (SrcLoc::str(), signature) in first-seen order.
  */
 lint::PruneVerdicts
 refVerdicts(const TraceBuffer &pre, const std::vector<std::uint32_t> &points,
@@ -294,7 +294,6 @@ refVerdicts(const TraceBuffer &pre, const std::vector<std::uint32_t> &points,
             {where, sigs[i]}, static_cast<std::uint32_t>(v.kept.size()));
         if (fresh) {
             v.kept.push_back(points[i]);
-            v.keys.push_back(where + '|' + sigs[i]);
         } else {
             v.pruned.push_back({points[i], v.kept[it->second]});
         }
@@ -304,10 +303,9 @@ refVerdicts(const TraceBuffer &pre, const std::vector<std::uint32_t> &points,
 }
 
 /**
- * At every point of @p points: the interned signature renders the
- * reference string, equal ids mean equal strings (and back), and the
- * prune verdicts (kept, pruned, group ids and rendered keys) match
- * the reference's.
+ * At every point of @p points: equal interned signature ids mean equal
+ * reference strings (and back), and the prune verdicts (kept, pruned
+ * and group ids) match the reference's.
  */
 void
 expectMatchesReference(const TraceBuffer &pre,
@@ -327,7 +325,6 @@ expectMatchesReference(const TraceBuffer &pre,
         if (next < points.size() && e.seq == points[next]) {
             lint::FrontierSignature sig = st.signature();
             std::string want = ref.signature();
-            ASSERT_EQ(sig.str(), want) << "at seq " << e.seq;
             auto [i, freshStr] = idOf.emplace(want, sig.id());
             auto [s, freshId] = strOf.emplace(sig.id(), want);
             EXPECT_EQ(freshStr, freshId) << "at seq " << e.seq;
@@ -342,22 +339,15 @@ expectMatchesReference(const TraceBuffer &pre,
     ASSERT_EQ(next, points.size());
 
     lint::PruneVerdicts want = refVerdicts(pre, points, refSigs);
-    for (bool renderKeys : {false, true}) {
-        SCOPED_TRACE(renderKeys ? "keys rendered" : "no keys");
-        lint::PruneVerdicts got = lint::computePruneVerdicts(
-            pre, points, gran, flushFree, renderKeys);
-        EXPECT_EQ(got.kept, want.kept);
-        ASSERT_EQ(got.pruned.size(), want.pruned.size());
-        for (std::size_t i = 0; i < got.pruned.size(); i++) {
-            EXPECT_EQ(got.pruned[i].fp, want.pruned[i].fp);
-            EXPECT_EQ(got.pruned[i].keptRep, want.pruned[i].keptRep);
-        }
-        EXPECT_EQ(got.group, want.group);
-        if (renderKeys)
-            EXPECT_EQ(got.keys, want.keys);
-        else
-            EXPECT_TRUE(got.keys.empty());
+    lint::PruneVerdicts got =
+        lint::computePruneVerdicts(pre, points, gran, flushFree);
+    EXPECT_EQ(got.kept, want.kept);
+    ASSERT_EQ(got.pruned.size(), want.pruned.size());
+    for (std::size_t i = 0; i < got.pruned.size(); i++) {
+        EXPECT_EQ(got.pruned[i].fp, want.pruned[i].fp);
+        EXPECT_EQ(got.pruned[i].keptRep, want.pruned[i].keptRep);
     }
+    EXPECT_EQ(got.group, want.group);
 }
 
 workloads::WorkloadConfig
@@ -424,16 +414,17 @@ bugCaseTrace(const bugsuite::BugCase &c)
 
 /**
  * The per-cursor group derivation the driver used before groups were
- * fixed at plan time: a lint::FrontierState advanced to each planned
- * point, the group string SrcLoc::str() + '|' + signature().str(), one
- * group per distinct string in first-seen order, and the string's
- * FNV-1a 64 hash as the group's sampler stream.
+ * fixed at plan time: a lint::FrontierState with full persisted
+ * history advanced to each planned point, and one group per distinct
+ * (SrcLoc::str(), signature id) in first-seen order. The ids stand
+ * for RefFrontier's strings, which expectMatchesReference checks on
+ * every workload and random trace; rendering those per cursor would
+ * cost seconds per wal registry case (about 80 KB per point).
  */
 struct RefGroups
 {
     std::vector<std::uint32_t> groupOf;
     std::vector<std::uint32_t> reps;
-    std::vector<std::uint64_t> streams;
 };
 
 RefGroups
@@ -443,21 +434,16 @@ refCursorGroups(const TraceBuffer &pre,
 {
     RefGroups r;
     lint::FrontierState st(gran, flushFree);
-    std::map<std::string, std::uint32_t> ids;
+    std::map<std::pair<std::string, std::uint32_t>, std::uint32_t> ids;
     std::uint32_t cursor = 0;
     for (std::uint32_t fp : points) {
         for (; cursor < fp; cursor++)
             st.apply(pre[cursor]);
-        std::string key = pre[fp].loc.str() + '|' + st.signature().str();
         auto [it, fresh] = ids.try_emplace(
-            key, static_cast<std::uint32_t>(r.reps.size()));
-        if (fresh) {
+            {pre[fp].loc.str(), st.signature().id()},
+            static_cast<std::uint32_t>(r.reps.size()));
+        if (fresh)
             r.reps.push_back(fp);
-            std::uint64_t h = 1469598103934665603ull;
-            for (char ch : key)
-                h = (h ^ static_cast<unsigned char>(ch)) * 1099511628211ull;
-            r.streams.push_back(h);
-        }
         r.groupOf.push_back(it->second);
     }
     return r;
@@ -465,9 +451,8 @@ refCursorGroups(const TraceBuffer &pre,
 
 /**
  * The plan's groups under @p dcfg with --crash-states on against the
- * per-cursor reference: the same partition and representatives,
- * planBatches' schedule the same groups, and under clwb the same
- * sampler streams. Under eADR the plan renders no stream.
+ * per-cursor reference: the same partition and representatives, and
+ * planBatches' schedule the same groups.
  */
 void
 expectGroupsMatchCursorReference(const TraceBuffer &pre,
@@ -500,10 +485,6 @@ expectGroupsMatchCursorReference(const TraceBuffer &pre,
     core::PointGroups got = core::groupFailurePoints(pre, points, dcfg);
     EXPECT_EQ(got.groupOf, want.groupOf);
     expectSchedule(got.batches);
-    if (dcfg.eadrOn())
-        EXPECT_TRUE(got.streams.empty());
-    else
-        EXPECT_EQ(got.streams, want.streams);
     expectSchedule(core::planBatches(pre, points, dcfg.granularity,
                                      dcfg.eadrOn()));
 }
@@ -527,12 +508,10 @@ TEST(FrontierSig, MatchesReferenceOnEveryWorkload)
                     expectGroupsMatchCursorReference(pre, points, dcfg,
                                                      what);
                 }
-                // Batched planning alone renders no signature string.
                 dcfg.backend = "batched";
                 core::PointGroups batched =
                     core::groupFailurePoints(pre, points, dcfg);
                 EXPECT_EQ(batched.batches.totalPoints(), points.size());
-                EXPECT_TRUE(batched.streams.empty()) << what;
             }
         }
     }
@@ -604,7 +583,6 @@ TEST(FrontierSig, AdjacentEqualCellsSignAlike)
     ASSERT_EQ(sigs.size(), 2u);
     EXPECT_EQ(sigs[0].id(), sigs[1].id());
     EXPECT_TRUE(sigs[0] == sigs[1]);
-    EXPECT_EQ(&sigs[0].str(), &sigs[1].str()) << "rendered once";
     expectMatchesReference(t.buf, {first, second}, 1, false, "adjacent");
 }
 

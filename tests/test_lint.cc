@@ -365,13 +365,8 @@ TEST(LintPrune, IdenticalIterationsPrune)
     for (const auto &p : v.pruned)
         EXPECT_EQ(p.keptRep, points.front());
     EXPECT_DOUBLE_EQ(v.pruneRatio(), 0.75);
-    // One group: every point carries its id, and no key is rendered
-    // unless asked for.
+    // One group: every point carries its id.
     EXPECT_EQ(v.group, std::vector<std::uint32_t>(4, 0));
-    EXPECT_TRUE(v.keys.empty());
-    v = lint::computePruneVerdicts(buf, points, 1, false, true);
-    ASSERT_EQ(v.keys.size(), 1u);
-    EXPECT_EQ(v.keys[0].rfind(buf[points[0]].loc.str() + '|', 0), 0u);
 }
 
 TEST(LintPrune, DistinctWriterLinesAreKept)

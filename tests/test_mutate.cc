@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "harness.hh"
 #include "mutate/campaign.hh"
@@ -31,15 +32,14 @@ opIdx(MutationOp op)
     return static_cast<std::size_t>(op);
 }
 
-/** Mutation campaign over the bug-free btree workload. */
+/** Mutation campaign over the bug-free workload @p name. */
 mutate::MutationConfig
-btreeConfig(const mutate::PerOp<bool> &ops, unsigned threads = 1)
+workloadConfig(const std::string &name,
+               const workloads::WorkloadConfig &wcfg,
+               const mutate::PerOp<bool> &ops, unsigned threads = 1)
 {
-    workloads::WorkloadConfig wcfg;
-    wcfg.initOps = 5;
-    wcfg.testOps = 5;
     std::shared_ptr<workloads::Workload> w =
-        workloads::makeWorkload("btree", wcfg);
+        workloads::makeWorkload(name, wcfg);
 
     mutate::MutationConfig cfg;
     cfg.pre = [w](PmRuntime &rt) { w->pre(rt); };
@@ -48,6 +48,16 @@ btreeConfig(const mutate::PerOp<bool> &ops, unsigned threads = 1)
     cfg.threads = threads;
     cfg.ops = ops;
     return cfg;
+}
+
+/** Mutation campaign over the bug-free btree workload. */
+mutate::MutationConfig
+btreeConfig(const mutate::PerOp<bool> &ops, unsigned threads = 1)
+{
+    workloads::WorkloadConfig wcfg;
+    wcfg.initOps = 5;
+    wcfg.testOps = 5;
+    return workloadConfig("btree", wcfg, ops, threads);
 }
 
 mutate::PerOp<bool>
@@ -125,6 +135,30 @@ TEST(MutationCampaign, SerialAndParallelScoresAgree)
                   par.perOp[op].falsePositives);
     }
     EXPECT_EQ(serial.baselineFindings, par.baselineFindings);
+}
+
+/**
+ * Skipped and stale transaction backups leave rbtree crash images
+ * whose child pointers form a cycle. Recovery's scan must end such a
+ * walk at the post-trace cap, as a recovery failure of that mutant,
+ * instead of overflowing the host stack and ending the campaign.
+ */
+TEST(MutationCampaign, CyclicRbtreeImagesAreScored)
+{
+    workloads::WorkloadConfig wcfg;
+    wcfg.initOps = 5;
+    wcfg.testOps = 10;
+    wcfg.postOps = 1;
+    mutate::PerOp<bool> ops{};
+    ops[opIdx(MutationOp::SkipTxAdd)] = true;
+    ops[opIdx(MutationOp::StaleBackup)] = true;
+    auto rep = mutate::runMutationCampaign(
+        workloadConfig("rbtree", wcfg, ops));
+
+    EXPECT_EQ(rep.baselineFindings, 0u) << rep.baseline.summary();
+    EXPECT_GT(rep.aggregate.mutants, 0u);
+    EXPECT_EQ(rep.outcomes.size(), rep.aggregate.mutants);
+    EXPECT_DOUBLE_EQ(rep.aggregate.recall(), 1.0) << rep.scoreboard();
 }
 
 TEST(MutationCampaign, PerOpCapIsDeterministicAndHonored)

@@ -19,9 +19,11 @@
  *   xfdetect --workload hashmap_tx --baseline     # pre-failure only
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -146,6 +148,20 @@ main(int argc, char **argv)
         }
         return argv[++i];
     };
+    // The detector flags' numeric rule: base-10 digits within the
+    // field's range, or exit 2 naming the flag.
+    auto number = [](const char *flag, const char *value,
+                     unsigned long long max) {
+        unsigned long long v = 0;
+        std::string err = core::parseFlagNumber(flag, value, max, v);
+        if (!err.empty()) {
+            std::fprintf(stderr, "%s\n", err.c_str());
+            std::exit(2);
+        }
+        return v;
+    };
+    constexpr unsigned long long uintMax =
+        std::numeric_limits<unsigned>::max();
 
     for (int i = 1; i < argc; i++) {
         const char *a = argv[i];
@@ -177,16 +193,14 @@ main(int argc, char **argv)
         } else if (!std::strcmp(n, "--workload")) {
             workload = val();
         } else if (!std::strcmp(n, "--init")) {
-            cfg.initOps = static_cast<unsigned>(
-                std::strtoul(val(), nullptr, 10));
+            cfg.initOps = static_cast<unsigned>(number(n, val(), uintMax));
         } else if (!std::strcmp(n, "--test")) {
-            cfg.testOps = static_cast<unsigned>(
-                std::strtoul(val(), nullptr, 10));
+            cfg.testOps = static_cast<unsigned>(number(n, val(), uintMax));
         } else if (!std::strcmp(n, "--post")) {
-            cfg.postOps = static_cast<unsigned>(
-                std::strtoul(val(), nullptr, 10));
+            cfg.postOps = static_cast<unsigned>(number(n, val(), uintMax));
         } else if (!std::strcmp(n, "--seed")) {
-            cfg.seed = std::strtoull(val(), nullptr, 10);
+            cfg.seed = number(n, val(),
+                              std::numeric_limits<std::uint64_t>::max());
         } else if (!std::strcmp(n, "--bug")) {
             cfg.bugs.enable(val());
         } else if (!std::strcmp(a, "--roi-from-start")) {
@@ -194,8 +208,7 @@ main(int argc, char **argv)
         } else if (!std::strcmp(a, "--baseline")) {
             baseline = true;
         } else if (!std::strcmp(n, "--threads")) {
-            threads = static_cast<unsigned>(
-                std::strtoul(val(), nullptr, 10));
+            threads = static_cast<unsigned>(number(n, val(), uintMax));
         } else if (!std::strcmp(n, "--dump-pre-trace")) {
             dump_trace_path = val();
         } else if (!std::strcmp(n, "--analyze-trace")) {
@@ -433,7 +446,7 @@ main(int argc, char **argv)
         live_session =
             std::make_unique<obs::LiveSession>(obs.live, lopt);
         if (!live_session->ok()) {
-            std::fprintf(stderr, "--live: %s\n",
+            std::fprintf(stderr, "live telemetry: %s\n",
                          live_session->error().c_str());
             return 2;
         }
