@@ -12,11 +12,14 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <string>
+#include <thread>
 
 #include "common/logging.hh"
 #include "obs/json.hh"
@@ -146,9 +149,45 @@ benchJsonPath(const std::string &name)
 }
 
 /**
- * Write BENCH_<name>.json: a "xfd-bench-v1" envelope whose body
- * (everything besides schema/bench) @p body emits into the open
- * top-level object.
+ * What the numbers were measured with: the source commit (git
+ * describe of the checkout the binary was built from, "-dirty" with
+ * uncommitted changes, "unknown" outside a checkout), the CMake build
+ * type ("none" when unset), the compiler, the CPU count and the pool
+ * size of the bench campaigns.
+ */
+inline void
+writeStamp(obs::JsonWriter &w)
+{
+    std::string commit = "unknown";
+    std::string cmd = std::string("git -C '") + XFD_SOURCE_DIR +
+                      "' describe --always --dirty --abbrev=12 2>/dev/null";
+    if (FILE *git = popen(cmd.c_str(), "r")) {
+        char line[128];
+        if (std::fgets(line, sizeof line, git) && line[0] != '\n')
+            commit = std::string(line, std::strcspn(line, "\n"));
+        pclose(git);
+    }
+    std::string build_type = XFD_BENCH_BUILD_TYPE;
+#ifdef __clang__
+    std::string compiler = std::string("clang-") + __clang_version__;
+#else
+    std::string compiler = std::string("gcc-") + __VERSION__;
+#endif
+    std::replace(compiler.begin(), compiler.end(), ' ', '_');
+    w.key("stamp").beginObject();
+    w.field("commit", commit);
+    w.field("build_type", build_type.empty() ? "none" : build_type);
+    w.field("compiler", compiler);
+    w.field("nproc", static_cast<std::uint64_t>(
+                         std::thread::hardware_concurrency()));
+    w.field("pool_bytes", static_cast<std::uint64_t>(benchPoolSize));
+    w.endObject();
+}
+
+/**
+ * Write BENCH_<name>.json: a "xfd-bench-v1" envelope, stamped
+ * (writeStamp), whose body (everything besides schema/bench/stamp)
+ * @p body emits into the open top-level object.
  */
 inline void
 writeBenchJson(const std::string &name,
@@ -164,6 +203,7 @@ writeBenchJson(const std::string &name,
     w.beginObject();
     w.field("schema", "xfd-bench-v1");
     w.field("bench", name);
+    writeStamp(w);
     body(w);
     w.endObject();
     out << '\n';

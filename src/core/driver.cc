@@ -81,11 +81,10 @@ frontierOf(const ShadowPM &shadow, CampaignStats &stats)
 
 Driver::PreCursor::PreCursor(AddrRange range,
                              const DetectorConfig &cfg,
-                             const pm::CowImage &initial,
-                             bool explore)
-    : shadow(range, cfg, explore), image(initial)
+                             const pm::CowImage &initial)
+    : shadow(range, cfg, true), image(initial)
 {
-    if (explore && (cfg.crashStatesOn() || cfg.crashImageMode)) {
+    if (cfg.crashStatesOn() || cfg.crashImageMode) {
         durable = initial;
         shadow.reportDecided(&decided);
     }
@@ -333,7 +332,7 @@ Driver::runBaseline(const ProgramFn &pre, bool traced)
 
 void
 Driver::advance(PreCursor &cur, const trace::TraceBuffer &pre,
-                std::uint32_t to, BugSink *perf_sink)
+                std::uint32_t to)
 {
     using trace::Op;
 
@@ -363,15 +362,14 @@ Driver::advance(PreCursor &cur, const trace::TraceBuffer &pre,
           case Op::Clflush:
             if (shadow.preFlush(e.addr, e.seq,
                                 e.has(trace::flagRepair)) &&
-                detectable &&
-                perf_sink && cfg.reportPerformanceBugs) {
+                detectable && cfg.reportPerformanceBugs) {
                 BugReport r;
                 r.type = BugType::Performance;
                 r.addr = e.addr;
                 r.size = e.size;
                 r.reader = e.loc;
                 r.note = "redundant writeback: no modified data in line";
-                perf_sink->report(std::move(r));
+                cur.perf.report(std::move(r));
             }
             break;
           case Op::Sfence:
@@ -399,15 +397,14 @@ Driver::advance(PreCursor &cur, const trace::TraceBuffer &pre,
                     break;
                 }
             }
-            if (duplicate && detectable && perf_sink &&
-                cfg.reportPerformanceBugs) {
+            if (duplicate && detectable && cfg.reportPerformanceBugs) {
                 BugReport br;
                 br.type = BugType::Performance;
                 br.addr = e.addr;
                 br.size = e.size;
                 br.reader = e.loc;
                 br.note = "duplicated TX_ADD of the same PM object";
-                perf_sink->report(std::move(br));
+                cur.perf.report(std::move(br));
             }
             if (!duplicate)
                 cur.openTxAdds.push_back(r);
@@ -521,11 +518,9 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
     {
         obs::ScopedPhase timer(&stats.phases, obs::Phase::Restore, sinks,
                                "reconstruct", "backend");
-        // Performance bugs are collected by the dedicated full-trace
-        // advance, not here (workers would double-report them).
         {
             obs::SpanScope s2(tl, "advance", "backend", track);
-            advance(cur, pre, fp, nullptr);
+            advance(cur, pre, fp);
         }
         obs::SpanScope s3(tl, "restore-pool", "backend", track);
         restoreAnchor(cur, exec_pool, cur.image, fp, stats.restore);
@@ -536,24 +531,27 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
     // This point's write frontier: the in-flight (not durably
     // persisted) write seqs as of fp, ascending — the causal
     // candidates for anything the post-failure stage trips over, and
-    // the bit order of every candidate mask.
-    CellFrontier cf = frontierOf(cur.shadow, stats);
+    // the bit order of every candidate mask. Without a crash-state
+    // mode only findings read it: runCandidate builds it for them.
+    std::optional<CellFrontier> cf;
+    if (csCtx || cfg.crashImageMode)
+        cf = frontierOf(cur.shadow, stats);
 
     std::vector<trace::SubsetMask> masks;
     if (csCtx)
-        masks = planCrashStates(pre, fp, group, cf, stats);
+        masks = planCrashStates(pre, fp, group, *cf, stats);
     // Executed candidates are kept for reuse only while partial masks
     // remain to compare against them.
     std::optional<PointCandidates> kept;
     if (!masks.empty()) {
         obs::ScopedPhase timer(&stats.phases, obs::Phase::Plan);
         timer.setCount(0);
-        kept.emplace(cur.shadow, cf, pre);
+        kept.emplace(cur.shadow, *cf, pre);
     }
 
     // The point's own candidate: the paper's footnote-3 image (every
     // frontier write persisted), or under --crash-image none of them.
-    trace::SubsetMask own(cf.seqs.size());
+    trace::SubsetMask own(cf ? cf->seqs.size() : 0);
     if (!cfg.crashImageMode)
         own.setAll();
     PointCandidates *point = kept ? &*kept : nullptr;
@@ -571,7 +569,7 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
                                : std::string(),
                             "crash-states", track);
         for (std::size_t i = 0; i < masks.size(); i++) {
-            if (reuseCandidate(cur, exec_pool, pre, post, fp, cf,
+            if (reuseCandidate(cur, exec_pool, pre, post, fp, *cf,
                                masks[i], *kept, local, stats, sinks))
                 continue;
             stats.crashStatesExplored++;
@@ -610,7 +608,7 @@ Driver::restoreAnchor(PreCursor &cur, pm::PmPool &exec_pool,
 void
 Driver::runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
                      const trace::TraceBuffer &pre, const ProgramFn &post,
-                     std::uint32_t fp, const CellFrontier &cf,
+                     std::uint32_t fp, std::optional<CellFrontier> &cf,
                      const trace::SubsetMask &mask, BugSink &sink,
                      CampaignStats &stats, const obs::PhaseSinks &sinks,
                      PointCandidates *point, bool keep)
@@ -624,7 +622,7 @@ Driver::runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
     if (!mask.all()) {
         obs::ScopedPhase timer(&stats.phases, obs::Phase::Restore,
                                {nullptr, 0, sinks.live});
-        restoreCandidate(cur, exec_pool, pre, fp, cf, mask,
+        restoreCandidate(cur, exec_pool, pre, fp, *cf, mask,
                          stats.restore);
         // Any other partial mask is a --crash-states candidate, whose
         // point always comes with its commit bits.
@@ -660,12 +658,24 @@ Driver::runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
     replayPost(cur, pre, cur.post.trace, fp, cand, suppress_semantic);
 
     // Provenance: the point's frontier, plus which of its writes this
-    // candidate image contained.
-    cand.annotate([&](BugReport &b) {
-        b.frontierSeqs = cf.seqs;
-        b.persistedMask = mask;
-    });
-    recordFindings(sinks, fp, cf.seqs, mask, cand);
+    // candidate image contained. A frontier built here is the anchor's
+    // (classification leaves the open runs as they were), so every
+    // write is in.
+    if (!cand.empty()) {
+        trace::SubsetMask anchor;
+        const trace::SubsetMask *m = &mask;
+        if (!cf) {
+            cf = cur.shadow.frontier();
+            anchor = trace::SubsetMask(cf->seqs.size());
+            anchor.setAll();
+            m = &anchor;
+        }
+        cand.annotate([&](BugReport &b) {
+            b.frontierSeqs = cf->seqs;
+            b.persistedMask = *m;
+        });
+        recordFindings(sinks, fp, cf->seqs, *m, cand);
+    }
     sink.merge(cand);
     if (keep) {
         PointCandidates::Executed &e = point->executed.emplace_back();
@@ -888,6 +898,8 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
     result.runConfig = cfg;
     result.stats.threads = threads;
 
+    // Left set by a run that a pre-failure stage threw out of.
+    csCtx = nullptr;
     CrashStateCtx cs_ctx;
     if (cfg.crashStatesOn()) {
         std::size_t n = 0;
@@ -1044,7 +1056,7 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
     std::deque<CampaignStats> stats(threads);
     std::deque<PreCursor> cursors;
     for (unsigned t = 0; t < threads; t++) {
-        cursors.emplace_back(pool.range(), cfg, initial, true);
+        cursors.emplace_back(pool.range(), cfg, initial);
         cursors.back().pendingPages = sync_pages;
     }
 
@@ -1158,33 +1170,38 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
         result.stats.merge(std::move(worker_stats));
     csCtx = nullptr;
 
-    // Performance bugs come from one full pre-trace replay, and so do
-    // the FSM counters: this cursor covers the whole trace exactly
-    // once, so serial and parallel campaigns count identical values.
+    // Every cursor started at entry 0 and only moved forward, so the
+    // one that got furthest (the lowest on ties) has applied each
+    // entry it passed exactly once. Advanced to the end of the trace,
+    // it reports the performance bugs and counts the FSM edges of the
+    // whole trace once, serial or threaded, and holds the final
+    // pre-failure image. The advance is an uncounted restore interval.
+    PreCursor &last = *std::max_element(
+        cursors.begin(), cursors.end(),
+        [](const PreCursor &a, const PreCursor &b) {
+            return a.cursor < b.cursor;
+        });
     {
-        PreCursor full(pool.range(), cfg, initial, false);
-        {
-            // Not a per-point classify: no live feed.
-            obs::ScopedPhase timer(&phases, obs::Phase::Classify, {tl},
-                                   "perf-scan");
-            advance(full, pre_trace, trace_end, &merged);
-        }
-        // The pool is left holding the final pre-failure image. Worker
-        // replicas leave it untouched since the pre-failure stage; a
-        // serial campaign ran on it, and one more anchor restore of
-        // cursor 0, to the end of the trace, returns it. The restore
-        // is an uncounted interval outside the restore counters.
-        if (threads == 1) {
-            obs::ScopedPhase timer(&phases, obs::Phase::Restore, {tl},
-                                   "restore-final-image");
-            timer.setCount(0);
-            pm::DeltaRestoreStats uncounted;
-            restoreAnchor(cursors[0], pool, full.image, trace_end,
-                          uncounted);
-        }
-        validatePool(full.image, pool, "final pool image", trace_end);
-        result.stats.shadowFsm = full.shadow.fsmCounters();
+        obs::ScopedPhase timer(&phases, obs::Phase::Restore, {tl},
+                               "advance-to-end");
+        timer.setCount(0);
+        advance(last, pre_trace, trace_end);
     }
+    merged.merge(last.perf);
+    result.stats.shadowFsm = last.shadow.fsmCounters();
+    // The pool is left holding the final pre-failure image. Worker
+    // replicas leave it untouched since the pre-failure stage; a
+    // serial campaign ran on it, and one more anchor restore of its
+    // cursor, to the end of the trace, returns it. The restore is an
+    // uncounted interval outside the restore counters.
+    if (threads == 1) {
+        obs::ScopedPhase timer(&phases, obs::Phase::Restore, {tl},
+                               "restore-final-image");
+        timer.setCount(0);
+        pm::DeltaRestoreStats uncounted;
+        restoreAnchor(last, pool, last.image, trace_end, uncounted);
+    }
+    validatePool(last.image, pool, "final pool image", trace_end);
     deltaStore = nullptr;
 
     result.bugs = merged.bugs();

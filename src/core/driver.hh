@@ -126,8 +126,8 @@ struct CampaignStats
     std::size_t checksSkipped = 0;
     /**
      * Shadow-PM persistence-FSM edge counts (paper Fig. 9) of the
-     * perf-scan replay, the one cursor that covers the whole
-     * pre-failure trace exactly once: serial and threaded campaigns
+     * cursor that reaches the end of the pre-failure trace, which
+     * covers every entry exactly once: serial and threaded campaigns
      * count the same.
      */
     ShadowFsmCounters shadowFsm;
@@ -342,14 +342,13 @@ class Driver
         /**
          * @p initial is the shared campaign-start snapshot; both
          * images fork it (O(pages) pointer copies — pages physically
-         * split only as writes land). @p explore keeps the shadow's
-         * write tails (finding provenance), plus the durable image
-         * when the campaign runs candidates other than the anchor
-         * (--crash-states, --crash-image); the end-of-campaign perf
-         * scan needs neither.
+         * split only as writes land). The shadow keeps write tails
+         * (finding provenance), and the durable image is kept when
+         * the campaign runs candidates other than the anchor
+         * (--crash-states, --crash-image).
          */
         PreCursor(AddrRange range, const DetectorConfig &cfg,
-                  const pm::CowImage &initial, bool explore);
+                  const pm::CowImage &initial);
         /** The shadow reports into decided, so the cursor stays put. */
         PreCursor(const PreCursor &) = delete;
         PreCursor &operator=(const PreCursor &) = delete;
@@ -372,6 +371,8 @@ class Driver
         std::uint32_t cursor = 0;
         /** TX_ADD ranges of the open transaction (perf bugs). */
         std::vector<AddrRange> openTxAdds;
+        /** Performance bugs of the entries applied so far. */
+        BugSink perf;
         /** Post-failure execution, reused (cleared) by every one. */
         RecoveryRun post;
 
@@ -390,11 +391,11 @@ class Driver
 
     /**
      * Advance the cursor's shadow PM and images over pre-trace
-     * entries up to @p to, decoding each entry once.
-     * @param perf_sink when non-null, performance bugs are reported
+     * entries up to @p to, decoding each entry once and reporting
+     * performance bugs into cur.perf.
      */
     void advance(PreCursor &cur, const trace::TraceBuffer &pre,
-                 std::uint32_t to, BugSink *perf_sink);
+                 std::uint32_t to);
 
     /**
      * The candidates of the failure point in flight that later masks
@@ -474,15 +475,17 @@ class Driver
      * other mask materializes over the durable image first. Runs
      * recovery into cur.post (a recovery abort or wild PM access is
      * a finding), classifies the trace, annotates the findings with
-     * (cf.seqs, mask) and merges them into @p sink. @p point is the
-     * point's candidates under --crash-states (null otherwise): its
-     * commit bits decide semantic suppression, and with @p keep the
+     * (cf.seqs, mask) and merges them into @p sink. An empty @p cf
+     * (no crash-state mode) is built only for findings, which then
+     * carry the all-ones mask of its size. @p point is the point's
+     * candidates under --crash-states (null otherwise): its commit
+     * bits decide semantic suppression, and with @p keep the
      * candidate joins its executed list with the bits recovery read.
      */
     void runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
                       const trace::TraceBuffer &pre,
                       const ProgramFn &post, std::uint32_t fp,
-                      const CellFrontier &cf,
+                      std::optional<CellFrontier> &cf,
                       const trace::SubsetMask &mask, BugSink &sink,
                       CampaignStats &stats, const obs::PhaseSinks &sinks,
                       PointCandidates *point, bool keep);

@@ -1,12 +1,40 @@
 #include "core/shadow_pm.hh"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "common/logging.hh"
 
 namespace xfd::core
 {
+
+namespace
+{
+
+/** Bits [lo, hi) of a word, 0 <= lo < hi <= 64. */
+constexpr std::uint64_t
+bitRange(std::uint64_t lo, std::uint64_t hi)
+{
+    return (hi == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << hi) - 1) &
+           (~std::uint64_t{0} << lo);
+}
+
+/** Set (or clear) bits [first, first + n) of @p words. */
+void
+assignBits(std::uint64_t *words, std::uint64_t first, std::uint64_t n,
+           bool on)
+{
+    for (std::uint64_t i = first, end = first + n; i < end;) {
+        std::uint64_t w = i / 64;
+        std::uint64_t hi = std::min(end, w * 64 + 64);
+        std::uint64_t m = bitRange(i % 64, hi - w * 64);
+        words[w] = on ? words[w] | m : words[w] & ~m;
+        i = hi;
+    }
+}
+
+} // namespace
 
 const char *
 persistStateName(PersistState s)
@@ -28,6 +56,7 @@ ShadowPM::ShadowPM(AddrRange pool, const DetectorConfig &c, bool t)
         throw std::invalid_argument("shadow granularity must be 1, 2, 4 or 8");
     cellTotal = (pool.size() + gran - 1) / gran;
     pages.resize((cellTotal + cellsPerPage - 1) / cellsPerPage);
+    postPages.resize(pages.size());
 }
 
 std::pair<std::uint64_t, std::uint64_t>
@@ -63,7 +92,7 @@ const ShadowPM::Cell *
 ShadowPM::findCell(std::uint64_t idx) const
 {
     const Page *pg = findPage(idx);
-    return pg ? &(*pg)[idx % cellsPerPage] : nullptr;
+    return pg ? &pg->cells[idx % cellsPerPage] : nullptr;
 }
 
 ShadowPM::PostPage &
@@ -72,6 +101,11 @@ ShadowPM::postPageAt(std::uint64_t idx)
     auto &page = postPages[idx / cellsPerPage];
     if (!page)
         page = std::make_unique<PostPage>();
+    if (page->epoch != postEpoch) {
+        page->epoch = postEpoch;
+        page->overwritten.fill(0);
+        page->checked.fill(0);
+    }
     return *page;
 }
 
@@ -95,7 +129,7 @@ ShadowPM::preWrite(Addr a, std::size_t n, std::uint32_t seq,
         std::uint64_t run = std::min(end - idx, cellsPerPage - off);
         Page &pg = pageAt(idx);
         for (std::uint64_t i = 0; i < run; i++) {
-            Cell &c = pg[off + i];
+            Cell &c = pg.cells[off + i];
             noteEdge(c.ps, to);
             c.ps = to;
             c.flags &= static_cast<std::uint8_t>(~cellUninit);
@@ -104,6 +138,7 @@ ShadowPM::preWrite(Addr a, std::size_t n, std::uint32_t seq,
             if (non_temporal && !eadr)
                 pendingCells.push_back(idx + i);
         }
+        assignBits(pg.clean.data(), off, run, to == PersistState::Persisted);
         idx += run;
     }
     // Under eADR the write is durable on arrival: no tail opens.
@@ -142,7 +177,7 @@ ShadowPM::preFlush(Addr line, std::uint32_t seq, bool repair)
         std::uint64_t run = std::min(end - idx, cellsPerPage - off);
         if (const Page *pg = findPage(idx)) {
             for (std::uint64_t i = 0; i < run; i++) {
-                if ((*pg)[off + i].ps == PersistState::Modified) {
+                if (pg->cells[off + i].ps == PersistState::Modified) {
                     any_modified = true;
                     break;
                 }
@@ -171,7 +206,7 @@ ShadowPM::preFlush(Addr line, std::uint32_t seq, bool repair)
         std::uint64_t run = std::min(end - idx, cellsPerPage - off);
         if (Page *pg = findPage(idx)) {
             for (std::uint64_t i = 0; i < run; i++) {
-                Cell &c = (*pg)[off + i];
+                Cell &c = pg->cells[off + i];
                 if (c.ps == PersistState::Modified) {
                     noteEdge(PersistState::Modified,
                              PersistState::WritebackPending);
@@ -208,11 +243,13 @@ ShadowPM::preFence()
             cached_pg = idx / cellsPerPage;
             pg = &pageAt(idx);
         }
-        Cell &c = (*pg)[idx % cellsPerPage];
+        std::uint64_t off = idx % cellsPerPage;
+        Cell &c = pg->cells[off];
         if (c.ps != PersistState::WritebackPending)
             continue;
         noteEdge(PersistState::WritebackPending, PersistState::Persisted);
         c.ps = PersistState::Persisted;
+        assignBits(pg->clean.data(), off, 1, !(c.flags & cellUninit));
         retired = true;
         if (!tails)
             continue;
@@ -244,8 +281,9 @@ ShadowPM::preAlloc(Addr a, std::size_t n, std::uint32_t seq)
         std::uint64_t off = idx % cellsPerPage;
         std::uint64_t run = std::min(end - idx, cellsPerPage - off);
         Page &pg = pageAt(idx);
+        assignBits(pg.clean.data(), off, run, false);
         for (std::uint64_t i = 0; i < run; i++) {
-            Cell &c = pg[off + i];
+            Cell &c = pg.cells[off + i];
             // Freshly allocated cells hold no guaranteed contents: the
             // pre-failure program "creates an unmodified PM location
             // that is read by the post-failure execution" (§6.3.2
@@ -276,10 +314,11 @@ ShadowPM::preFree(Addr a, std::size_t n)
         // than materializing a page just to reset it.
         if (Page *pg = findPage(idx)) {
             for (std::uint64_t i = 0; i < run; i++) {
-                Cell &c = (*pg)[off + i];
+                Cell &c = pg->cells[off + i];
                 noteEdge(c.ps, PersistState::Unmodified);
                 c = Cell{};
             }
+            assignBits(pg->clean.data(), off, run, true);
         }
         idx += run;
     }
@@ -454,14 +493,41 @@ ShadowPM::coveringVar(Addr a) const
     return nullptr;
 }
 
-bool
-ShadowPM::isCommitVarAddr(Addr a) const
+std::uint64_t
+ShadowPM::cellsIn(AddrRange r, std::uint64_t w) const
 {
+    // Cell i lies in r iff its address does: i is in [up(r.begin),
+    // up(r.end)), with up() rounding an address up to a cell index.
+    auto up = [&](Addr x) -> std::uint64_t {
+        Addr off = x <= poolRange.begin ? 0 : x - poolRange.begin;
+        return off / gran + (off % gran != 0);
+    };
+    std::uint64_t lo = std::max(up(r.begin), w * 64);
+    std::uint64_t hi = std::min(up(r.end), w * 64 + 64);
+    return lo < hi ? bitRange(lo - w * 64, hi - w * 64) : 0;
+}
+
+std::uint64_t
+ShadowPM::commitVarCells(std::uint64_t w) const
+{
+    std::uint64_t m = 0;
+    for (const auto &cv : commitVars)
+        m |= cellsIn(cv.var, w);
+    return m;
+}
+
+std::uint64_t
+ShadowPM::governedCells(std::uint64_t w) const
+{
+    // The default cover of coveringVar().
+    if (commitVars.size() == 1 && commitVars.front().ranges.empty())
+        return ~std::uint64_t{0};
+    std::uint64_t m = 0;
     for (const auto &cv : commitVars) {
-        if (cv.var.contains(a))
-            return true;
+        for (const auto &r : cv.ranges)
+            m |= cellsIn(r, w);
     }
-    return false;
+    return m;
 }
 
 bool
@@ -475,7 +541,7 @@ ShadowPM::consistentUnder(const Cell &c, const CommitVar &var) const
 void
 ShadowPM::beginPostReplay()
 {
-    postPages.clear();
+    postEpoch++;
     savedCommitVars = commitVars;
     inPostReplay = true;
 }
@@ -493,115 +559,89 @@ ShadowPM::endPostReplay()
 void
 ShadowPM::postWrite(Addr a, std::size_t n)
 {
-    if (n == 0)
-        return;
-    std::uint64_t idx = cellIndex(a);
-    std::uint64_t end = idx + cellCount(a, n);
+    auto [idx, end] = cellSpan(a, n);
     while (idx < end) {
         std::uint64_t off = idx % cellsPerPage;
         std::uint64_t run = std::min(end - idx, cellsPerPage - off);
-        PostPage &page = postPageAt(idx);
-        for (std::uint64_t i = 0; i < run; i++)
-            page[off + i] |= postOverwritten;
+        assignBits(postPageAt(idx).overwritten.data(), off, run, true);
         idx += run;
     }
+}
+
+bool
+ShadowPM::offends(const Cell &c, Addr addr, ReadCheckResult &res) const
+{
+    // Untouched pre-failure: initial data, consistent.
+    if (c.ps == PersistState::Unmodified)
+        return false;
+    const CommitVar *var = coveringVar(addr);
+    bool persisted = c.ps == PersistState::Persisted;
+    if (c.flags & cellUninit) {
+        // Allocated but never explicitly written by the program:
+        // implicit allocator zeroing (even persisted) is not
+        // initialization the program may rely on (§6.3.2 bug 2).
+        res.uninitialized = true;
+        res.verdict = ReadCheck::Race;
+    } else if (var && consistentUnder(c, *var) &&
+               !(cfg.strictPersistCheck && !persisted)) {
+        // Check consistency first: "reading a consistent location is
+        // certainly bug-free" (§5.4) — unless the strict extension is
+        // enabled, which additionally requires persistence.
+        return false;
+    } else if (!persisted) {
+        res.verdict = ReadCheck::Race;
+    } else if (var) {
+        // Stale: last modified before even the pre-last commit
+        // write; uncommitted: modified at/after the last one.
+        res.stale = c.tlast < var->tprelast;
+        res.verdict = ReadCheck::SemanticBug;
+    } else {
+        // Persisted and not governed by any commit variable: fine.
+        return false;
+    }
+    res.addr = addr;
+    res.writerSeq = c.lastWriterSeq;
+    return true;
 }
 
 ReadCheckResult
 ShadowPM::checkPostRead(Addr a, std::size_t n)
 {
     ReadCheckResult res;
-    if (n == 0)
-        return res;
-    std::uint64_t first = cellIndex(a);
-    std::uint64_t count = cellCount(a, n);
+    auto [first, end] = cellSpan(a, n);
     bool benign_seen = false;
-    // Reads are nearly always page-local: resolve both the post
-    // overlay page and the pre-state page once per page crossing
-    // rather than once per cell.
-    std::uint64_t cached_pg = ~std::uint64_t{0};
-    PostPage *post_pg = nullptr;
-    const Page *pre_pg = nullptr;
-    for (std::uint64_t i = 0; i < count; i++) {
-        std::uint64_t idx = first + i;
-        Addr cell_addr = poolRange.begin + idx * gran;
-
-        // Reading a commit variable is a benign cross-failure race.
-        if (isCommitVarAddr(cell_addr)) {
-            benign_seen = true;
+    bool offended = false;
+    // One 64-cell word at a time. Reading a commit variable is a
+    // benign cross-failure race; cells overwritten post-failure are
+    // fine; under first-read-only a cell is checked once per replay.
+    // Every other cell counts as checked, but only the candidates —
+    // cells that are not clean, or that a commit variable governs —
+    // can offend, so only they go through the per-cell rule, in
+    // address order, up to the first offender.
+    for (std::uint64_t w = first / 64; w * 64 < end; w++) {
+        std::uint64_t lo = w * 64;
+        std::uint64_t span = bitRange(std::max(first, lo) - lo,
+                                      std::min(end, lo + 64) - lo);
+        std::uint64_t cv = span & commitVarCells(w);
+        benign_seen = benign_seen || cv;
+        PostPage &post = postPageAt(lo);
+        std::uint64_t &checked = post.checked[w % wordsPerPage];
+        std::uint64_t live = span & ~cv & ~post.overwritten[w % wordsPerPage];
+        std::uint64_t skip = cfg.firstReadOnly ? live & checked : 0;
+        std::uint64_t todo = live & ~skip;
+        nChecks += static_cast<std::size_t>(std::popcount(todo));
+        nSkipped += static_cast<std::size_t>(std::popcount(skip));
+        checked |= todo;
+        const Page *pre = findPage(lo);
+        if (offended || !todo || !pre)
             continue;
+        std::uint64_t cand =
+            todo & (~pre->clean[w % wordsPerPage] | governedCells(w));
+        for (; cand && !offended; cand &= cand - 1) {
+            std::uint64_t idx = lo + std::countr_zero(cand);
+            offended =
+                offends(pre->cells[idx % cellsPerPage], cellAddr(idx), res);
         }
-
-        if (idx / cellsPerPage != cached_pg) {
-            cached_pg = idx / cellsPerPage;
-            post_pg = &postPageAt(idx);
-            pre_pg = findPage(idx);
-        }
-        std::uint8_t &pflags = (*post_pg)[idx % cellsPerPage];
-        if (pflags & postOverwritten)
-            continue;
-        if (cfg.firstReadOnly && (pflags & postChecked)) {
-            nSkipped++;
-            continue;
-        }
-        pflags |= postChecked;
-
-        const Cell *c = pre_pg ? &(*pre_pg)[idx % cellsPerPage]
-                               : nullptr;
-        if (!c || c->ps == PersistState::Unmodified) {
-            // Untouched pre-failure: initial data, consistent.
-            nChecks++;
-            continue;
-        }
-        nChecks++;
-
-        if (res.verdict == ReadCheck::Race ||
-            res.verdict == ReadCheck::SemanticBug) {
-            // Already found the first offending cell; keep scanning
-            // only to mark the remaining cells as checked.
-            continue;
-        }
-
-        if (c->flags & cellUninit) {
-            // Allocated but never explicitly written by the program:
-            // implicit allocator zeroing (even persisted) is not
-            // initialization the program may rely on (§6.3.2 bug 2).
-            res.verdict = ReadCheck::Race;
-            res.addr = cell_addr;
-            res.writerSeq = c->lastWriterSeq;
-            res.uninitialized = true;
-            continue;
-        }
-
-        const CommitVar *var = coveringVar(cell_addr);
-
-        // Check consistency first: "reading a consistent location is
-        // certainly bug-free" (§5.4) — unless the strict extension is
-        // enabled, which additionally requires persistence.
-        bool consistent = var && consistentUnder(*c, *var);
-        if (consistent &&
-            !(cfg.strictPersistCheck && c->ps != PersistState::Persisted)) {
-            continue;
-        }
-
-        bool persisted = c->ps == PersistState::Persisted;
-        if (!persisted) {
-            res.verdict = ReadCheck::Race;
-            res.addr = cell_addr;
-            res.writerSeq = c->lastWriterSeq;
-            res.uninitialized = (c->flags & cellUninit) != 0;
-            continue;
-        }
-        if (var) {
-            res.verdict = ReadCheck::SemanticBug;
-            res.addr = cell_addr;
-            res.writerSeq = c->lastWriterSeq;
-            // Stale: last modified before even the pre-last commit
-            // write; uncommitted: modified at/after the last one.
-            res.stale = c->tlast < var->tprelast;
-            continue;
-        }
-        // Persisted and not governed by any commit variable: fine.
     }
     if (benign_seen && res.verdict == ReadCheck::Ok)
         res.verdict = ReadCheck::Benign;

@@ -15,7 +15,11 @@
  * The pre-failure trace is replayed incrementally (state carries over
  * from one failure point to the next); each post-failure trace is
  * replayed against a lightweight overlay so the pre-failure state is
- * never disturbed.
+ * never disturbed. The overlay is bit-sliced (an overwritten and a
+ * checked bit per cell, 64 cells to a word), and every pre-state page
+ * keeps a clean bit per cell (Unmodified, or Persisted and
+ * initialized), so a read is classified a word at a time and only
+ * cells that can offend go through the per-cell rule.
  *
  * It is also the detector's only crash-state model. With tails on,
  * every open cell (at least one write not yet guaranteed durable)
@@ -37,7 +41,6 @@
 #include <array>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -157,7 +160,7 @@ class ShadowPM
      * Cells are cfg.granularity bytes of @p pool; accesses outside it
      * are clamped away. @p tails also keeps the write tails and the
      * decided-cell reports below — the detector's replay cursors do;
-     * the end-of-campaign perf scan and FSM-only users do not.
+     * FSM-only users do not.
      *
      * @throws std::invalid_argument unless cfg.granularity is a cell
      * size (1, 2, 4 or 8).
@@ -211,7 +214,8 @@ class ShadowPM
      */
 
     /**
-     * Reset the post-failure overlay (call per failure point).
+     * Reset the post-failure overlay (call per execution): a new
+     * epoch, so overlay pages clear on their first touch.
      * Commit-variable registrations made while the overlay is active
      * are scoped to it: post-failure code may allocate objects at
      * addresses the pre-failure execution later uses differently.
@@ -334,13 +338,6 @@ class ShadowPM
         cellUninit = 1 << 0,   ///< allocated, never explicitly written
     };
 
-    /** Post-overlay flags. */
-    enum PostFlags : std::uint8_t
-    {
-        postOverwritten = 1 << 0,
-        postChecked = 1 << 1,
-    };
-
     /** A commit variable and its associated address set Sx. */
     struct CommitVar
     {
@@ -351,9 +348,27 @@ class ShadowPM
     };
 
     static constexpr std::size_t cellsPerPage = 4096;
-    using Page = std::array<Cell, cellsPerPage>;
-    /** Post-overlay flags, paged like the pre-state cells. */
-    using PostPage = std::array<std::uint8_t, cellsPerPage>;
+    static constexpr std::size_t wordsPerPage = cellsPerPage / 64;
+    using Words = std::array<std::uint64_t, wordsPerPage>;
+
+    /** Pre-state cells of one page, with a clean bit per cell. */
+    struct Page
+    {
+        Page() { clean.fill(~std::uint64_t{0}); }
+
+        std::array<Cell, cellsPerPage> cells;
+        /** Unmodified, or Persisted and initialized: can offend only
+         *  where a commit variable governs it. */
+        Words clean;
+    };
+
+    /** Post-overlay bits of one page, live while epoch is current. */
+    struct PostPage
+    {
+        std::uint64_t epoch = 0;
+        Words overwritten{};
+        Words checked{};
+    };
 
     /**
      * Cells [first, last) of extent [a, a+n), clamped to the pool so
@@ -361,15 +376,6 @@ class ShadowPM
      */
     std::pair<std::uint64_t, std::uint64_t> cellSpan(Addr a,
                                                      std::size_t n) const;
-
-    /** Cell count covering [a, a+n). */
-    std::uint64_t
-    cellCount(Addr a, std::size_t n) const
-    {
-        if (n == 0)
-            return 0;
-        return cellIndex(a + n - 1) - cellIndex(a) + 1;
-    }
 
     const Cell *findCell(std::uint64_t idx) const;
 
@@ -379,17 +385,32 @@ class ShadowPM
     /** Pre-state page holding cell @p idx, or nullptr. */
     Page *findPage(std::uint64_t idx) const;
 
-    /** Post-overlay page holding cell @p idx, created zeroed. */
+    /** Post-overlay page holding in-pool cell @p idx, current. */
     PostPage &postPageAt(std::uint64_t idx);
+
+    /** The cells of word @p w whose address lies in @p r. */
+    std::uint64_t cellsIn(AddrRange r, std::uint64_t w) const;
+
+    /** The cells of word @p w that lie in a commit variable. */
+    std::uint64_t commitVarCells(std::uint64_t w) const;
+
+    /**
+     * The cells of word @p w a commit variable governs: its ranges,
+     * or every cell under the single variable's default cover.
+     */
+    std::uint64_t governedCells(std::uint64_t w) const;
 
     /** The commit variable covering @p a, or nullptr. */
     const CommitVar *coveringVar(Addr a) const;
 
-    /** Whether @p a lies inside any commit variable itself. */
-    bool isCommitVarAddr(Addr a) const;
-
     /** Evaluate paper condition (3) for a cell under @p var. */
     bool consistentUnder(const Cell &c, const CommitVar &var) const;
+
+    /**
+     * The per-cell read rule (paper Fig. 11): whether a read of cell
+     * @p c at @p addr offends, recorded into @p res when it does.
+     */
+    bool offends(const Cell &c, Addr addr, ReadCheckResult &res) const;
 
     /**
      * Split the open run straddling cell @p at, if any.
@@ -458,12 +479,12 @@ class ShadowPM
     std::vector<CommitVar> savedCommitVars;
     bool inPostReplay = false;
     /**
-     * Post-overlay flag pages, cleared per failure point. Paged so the
-     * classify stage pays one hash lookup per page run instead of one
-     * per byte cell — recovery code touches thousands of cells per
-     * point, which made the flat map the dominant classify cost.
+     * The post overlay, indexed directly by page like the pre-state
+     * cells. Pages are never freed: beginPostReplay() starts a new
+     * epoch and each page clears when the epoch first touches it.
      */
-    std::unordered_map<std::uint64_t, std::unique_ptr<PostPage>> postPages;
+    std::vector<std::unique_ptr<PostPage>> postPages;
+    std::uint64_t postEpoch = 0;
 
     std::size_t nChecks = 0;
     std::size_t nSkipped = 0;

@@ -57,8 +57,7 @@ enum class Phase : std::uint8_t
     Restore,
     /** Post-failure stage execution on the reconstructed image. */
     RecoveryExec,
-    /** Post-trace replay against the shadow + the final perf scan
-     *  (backend half 2). */
+    /** Post-trace replay against the shadow (backend half 2). */
     Classify,
     /** Crash-state oracle enumeration (differential campaigns only). */
     Oracle,

@@ -100,7 +100,8 @@ PmRuntime::push(TraceEntry e)
                     "(likely looping over corrupted persistent data)",
                     e.loc};
             }
-            fatal("pre-failure trace exceeded %zu entries", entryCap);
+            throw TraceLimitExceeded(strprintf(
+                "pre-failure trace exceeded %zu entries", entryCap));
         }
         std::uint16_t f = 0;
         if (ownerScopes->lib > 0)
@@ -146,7 +147,8 @@ PmRuntime::push(TraceEntry e)
                 "(likely looping over corrupted persistent data)",
                 e.loc};
         }
-        fatal("pre-failure trace exceeded %zu entries", entryCap);
+        throw TraceLimitExceeded(strprintf(
+            "pre-failure trace exceeded %zu entries", entryCap));
     }
     e.flags |= currentFlags();
     if (mutHook && stg == Stage::PreFailure) {

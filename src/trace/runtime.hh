@@ -26,6 +26,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <source_location>
 #include <thread>
 #include <type_traits>
@@ -66,6 +67,12 @@ struct PostFailureAbort
     SrcLoc loc;
 };
 
+/** A pre-failure stage ran past its trace-entry cap (setEntryCap). */
+struct TraceLimitExceeded : std::length_error
+{
+    using std::length_error::length_error;
+};
+
 /** Well-known LibCall labels the backend recognizes. */
 namespace labels
 {
@@ -102,7 +109,10 @@ class PmRuntime
     void setTracing(bool on) { tracing = on; }
     bool tracingEnabled() const { return tracing; }
 
-    /** Bound the trace length (runaway-loop backstop). */
+    /**
+     * Bound the trace length (runaway-loop backstop): the entry past
+     * it throws TraceLimitExceeded, or PostFailureAbort post-failure.
+     */
     void setEntryCap(std::size_t cap) { entryCap = cap; }
 
     /**

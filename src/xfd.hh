@@ -213,6 +213,8 @@ class Campaign
      * Execute the campaign.
      * @throw std::invalid_argument when the configuration cannot run
      *        (core::checkDetectorConfig).
+     * @throw trace::TraceLimitExceeded when the pre-failure stage
+     *        runs past its trace-entry cap.
      */
     CampaignResult
     run()
@@ -256,6 +258,8 @@ class Campaign
      * @param traced trace without detecting when true; disable
      *               tracing too when false.
      * @return wall-clock seconds.
+     * @throw trace::TraceLimitExceeded when a traced stage runs past
+     *        its trace-entry cap.
      */
     double
     baseline(bool traced)

@@ -9,16 +9,24 @@
  * After every entry of every trace the two must agree on cell states,
  * open cells, tails, the frontier (seqs, per-cell chains, event ->
  * cell index), commit variables and the cells each entry reports
- * decided (retired by a fence, pinned by a free). The CrashCellsFuzz
- * cases run seeded random traces (Write, NtWrite, all three flushes,
- * both fences, Alloc, Free, CommitVar, image-only and payload-elided
- * same-value writes) at granularity 1, 2 and 8; XFD_FUZZ_SEED replays
- * one of them.
+ * decided (retired by a fence, pinned by a free). The reference also
+ * keeps the post-failure read rule of paper Fig. 11 one cell at a
+ * time, with each cell's Tlast, writer and uninitialized flag, the
+ * commit variables with their ranges and last two commit writes, and
+ * the post-failure flags in a std::map; the shadow's word-wide
+ * classifier must return what it returns for every read, and count
+ * the same checks. The CrashCellsFuzz cases run seeded random traces
+ * (Write, NtWrite, all three flushes, both fences, Alloc, Free,
+ * CommitVar, CommitRange, image-only and payload-elided same-value
+ * writes) at granularity 1, 2 and 8, the read rule also under eADR,
+ * the strict persistence check and with first-read-only off;
+ * XFD_FUZZ_SEED replays one of them.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <vector>
@@ -35,6 +43,8 @@ using namespace xfd;
 using core::CellFrontier;
 using core::CellRun;
 using core::PersistState;
+using core::ReadCheck;
+using core::ReadCheckResult;
 using core::ShadowPM;
 using trace::Op;
 using trace::TraceEntry;
@@ -50,16 +60,46 @@ struct RefCells
         PersistState state = PersistState::Modified;
         /** Write seqs applied since the last guaranteed persist. */
         std::vector<std::uint32_t> tail;
+        /** Timestamp and seq of the last write or allocation. */
+        std::int32_t tlast = -1;
+        std::uint32_t writer = ReadCheckResult::noSeq;
+        /** Allocated and not written since. */
+        bool uninit = false;
     };
 
-    explicit RefCells(unsigned g) : gran(g) {}
+    /** A commit variable, its address set and its commit writes. */
+    struct Var
+    {
+        AddrRange var;
+        std::vector<AddrRange> ranges;
+        std::int32_t tlast = -1;
+        std::int32_t tprelast = -1;
+    };
+
+    /** Post-failure flags of a cell. */
+    enum : std::uint8_t
+    {
+        overwritten = 1,
+        checked = 2,
+    };
+
+    explicit RefCells(unsigned g, bool e = false) : gran(g), eadr(e) {}
 
     unsigned gran;
+    /** Writes are durable on arrival; flushes do nothing. */
+    bool eadr;
     std::map<std::uint64_t, Cell> cells;
     /** Cells with a non-empty tail. */
     std::set<std::uint64_t> open;
     std::vector<std::uint64_t> pending;
-    std::vector<AddrRange> commitVars;
+    std::vector<Var> commitVars;
+    /** Incremented by every fence. */
+    std::int32_t ts = 0;
+    /** The post replay in flight: its flags and the saved variables. */
+    std::map<std::uint64_t, std::uint8_t> post;
+    std::vector<Var> savedVars;
+    std::size_t checks = 0;
+    std::size_t skipped = 0;
 
     /** Cells are indexed from the pool base, like the shadow's. */
     std::uint64_t cellIndex(Addr a) const { return (a - poolBase) / gran; }
@@ -98,13 +138,29 @@ struct RefCells
             std::uint64_t n = cellCount(e.addr, e.size);
             for (std::uint64_t c = 0; c < n; c++) {
                 auto &cell = cells[first + c];
+                cell.tlast = ts;
+                cell.writer = e.seq;
+                cell.uninit = false;
+                if (eadr) {
+                    cell.state = St::Persisted;
+                    continue;
+                }
                 cell.state = nt ? St::WritebackPending : St::Modified;
                 cell.tail.push_back(e.seq);
                 open.insert(first + c);
                 if (nt)
                     pending.push_back(first + c);
             }
+            // A write overlapping a commit variable is a commit write.
+            for (Var &cv : commitVars) {
+                if (cv.var.overlaps({e.addr, e.addr + e.size})) {
+                    cv.tprelast = cv.tlast;
+                    cv.tlast = ts;
+                }
+            }
         } else if (e.isFlush()) {
+            if (eadr)
+                return;
             std::uint64_t first = cellIndex(e.addr);
             std::uint64_t n = cellCount(e.addr, cacheLineSize);
             for (std::uint64_t c = 0; c < n; c++) {
@@ -126,11 +182,17 @@ struct RefCells
                 open.erase(idx);
             }
             pending.clear();
+            ts++;
         } else if (e.op == Op::Alloc) {
             std::uint64_t first = cellIndex(e.addr);
             std::uint64_t n = cellCount(e.addr, e.size);
-            for (std::uint64_t c = 0; c < n; c++)
-                cells[first + c].state = St::Modified;
+            for (std::uint64_t c = 0; c < n; c++) {
+                auto &cell = cells[first + c];
+                cell.state = St::Modified;
+                cell.tlast = ts;
+                cell.writer = e.seq;
+                cell.uninit = true;
+            }
         } else if (e.op == Op::Free) {
             std::uint64_t first = cellIndex(e.addr);
             std::uint64_t n = cellCount(e.addr, e.size);
@@ -147,11 +209,120 @@ struct RefCells
         } else if (e.op == Op::CommitVar) {
             AddrRange r{e.addr, e.addr + e.size};
             bool known = false;
-            for (const auto &cv : commitVars)
-                known = known || cv == r;
+            for (const Var &cv : commitVars)
+                known = known || cv.var == r;
             if (!known)
-                commitVars.push_back(r);
+                commitVars.push_back({r, {}});
+        } else if (e.op == Op::CommitRange) {
+            // The first variable holding e.aux takes the range.
+            AddrRange r{e.addr, e.addr + e.size};
+            for (Var &cv : commitVars) {
+                if (!cv.var.contains(e.aux))
+                    continue;
+                if (std::find(cv.ranges.begin(), cv.ranges.end(), r) ==
+                    cv.ranges.end())
+                    cv.ranges.push_back(r);
+                break;
+            }
         }
+    }
+
+    std::vector<AddrRange>
+    varRanges() const
+    {
+        std::vector<AddrRange> r;
+        for (const Var &cv : commitVars)
+            r.push_back(cv.var);
+        return r;
+    }
+
+    void
+    beginPost()
+    {
+        post.clear();
+        savedVars = commitVars;
+    }
+
+    void endPost() { commitVars = savedVars; }
+
+    void
+    postWrite(Addr a, std::size_t n)
+    {
+        for (std::uint64_t c = 0; c < cellCount(a, n); c++)
+            post[cellIndex(a) + c] |= overwritten;
+    }
+
+    /** The variable governing @p a: a range of it, or the default. */
+    const Var *
+    covering(Addr a) const
+    {
+        for (const Var &cv : commitVars) {
+            for (const AddrRange &r : cv.ranges) {
+                if (r.contains(a))
+                    return &cv;
+            }
+        }
+        if (commitVars.size() == 1 && commitVars.front().ranges.empty())
+            return &commitVars.front();
+        return nullptr;
+    }
+
+    /** A post-failure read of [a, a+n), checked one cell at a time. */
+    ReadCheckResult
+    read(Addr a, std::size_t n, const core::DetectorConfig &cfg)
+    {
+        ReadCheckResult res;
+        bool benign = false;
+        for (std::uint64_t i = 0; i < cellCount(a, n); i++) {
+            std::uint64_t idx = cellIndex(a) + i;
+            Addr addr = poolBase + idx * gran;
+            bool in_var = false;
+            for (const Var &cv : commitVars)
+                in_var = in_var || cv.var.contains(addr);
+            if (in_var) {
+                benign = true;
+                continue;
+            }
+            std::uint8_t &flags = post[idx];
+            if (flags & overwritten)
+                continue;
+            if (cfg.firstReadOnly && (flags & checked)) {
+                skipped++;
+                continue;
+            }
+            flags |= checked;
+            checks++;
+            auto it = cells.find(idx);
+            if (it == cells.end() || res.verdict == ReadCheck::Race ||
+                res.verdict == ReadCheck::SemanticBug)
+                continue;
+            const Cell &c = it->second;
+            auto offend = [&](ReadCheck v) {
+                res.verdict = v;
+                res.addr = addr;
+                res.writerSeq = c.writer;
+            };
+            if (c.uninit) {
+                offend(ReadCheck::Race);
+                res.uninitialized = true;
+                continue;
+            }
+            const Var *var = covering(addr);
+            bool persisted = c.state == PersistState::Persisted;
+            bool consistent = var && var->tprelast <= c.tlast &&
+                              c.tlast < var->tlast;
+            if (consistent && !(cfg.strictPersistCheck && !persisted))
+                continue;
+            if (!persisted) {
+                offend(ReadCheck::Race);
+            } else if (var) {
+                offend(ReadCheck::SemanticBug);
+                res.stale = c.tlast < var->tprelast;
+            }
+        }
+        if (benign && res.verdict == ReadCheck::Ok)
+            res.verdict = ReadCheck::Benign;
+        return res;
     }
 
     /** The frontier as the driver used to derive it. */
@@ -233,6 +404,9 @@ applyTo(ShadowPM &m, const TraceEntry &e)
         break;
       case Op::CommitVar:
         m.registerCommitVar(e.addr, e.size);
+        break;
+      case Op::CommitRange:
+        m.registerCommitRange(e.aux, e.addr, e.size);
         break;
       default:
         break;
@@ -317,11 +491,11 @@ expectModelsAgree(const std::vector<TraceEntry> &trace, unsigned gran,
                     << "state of cell @" << std::hex << a;
             }
         }
-        ASSERT_EQ(model.commitVarRanges(), ref.commitVars);
+        ASSERT_EQ(model.commitVarRanges(), ref.varRanges());
         // The candidate executor's dropped-commit-write test.
         AddrRange extent{e.addr, e.addr + e.size};
         bool overlaps = false;
-        for (const AddrRange &cv : ref.commitVars)
+        for (const AddrRange &cv : ref.varRanges())
             overlaps = overlaps || cv.overlaps(extent);
         ASSERT_EQ(model.overlapsCommitVar(extent), overlaps);
 
@@ -463,21 +637,31 @@ TEST(CrashCells, EadrWritesOpenNoTail)
     EXPECT_EQ(m.persistStateOf(poolBase + 8), PersistState::Persisted);
 }
 
+/** A random pool offset in one of randomTrace()'s hot windows. */
+Addr
+hotAddr(Rng &rng)
+{
+    Addr hot = rng.below(2) ? 4096 - 160 : 32768 - 160;
+    return hot + rng.below(320);
+}
+
 /**
  * A random trace over two hot windows: one around the 4 KiB mark
  * (a table-page boundary at granularity 1) and one around 32 KiB
- * (the boundary at granularity 8).
+ * (the boundary at granularity 8). With @p commitRanges, half the
+ * commit-variable draws associate a range with a registered variable
+ * instead, kept clear of other variables' ranges (condition (2)).
  */
 std::vector<TraceEntry>
-randomTrace(Rng &rng)
+randomTrace(Rng &rng, bool commitRanges = false)
 {
-    auto addr = [&] {
-        Addr hot = rng.below(2) ? 4096 - 160 : 32768 - 160;
-        return hot + rng.below(320);
-    };
+    auto addr = [&] { return hotAddr(rng); };
     std::vector<TraceEntry> t;
     std::vector<std::pair<Addr, std::uint32_t>> live;
     std::vector<Addr> vars;
+    // Distinct registered variables, in order, and the ranges each owns.
+    std::vector<AddrRange> regs;
+    std::vector<std::vector<AddrRange>> owned;
     std::size_t n = 20 + rng.below(180);
     for (std::size_t i = 0; i < n; i++) {
         std::uint64_t pick = rng.below(100);
@@ -522,16 +706,161 @@ randomTrace(Rng &rng)
                                   static_cast<std::uint32_t>(
                                       1 + rng.below(48))));
             }
+        } else if (commitRanges && !regs.empty() && rng.below(2)) {
+            Addr aux = regs[rng.below(regs.size())].begin;
+            std::size_t owner = 0;
+            while (!regs[owner].contains(aux))
+                owner++;
+            Addr a = addr();
+            auto len = 1 + static_cast<std::uint32_t>(
+                               rng.below(rng.below(2) ? 24 : 160));
+            AddrRange r{poolBase + a, poolBase + a + len};
+            bool clear = true;
+            for (std::size_t k = 0; k < regs.size(); k++) {
+                for (const AddrRange &o : owned[k])
+                    clear = clear && (k == owner || !o.overlaps(r));
+            }
+            if (clear) {
+                owned[owner].push_back(r);
+                TraceEntry e = entry(Op::CommitRange, a, len);
+                e.aux = aux;
+                t.push_back(std::move(e));
+            }
         } else {
             Addr a = !vars.empty() && rng.below(3) == 0
                          ? vars[rng.below(vars.size())]
                          : addr();
-            t.push_back(entry(Op::CommitVar, a,
-                              1 + static_cast<std::uint32_t>(rng.below(8))));
+            auto len = 1 + static_cast<std::uint32_t>(rng.below(8));
+            t.push_back(entry(Op::CommitVar, a, len));
             vars.push_back(a);
+            AddrRange r{poolBase + a, poolBase + a + len};
+            if (std::find(regs.begin(), regs.end(), r) == regs.end()) {
+                regs.push_back(r);
+                owned.emplace_back();
+            }
         }
     }
     return numbered(std::move(t));
+}
+
+/**
+ * One random post-failure replay over the hot windows: Write, Alloc,
+ * CommitVar and, mostly, Read. A read is short, or long enough to
+ * straddle a 64-cell word or a page; a quarter of all ops start on a
+ * commit variable or range of @p pre.
+ */
+std::vector<TraceEntry>
+randomReplay(Rng &rng, const std::vector<TraceEntry> &pre)
+{
+    std::vector<Addr> vars;
+    for (const TraceEntry &e : pre) {
+        if (e.op == Op::CommitVar || e.op == Op::CommitRange)
+            vars.push_back(e.addr - poolBase);
+    }
+    std::vector<TraceEntry> t;
+    std::size_t n = 10 + rng.below(60);
+    for (std::size_t i = 0; i < n; i++) {
+        std::uint64_t pick = rng.below(100);
+        Addr a = !vars.empty() && rng.below(4) == 0
+                     ? vars[rng.below(vars.size())]
+                     : hotAddr(rng);
+        if (pick < 15) {
+            t.push_back(entry(Op::Write, a,
+                              1 + static_cast<std::uint32_t>(rng.below(24))));
+        } else if (pick < 20) {
+            t.push_back(entry(Op::Alloc, a,
+                              static_cast<std::uint32_t>(rng.below(64))));
+        } else if (pick < 25) {
+            t.push_back(entry(Op::CommitVar, a,
+                              1 + static_cast<std::uint32_t>(rng.below(8))));
+        } else {
+            auto len = 1 + static_cast<std::uint32_t>(
+                               rng.below(rng.below(4) ? 16 : 400));
+            t.push_back(entry(Op::Read, a, len));
+        }
+    }
+    return t;
+}
+
+/**
+ * Replay @p pre into a shadow and the reference, then each of
+ * @p replays post-failure, comparing the verdict of every read and
+ * the check counts after it.
+ */
+void
+expectReadsAgree(const std::vector<TraceEntry> &pre,
+                 const std::vector<std::vector<TraceEntry>> &replays,
+                 const core::DetectorConfig &cfg)
+{
+    ShadowPM shadow(poolRange, cfg, true);
+    RefCells ref(cfg.granularity, cfg.eadrOn());
+    std::vector<std::uint64_t> decided;
+    for (const TraceEntry &e : pre) {
+        applyTo(shadow, e);
+        ref.apply(e, decided);
+        decided.clear();
+    }
+    for (std::size_t r = 0; r < replays.size(); r++) {
+        SCOPED_TRACE(testing::Message() << "replay " << r);
+        shadow.beginPostReplay();
+        ref.beginPost();
+        for (const TraceEntry &e : replays[r]) {
+            if (e.op == Op::CommitVar) {
+                shadow.registerCommitVar(e.addr, e.size);
+                ref.apply(e, decided);
+                continue;
+            }
+            if (e.op != Op::Read) {
+                shadow.postWrite(e.addr, e.size);
+                ref.postWrite(e.addr, e.size);
+                continue;
+            }
+            SCOPED_TRACE(testing::Message() << "read @" << std::hex
+                                            << e.addr << std::dec << "+"
+                                            << e.size);
+            ReadCheckResult got = shadow.checkPostRead(e.addr, e.size);
+            ReadCheckResult want = ref.read(e.addr, e.size, cfg);
+            ASSERT_EQ(got.verdict, want.verdict);
+            ASSERT_EQ(got.addr, want.addr);
+            ASSERT_EQ(got.writerSeq, want.writerSeq);
+            ASSERT_EQ(got.uninitialized, want.uninitialized);
+            ASSERT_EQ(got.stale, want.stale);
+            ASSERT_EQ(shadow.checksPerformed(), ref.checks);
+            ASSERT_EQ(shadow.checksSkipped(), ref.skipped);
+        }
+        shadow.endPostReplay();
+        ref.endPost();
+    }
+}
+
+void
+fuzzReadsOne(std::uint64_t seed)
+{
+    SCOPED_TRACE(testing::Message() << "XFD_FUZZ_SEED=" << seed);
+    Rng rng(seed);
+    std::vector<TraceEntry> pre = randomTrace(rng, true);
+    std::vector<std::vector<TraceEntry>> replays;
+    replays.push_back(randomReplay(rng, pre));
+    replays.push_back(randomReplay(rng, pre));
+    for (unsigned gran : {1u, 2u, 8u}) {
+        for (const char *model : {"clwb", "eadr"}) {
+            for (bool strict : {false, true}) {
+                for (bool first_read : {true, false}) {
+                    core::DetectorConfig cfg = withGranularity(gran);
+                    cfg.pmModel = model;
+                    cfg.strictPersistCheck = strict;
+                    cfg.firstReadOnly = first_read;
+                    SCOPED_TRACE(testing::Message()
+                                 << "gran " << gran << " " << model
+                                 << (strict ? " strict" : "")
+                                 << (first_read ? "" : " every-read"));
+                    expectReadsAgree(pre, replays, cfg);
+                    if (testing::Test::HasFatalFailure())
+                        return;
+                }
+            }
+        }
+    }
 }
 
 void
@@ -552,6 +881,12 @@ TEST(CrashCellsFuzz, MatchesMapModelOnRandomTraces)
         fuzzOne(seed * 0x9e3779b97f4a7c15ull);
 }
 
+TEST(CrashCellsFuzz, PostReadsMatchReference)
+{
+    for (std::uint64_t seed = 1; seed <= 300; seed++)
+        fuzzReadsOne(seed * 0xbf58476d1ce4e5b9ull);
+}
+
 TEST(CrashCellsFuzz, ReplayFromEnv)
 {
     std::uint64_t s = 0;
@@ -559,6 +894,7 @@ TEST(CrashCellsFuzz, ReplayFromEnv)
         GTEST_SKIP() << "set XFD_FUZZ_SEED=<seed from a failure message> "
                         "to replay a single random trace";
     fuzzOne(s);
+    fuzzReadsOne(s);
 }
 
 } // namespace

@@ -219,6 +219,50 @@ TEST_F(ShadowTest, PostOverlayResetsPerFailurePoint)
     EXPECT_EQ(shadow.checkPostRead(base, 8).verdict, ReadCheck::Race);
 }
 
+TEST_F(ShadowTest, SecondReplaySeesNoFlagOfTheFirst)
+{
+    // Overwritten and checked cells of one replay, on two pages, are
+    // plain cells again in the next.
+    shadow.preWrite(base, 8, 0, false);
+    shadow.preWrite(base + 8192, 8, 1, false);
+    shadow.beginPostReplay();
+    shadow.postWrite(base, 8);
+    EXPECT_EQ(shadow.checkPostRead(base, 8).verdict, ReadCheck::Ok);
+    EXPECT_EQ(shadow.checkPostRead(base + 8192, 8).verdict,
+              ReadCheck::Race);
+    shadow.endPostReplay();
+    EXPECT_EQ(shadow.checksPerformed(), 8u);
+    shadow.beginPostReplay();
+    EXPECT_EQ(shadow.checkPostRead(base, 8).verdict, ReadCheck::Race);
+    EXPECT_EQ(shadow.checkPostRead(base + 8192, 8).verdict,
+              ReadCheck::Race);
+    EXPECT_EQ(shadow.checksPerformed(), 24u);
+    EXPECT_EQ(shadow.checksSkipped(), 0u);
+}
+
+TEST_F(ShadowTest, PostAccessOutsideThePoolIsClampedAway)
+{
+    // The pool is [base, base + 1 MiB): what lies outside it has no
+    // cells, so a read there checks and counts nothing, and a write
+    // there overwrites nothing.
+    const Addr end = base + (1 << 20);
+    shadow.preWrite(end - 8, 8, 0, false);
+    shadow.beginPostReplay();
+    EXPECT_EQ(shadow.checkPostRead(base - 64, 64).verdict, ReadCheck::Ok);
+    EXPECT_EQ(shadow.checkPostRead(end, 64).verdict, ReadCheck::Ok);
+    EXPECT_EQ(shadow.checkPostRead(~Addr{0} - 3, 64).verdict,
+              ReadCheck::Ok);
+    shadow.postWrite(end, 4096);
+    shadow.postWrite(base - 4096, 4096);
+    EXPECT_EQ(shadow.checksPerformed(), 0u);
+    EXPECT_EQ(shadow.checksSkipped(), 0u);
+    // A read across the end checks its in-pool cells only.
+    auto res = shadow.checkPostRead(end - 8, 64);
+    EXPECT_EQ(res.verdict, ReadCheck::Race);
+    EXPECT_EQ(res.addr, end - 8);
+    EXPECT_EQ(shadow.checksPerformed(), 8u);
+}
+
 TEST_F(ShadowTest, PartialOverwriteStillRaces)
 {
     shadow.preWrite(base, 8, 0, false);

@@ -243,6 +243,34 @@ TEST_F(TraceTest, PayloadBytesAccumulated)
     EXPECT_EQ(buf.payloadBytes(), 16u);
 }
 
+TEST(TraceLimit, PreFailureOverrunThrowsInsteadOfExiting)
+{
+    // A runaway pre-failure stage comes back to the host as an error,
+    // on the ring-buffered path and the locked one alike.
+    for (bool batched : {false, true}) {
+        SCOPED_TRACE(batched ? "batched" : "unbatched");
+        pm::PmPool pool(1 << 20);
+        TraceBuffer buf;
+        PmRuntime rt(pool, buf, Stage::PreFailure);
+        rt.setEntryCap(4);
+        rt.setBatching(batched);
+        auto *v = pool.at<std::uint64_t>(0);
+        for (std::uint64_t i = 0; i < 4; i++)
+            rt.store(*v, i);
+        try {
+            rt.store(*v, std::uint64_t{4});
+            FAIL() << "the fifth traced op was accepted";
+        } catch (const trace::TraceLimitExceeded &e) {
+            EXPECT_STREQ(e.what(), "pre-failure trace exceeded 4 entries");
+        }
+        rt.setBatching(false);
+        EXPECT_EQ(buf.size(), 4u);
+        // Later ops trace nothing and throw nothing.
+        rt.store(*v, std::uint64_t{5});
+        EXPECT_EQ(buf.size(), 4u);
+    }
+}
+
 TEST_F(TraceTest, StageRecorded)
 {
     EXPECT_EQ(rt.stage(), Stage::PreFailure);

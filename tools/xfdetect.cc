@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <limits>
 #include <string>
 #include <vector>
@@ -119,10 +120,9 @@ listBugs(const char *workload)
     return 0;
 }
 
-} // namespace
-
+/** The whole command; main() turns an escaping error into exit 4. */
 int
-main(int argc, char **argv)
+runMain(int argc, char **argv)
 {
     std::string workload;
     workloads::WorkloadConfig cfg;
@@ -683,4 +683,21 @@ main(int argc, char **argv)
         }
     }
     return exit_code;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A campaign that cannot finish (a runaway pre-failure stage, a
+    // pool that cannot be mapped) throws; report it instead of
+    // aborting. Exit 4 is distinct from findings (1), usage errors (2)
+    // and conformance breaks (3).
+    try {
+        return runMain(argc, argv);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "xfdetect: %s\n", e.what());
+        return 4;
+    }
 }
